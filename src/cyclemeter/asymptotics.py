@@ -32,7 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import ConvergenceError, UnsupportedClassError, UsageError
 from .measure import WeightSequence, _to_fraction

@@ -177,15 +177,9 @@ def family_from_request(name: str, flag_params: dict,
 
 
 def exact_capable(handle: FamilyHandle) -> bool:
-    """Whether the family's exact backend uses true rationals (vs float
-    snapshots), which is when the exact path is worth defaulting to."""
+    """Whether the family's weights carry an exact rule (true rationals
+    rather than float snapshots), which is when the exact backend is
+    worth defaulting to."""
     if isinstance(handle, GeneralizedFamily):
-        return handle.provenance == "exp-poly"
-    if handle.provenance in ("ewens", "spatial"):
-        return True
-    if handle.provenance == "theta-shift":
-        return float(handle.params.get("power", 2)) == int(handle.params.get("power", 2))
-    if handle.provenance == "polylog":
-        delta = float(handle.params.get("delta", 0))
-        return delta == int(delta)
-    return False
+        return handle.fweights.has_exact_rule
+    return handle.weights.has_exact_rule

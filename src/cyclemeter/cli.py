@@ -7,9 +7,10 @@ Subcommands:
 * sample  -- seeded, reproducible sampling of cycle types/permutations;
 * report  -- limit-law diagnostics along an n-grid.
 
-Exit codes: 0 success; 2 usage or config error; 3 mathematical
-inconsistency (oracle mismatch, degenerate measure, unusable class);
-4 failed trend assertion (--assert-trends).
+Exit codes: 0 success; 2 usage or config error, a refused size, or an
+unwritable --output; 3 mathematical inconsistency (oracle mismatch,
+degenerate measure, unusable class); 4 failed trend assertion
+(--assert-trends).
 
 Output is deterministic: identical invocations produce identical bytes;
 floats carry 17 significant digits.
@@ -20,15 +21,14 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
-from .asymptotics import WeightFamily, asymptotic_hn
+from .asymptotics import asymptotic_hn
 from .catalog import (FamilyHandle, GeneralizedFamily, exact_capable,
                       family_from_request)
 from .diagnostics import (clt_report, dumps_deterministic, format_scalar,
                           large_deviation_table, mod_poisson_report,
                           poisson_k_approx_report, poisson_vector_report,
-                          reports_to_csv, reports_to_json)
+                          reports_to_csv)
 from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
                      ResourceError, UnsupportedClassError, UsageError)
 from .generalized import (generalized_joint_cycle_pmf,
@@ -39,6 +39,7 @@ from .measure import (joint_cycle_pmf, normalization_constants,
 from .partitions import (brute_force_cycle_type_pmf,
                          brute_force_generalized_cycle_type_pmf,
                          brute_force_generalized_k_pmf, brute_force_k_pmf)
+from .series import EXACT, auto_kind, pmf_tol, to_kind
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,7 +123,7 @@ def _resolve_family(args) -> FamilyHandle:
 def _resolve_backend(args, handle: FamilyHandle, n_max: int) -> str:
     if args.backend != "auto":
         return args.backend
-    return "exact" if exact_capable(handle) and n_max <= 200 else "double"
+    return auto_kind(exact_capable(handle), n_max)
 
 
 def _parse_grid(args) -> list:
@@ -142,9 +143,8 @@ def _parse_grid(args) -> list:
 
 
 def _scalar_out(value, backend: str):
-    if backend == "exact":
-        return str(value) if isinstance(value, Fraction) else str(Fraction(value))
-    return float(value)
+    value = to_kind(value, backend)
+    return str(value) if backend == EXACT else value
 
 
 def _pmf_out(pmf, backend: str) -> tuple:
@@ -216,17 +216,11 @@ def _oracle_check(pmf, handle: FamilyHandle, args, backend: str) -> None:
         else:
             type_pmf, _ = brute_force_cycle_type_pmf(handle.weights, n, backend)
             ref_mass = _project_cycle_counts(type_pmf, b)
+    tol = pmf_tol(backend)
     for key, value in pmf.items():
         ref = ref_mass.get(key, 0)
-        if backend == "exact":
-            if value != ref:
-                raise DegenerateMeasureError(
-                    f"oracle mismatch at {key!r}: {value} vs {ref}")
-        else:
-            scale = max(abs(float(ref)), 1e-300)
-            if abs(float(value) - float(ref)) > 1e-9 * max(1.0, scale):
-                raise DegenerateMeasureError(
-                    f"oracle mismatch at {key!r}: {value} vs {ref}")
+        if abs(value - ref) > tol * max(1, abs(ref)):
+            raise DegenerateMeasureError(f"oracle mismatch at {key!r}: {value} vs {ref}")
 
 
 def _run_dist(args) -> str:
@@ -371,8 +365,12 @@ def main(argv=None) -> int:
         print(f"trend assertion failed: {exc}", file=sys.stderr)
         return EXIT_TREND
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK

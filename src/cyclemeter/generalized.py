@@ -36,10 +36,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .asymptotics import SingularityClass
-from .errors import ConvergenceError, UsageError
-from .measure import WeightSequence, _to_fraction
+from .errors import ConvergenceError, DegenerateMeasureError, UsageError
+from .measure import WeightSequence, _joint_pmf, _to_fraction
 from .pmf import Pmf
-from .series import DOUBLE, EXACT, TruncatedSeries, ts_exp
+from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_kind, ts_exp
 from .specfun import riemann_zeta
 
 _VALUE_CACHE_LIMIT = 50_000
@@ -103,6 +103,16 @@ class GeneralizedWeights:
             self._cache_exact[key] = v
         return v
 
+    def at(self, m: int, k: int, kind: str):
+        """F_m(k) in the given scalar kind."""
+        return self.value_exact(m, k) if kind == EXACT else self.value(m, k)
+
+    @property
+    def has_exact_rule(self) -> bool:
+        """Whether the exact backend sees true rationals from exact_fn
+        rather than binary snapshots of the doubles."""
+        return self._exact is not None
+
     def _check(self, m: int, k: int) -> None:
         if not isinstance(m, int) or m < 1:
             raise UsageError(f"cycle length must be an integer >= 1, got {m!r}")
@@ -113,60 +123,49 @@ class GeneralizedWeights:
         return f"GeneralizedWeights({self.name})"
 
 
-def _check_backend(backend: str) -> None:
-    if backend not in (EXACT, DOUBLE):
-        raise UsageError(f"backend must be 'exact' or 'double', got {backend!r}")
-
-
 def eg_series(fweights: GeneralizedWeights, m: int, order: int,
               backend: str = EXACT) -> TruncatedSeries:
     """EG(F_m, x) = sum_k F_m(k) x^k / k! truncated at x^order."""
-    _check_backend(backend)
+    check_kind(backend)
     if not isinstance(order, int) or order < 0:
         raise UsageError(f"order must be >= 0, got {order!r}")
-    coeffs = []
-    for k in range(order + 1):
-        if backend == EXACT:
-            coeffs.append(fweights.value_exact(m, k) / math.factorial(k))
-        else:
-            coeffs.append(fweights.value(m, k) / math.factorial(k))
+    coeffs = [fweights.at(m, k, backend) / math.factorial(k) for k in range(order + 1)]
     return TruncatedSeries(coeffs, backend)
 
 
 def _factor_coeffs(fweights: GeneralizedWeights, m: int, kmax: int, backend: str) -> list:
     """Coefficients of EG(F_m, t^m/m) on the t^{m k} lattice, k = 0..kmax."""
-    out = []
-    for k in range(kmax + 1):
-        if backend == EXACT:
-            out.append(fweights.value_exact(m, k) / (math.factorial(k) * Fraction(m) ** k))
-        else:
-            out.append(fweights.value(m, k) / (math.factorial(k) * float(m) ** k))
-    return out
+    m_kind = to_kind(m, backend)
+    return [fweights.at(m, k, backend) / (math.factorial(k) * m_kind ** k)
+            for k in range(kmax + 1)]
+
+
+def _eg_product(fweights: GeneralizedWeights, lengths, n: int, backend: str) -> list:
+    """Coefficients t^0..t^n of prod_{m in lengths} EG(F_m, t^m/m)."""
+    zero = to_kind(0, backend)
+    acc = [to_kind(1, backend)] + [zero] * n
+    for m in lengths:
+        fac = _factor_coeffs(fweights, m, n // m, backend)
+        new = [zero] * (n + 1)
+        for j, aj in enumerate(acc):
+            if aj == 0:
+                continue
+            for k, fk in enumerate(fac):
+                pos = j + m * k
+                if pos > n:
+                    break
+                new[pos] += aj * fk
+        acc = new
+    return acc
 
 
 def generalized_normalization(fweights: GeneralizedWeights, n_max: int,
                               backend: str = EXACT) -> list:
     """h_0(F), ..., h_{n_max}(F) via the product over cycle lengths."""
-    _check_backend(backend)
+    check_kind(backend)
     if not isinstance(n_max, int) or n_max < 0:
         raise UsageError(f"n_max must be >= 0, got {n_max!r}")
-    zero = Fraction(0) if backend == EXACT else 0.0
-    acc = [zero] * (n_max + 1)
-    acc[0] = Fraction(1) if backend == EXACT else 1.0
-    for m in range(1, n_max + 1):
-        fac = _factor_coeffs(fweights, m, n_max // m, backend)
-        new = [zero] * (n_max + 1)
-        for j in range(n_max + 1):
-            if acc[j] == 0:
-                continue
-            aj = acc[j]
-            for k, fk in enumerate(fac):
-                pos = j + m * k
-                if pos > n_max:
-                    break
-                new[pos] += aj * fk
-        acc = new
-    return acc
+    return _eg_product(fweights, range(1, n_max + 1), n_max, backend)
 
 
 def generalized_joint_cycle_pmf(fweights: GeneralizedWeights, n: int, b: int,
@@ -176,64 +175,30 @@ def generalized_joint_cycle_pmf(fweights: GeneralizedWeights, n: int, b: int,
     P[c] = (1/h_n(F)) * prod_{m<=b} F_m(c_m)/(c_m! m^{c_m})
                       * [t^{n - sum m c_m}] prod_{m>b} EG(F_m, t^m/m)
     """
-    _check_backend(backend)
-    if not isinstance(n, int) or n < 1:
-        raise UsageError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(b, int) or not 1 <= b <= n:
-        raise UsageError(f"b must satisfy 1 <= b <= n, got {b!r}")
+    check_kind(backend)
 
-    zero = Fraction(0) if backend == EXACT else 0.0
-    tail = [zero] * (n + 1)
-    tail[0] = Fraction(1) if backend == EXACT else 1.0
-    for m in range(b + 1, n + 1):
-        fac = _factor_coeffs(fweights, m, n // m, backend)
-        new = [zero] * (n + 1)
-        for j in range(n + 1):
-            if tail[j] == 0:
-                continue
-            aj = tail[j]
-            for k, fk in enumerate(fac):
-                pos = j + m * k
-                if pos > n:
-                    break
-                new[pos] += aj * fk
-        tail = new
+    def tables():
+        tail = _eg_product(fweights, range(b + 1, n + 1), n, backend)
+        hn = generalized_normalization(fweights, n, backend)[n]
+        if hn == 0:
+            raise DegenerateMeasureError(f"normalization h_{n}(F) = 0")
+        factors = [_factor_coeffs(fweights, m, n // m, backend) for m in range(1, b + 1)]
+        return factors, tail, hn
 
-    h = generalized_normalization(fweights, n, backend)
-    hn = h[n]
-    if hn == 0:
-        from .errors import DegenerateMeasureError
-
-        raise DegenerateMeasureError(f"normalization h_{n}(F) = 0")
-
-    factors = [_factor_coeffs(fweights, m, n // m, backend) for m in range(1, b + 1)]
-    mass: dict = {}
-
-    def fill(m: int, budget: int, prefix: tuple, weight):
-        if m > b:
-            mass[prefix] = weight * tail[budget] / hn
-            return
-        for count in range(budget // m + 1):
-            fill(m + 1, budget - m * count, prefix + (count,), weight * factors[m - 1][count])
-
-    one = Fraction(1) if backend == EXACT else 1.0
-    fill(1, n, (), one)
-    tol = 0 if backend == EXACT else 1e-9
-    return Pmf(mass, tol=tol)
+    return _joint_pmf(n, b, backend, tables)
 
 
 def generalized_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
                                  backend: str = EXACT) -> Pmf:
     """Law of the total cycle count: coefficient of u^k t^n in
     prod_m EG(F_m, u t^m / m), normalized by h_n(F)."""
-    _check_backend(backend)
+    check_kind(backend)
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
-    zero = Fraction(0) if backend == EXACT else 0.0
-    one = Fraction(1) if backend == EXACT else 1.0
+    zero = to_kind(0, backend)
     # rows[j][k] = coefficient of t^j u^k; each EG factor adds u^k with t^{mk}
     rows = [[zero] * (j + 1) for j in range(n + 1)]
-    rows[0][0] = one
+    rows[0][0] = to_kind(1, backend)
     for m in range(1, n + 1):
         fac = _factor_coeffs(fweights, m, n // m, backend)
         new = [[zero] * (j + 1) for j in range(n + 1)]
@@ -252,36 +217,30 @@ def generalized_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
     final = rows[n]
     hn = sum(final)
     if hn == 0:
-        from .errors import DegenerateMeasureError
-
         raise DegenerateMeasureError(f"normalization h_{n}(F) = 0")
     mass = {k: final[k] / hn for k in range(1, n + 1)}
-    tol = 0 if backend == EXACT else 1e-9
-    return Pmf(mass, tol=tol)
+    return Pmf(mass, tol=pmf_tol(backend))
 
 
 # -- exponential-polynomial family ------------------------------------------
 
 
 class _ExpPolynomialTable:
-    """Lazily extended coefficients of exp(P(x)), exact when P is rational."""
+    """Lazily extended exact coefficients of exp(P(x)) for rational P."""
 
     def __init__(self, poly: dict):
         self.poly = dict(poly)
-        self.exact = all(isinstance(c, Fraction) for c in poly.values())
         self._coeffs: Optional[list] = None
         self._order = -1
 
-    def coefficient(self, k: int):
+    def coefficient(self, k: int) -> Fraction:
         if k > self._order:
             order = max(16, 2 * k)
-            kind = EXACT if self.exact else DOUBLE
-            zero = Fraction(0) if self.exact else 0.0
-            coeffs = [zero] * (order + 1)
+            coeffs = [Fraction(0)] * (order + 1)
             for j, c in self.poly.items():
                 if j <= order:
                     coeffs[j] = c
-            self._coeffs = list(ts_exp(TruncatedSeries(coeffs, kind)).coeffs)
+            self._coeffs = list(ts_exp(TruncatedSeries(coeffs, EXACT)).coeffs)
             self._order = order
         return self._coeffs[k]
 
@@ -324,18 +283,15 @@ def exp_polynomial_log_series(theta, higher: dict, order: int,
 
     ts_exp of this must reproduce generalized_normalization exactly.
     """
-    _check_backend(backend)
+    check_kind(backend)
     theta_f = _to_fraction(theta)
-    zero = Fraction(0) if backend == EXACT else 0.0
-    coeffs = [zero] * (order + 1)
+    coeffs = [to_kind(0, backend)] * (order + 1)
     for m in range(1, order + 1):
-        add = theta_f / m
-        coeffs[m] += add if backend == EXACT else float(add)
+        coeffs[m] += to_kind(theta_f / m, backend)
     for j, b in higher.items():
         b_f = _to_fraction(b)
         for i in range(1, order // j + 1):
-            add = b_f / Fraction(i) ** j
-            coeffs[i * j] += add if backend == EXACT else float(add)
+            coeffs[i * j] += to_kind(b_f / Fraction(i) ** j, backend)
     return TruncatedSeries(coeffs, backend)
 
 

@@ -36,7 +36,8 @@ import numpy as np
 from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .partitions import Partition
 from .pmf import Pmf
-from .series import DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, ts_exp
+from .series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, check_kind,
+                     pmf_tol, to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
 _WEIGHT_CACHE_LIMIT = 20_000
@@ -97,6 +98,16 @@ class WeightSequence:
             self._cache_exact[m] = value
         return value
 
+    def at(self, m: int, kind: str):
+        """theta_m in the given scalar kind."""
+        return self.theta_exact(m) if kind == EXACT else self.theta(m)
+
+    @property
+    def has_exact_rule(self) -> bool:
+        """Whether the exact backend sees true rationals from exact_fn
+        rather than binary snapshots of the doubles."""
+        return self._exact is not None
+
     def __repr__(self) -> str:
         return f"WeightSequence({self.name})"
 
@@ -116,20 +127,12 @@ def _check_index(m) -> None:
         raise UsageError(f"cycle length index must be an integer >= 1, got {m!r}")
 
 
-def _check_backend(backend: str) -> None:
-    if backend not in (EXACT, DOUBLE):
-        raise UsageError(f"backend must be 'exact' or 'double', got {backend!r}")
-
-
 def weight_log_series(theta: WeightSequence, order: int, backend: str = EXACT) -> TruncatedSeries:
     """g(t) = sum_{k=1}^{order} (theta_k / k) t^k."""
-    _check_backend(backend)
+    check_kind(backend)
     if not isinstance(order, int) or order < 0:
         raise UsageError(f"order must be a nonnegative integer, got {order!r}")
-    if backend == EXACT:
-        coeffs = [Fraction(0)] + [theta.theta_exact(k) / k for k in range(1, order + 1)]
-    else:
-        coeffs = [0.0] + [theta.theta(k) / k for k in range(1, order + 1)]
+    coeffs = [to_kind(0, backend)] + [theta.at(k, backend) / k for k in range(1, order + 1)]
     return TruncatedSeries(coeffs, backend)
 
 
@@ -157,45 +160,56 @@ def joint_cycle_pmf(theta: WeightSequence, n: int, b: int, backend: str = EXACT)
 
     Support: every tuple with sum_m m*c_m <= n, including zero-mass ones.
     """
-    _check_backend(backend)
+    check_kind(backend)
+
+    def tables():
+        hn = _h_or_degenerate(normalization_constants(theta, n, backend), n)
+        zero, one = to_kind(0, backend), to_kind(1, backend)
+        tail_coeffs = [zero] * (b + 1) + [theta.at(m, backend) / m
+                                          for m in range(b + 1, n + 1)]
+        tail = ts_exp(TruncatedSeries(tail_coeffs, backend)).coeffs
+        factors = []
+        for m in range(1, b + 1):
+            ratio = theta.at(m, backend) / m
+            table = [one]
+            for count in range(1, n // m + 1):
+                table.append(table[-1] * ratio / count)
+            factors.append(table)
+        return factors, tail, hn
+
+    return _joint_pmf(n, b, backend, tables)
+
+
+def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
+    """Law of (C_1, ..., C_b) on S_n from per-length factor tables.
+
+    tables() returns (factors, tail, hn): factors[m-1][c] weighs c cycles
+    of length m, tail[s] weighs the s points left to cycles longer than
+    b, and hn normalizes, so that
+
+        P[c] = prod_{m<=b} factors[m-1][c_m] * tail[n - sum m c_m] / hn.
+
+    It is called only once n and b are valid and the support fits under
+    the cap, so an oversized request is refused before any table is built.
+    """
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
     if not isinstance(b, int) or not 1 <= b <= n:
         raise UsageError(f"b must satisfy 1 <= b <= n, got {b!r}")
     _guard_joint_support(n, b)
-
-    h = normalization_constants(theta, n, backend)
-    hn = _h_or_degenerate(h, n)
-
-    zero = Fraction(0) if backend == EXACT else 0.0
-    tail_coeffs = [zero] * (n + 1)
-    for m in range(b + 1, n + 1):
-        tail_coeffs[m] = (theta.theta_exact(m) / m) if backend == EXACT else theta.theta(m) / m
-    tail = ts_exp(TruncatedSeries(tail_coeffs, backend)).coeffs
-
-    ratios = []
-    for m in range(1, b + 1):
-        ratios.append((theta.theta_exact(m) / m) if backend == EXACT else theta.theta(m) / m)
-
-    one = Fraction(1) if backend == EXACT else 1.0
+    factors, tail, hn = tables()
     mass: dict = {}
 
     def fill(m: int, budget: int, prefix: tuple, weight):
         if m > b:
             mass[prefix] = weight * tail[budget] / hn
             return
-        count = 0
-        w = weight
-        while True:
-            fill(m + 1, budget - m * count, prefix + (count,), w)
-            count += 1
-            if m * count > budget:
-                break
-            w = w * ratios[m - 1] / count
+        table = factors[m - 1]
+        for count in range(budget // m + 1):
+            fill(m + 1, budget - m * count, prefix + (count,), weight * table[count])
 
-    fill(1, n, (), one)
-    tol = 0 if backend == EXACT else 1e-9
-    return Pmf(mass, tol=tol)
+    fill(1, n, (), to_kind(1, kind))
+    return Pmf(mass, tol=pmf_tol(kind))
 
 
 def _guard_joint_support(n: int, b: int) -> None:
@@ -220,7 +234,7 @@ def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
     are produced by a single triangular recurrence, so asking for a grid
     of n values costs the same as asking for the largest one.
     """
-    _check_backend(backend)
+    check_kind(backend)
     ns = list(n_values)
     if not ns or any((not isinstance(n, int)) or n < 1 for n in ns):
         raise UsageError(f"n values must be positive integers, got {n_values!r}")
@@ -228,14 +242,13 @@ def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
     g = weight_log_series(theta, n_max, backend)
     biv = bv_exp_wg(g)
     out = {}
-    tol = 0 if backend == EXACT else 1e-9
     for n in ns:
         row = biv.row(n)
         hn = sum(row) if backend == EXACT else float(np.sum(row))
         if hn == 0 or (isinstance(hn, float) and not math.isfinite(hn)):
             raise DegenerateMeasureError(f"normalization h_{n} = {hn}")
         mass = {k: row[k] / hn for k in range(1, n + 1)}
-        out[n] = Pmf(mass, tol=tol)
+        out[n] = Pmf(mass, tol=pmf_tol(backend))
     return out
 
 
@@ -245,16 +258,12 @@ def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -
     The identity sum_m m * E[C_m] = n holds exactly and is a good
     self-check on any weight sequence.
     """
-    _check_backend(backend)
+    check_kind(backend)
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
     h = normalization_constants(theta, n, backend)
     hn = _h_or_degenerate(h, n)
-    out = []
-    for m in range(1, n + 1):
-        tm = theta.theta_exact(m) if backend == EXACT else theta.theta(m)
-        out.append(tm / m * h[n - m] / hn)
-    return out
+    return [theta.at(m, backend) / m * h[n - m] / hn for m in range(1, n + 1)]
 
 
 # -- sampling --------------------------------------------------------------

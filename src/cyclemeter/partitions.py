@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ResourceError, UsageError
+from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .pmf import Pmf
+# Only the scalar-kind helpers: the oracle shares no kernel with the engine.
+from .series import check_kind, pmf_tol, to_kind
 
 # Enumerating all partitions beyond this size is refused; p(80) ~ 1.5e7
 # would already be painful and nothing in the package needs it.
@@ -98,14 +99,11 @@ def _partition_table(n: int) -> tuple:
 
 
 def _theta_values(theta, n: int, backend: str) -> list:
-    vals = [None] * (n + 1)
-    for m in range(1, n + 1):
-        vals[m] = theta.theta_exact(m) if backend == "exact" else theta.theta(m)
-    return vals
+    return [None] + [theta.at(m, backend) for m in range(1, n + 1)]
 
 
-def _class_weight(parts, vals):
-    w = vals[parts[0]] if parts else 1
+def _class_weight(parts, vals, backend):
+    w = vals[parts[0]] if parts else to_kind(1, backend)
     for p in parts[1:]:
         w = w * vals[p]
     return w
@@ -113,33 +111,28 @@ def _class_weight(parts, vals):
 
 def brute_force_normalization(theta, n: int, backend: str = "exact"):
     """Partition sum h_n = sum_lambda prod_i theta_{lambda_i} / z_lambda."""
-    _check_backend(backend)
+    check_kind(backend)
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
     vals = _theta_values(theta, n, backend)
-    total = Fraction(0) if backend == "exact" else 0.0
+    total = to_kind(0, backend)
     for parts, z in _partition_table(n):
-        w = _class_weight(parts, vals)
-        total += (Fraction(w) / z) if backend == "exact" else w / z
+        total += _class_weight(parts, vals, backend) / z
     return total
 
 
 def brute_force_cycle_type_pmf(theta, n: int, backend: str = "exact"):
     """Exact law of the cycle type; returns (pmf over Partition, normalization)."""
-    _check_backend(backend)
+    check_kind(backend)
     vals = _theta_values(theta, n, backend)
     weights = {}
     for parts, z in _partition_table(n):
-        w = _class_weight(parts, vals)
-        weights[Partition(parts)] = (Fraction(w) / z) if backend == "exact" else w / z
+        weights[Partition(parts)] = _class_weight(parts, vals, backend) / z
     norm = sum(weights.values())
     if norm == 0:
-        from .errors import DegenerateMeasureError
-
         raise DegenerateMeasureError(f"normalization vanishes at n={n}")
     mass = {lam: w / norm for lam, w in weights.items()}
-    tol = 0 if backend == "exact" else 1e-9
-    return Pmf(mass, tol=tol), norm
+    return Pmf(mass, tol=pmf_tol(backend)), norm
 
 
 def brute_force_k_pmf(theta, n: int, backend: str = "exact") -> Pmf:
@@ -149,8 +142,7 @@ def brute_force_k_pmf(theta, n: int, backend: str = "exact") -> Pmf:
     for lam, p in type_pmf.items():
         k = lam.length
         mass[k] = mass.get(k, 0) + p
-    tol = 0 if backend == "exact" else 1e-9
-    return Pmf(mass, tol=tol)
+    return Pmf(mass, tol=pmf_tol(backend))
 
 
 # -- generalized measure oracle ------------------------------------------
@@ -159,38 +151,35 @@ def brute_force_k_pmf(theta, n: int, backend: str = "exact") -> Pmf:
 #   class weight = prod_m F_m(c_m) / z_lambda.
 
 
-def _generalized_class_weight(parts, fvals, backend):
+def _generalized_class_weight(parts, fweights, backend):
     counts: dict = {}
     for p in parts:
         counts[p] = counts.get(p, 0) + 1
-    w = Fraction(1) if backend == "exact" else 1.0
+    w = to_kind(1, backend)
     for m, c in counts.items():
-        w = w * fvals(m, c)
+        w = w * fweights.at(m, c, backend)
     return w
 
 
 def brute_force_generalized_normalization(fweights, n: int, backend: str = "exact"):
-    _check_backend(backend)
+    check_kind(backend)
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    fvals = fweights.value_exact if backend == "exact" else fweights.value
-    total = Fraction(0) if backend == "exact" else 0.0
+    total = to_kind(0, backend)
     for parts, z in _partition_table(n):
-        total += _generalized_class_weight(parts, fvals, backend) / z
+        total += _generalized_class_weight(parts, fweights, backend) / z
     return total
 
 
 def brute_force_generalized_cycle_type_pmf(fweights, n: int, backend: str = "exact"):
-    _check_backend(backend)
-    fvals = fweights.value_exact if backend == "exact" else fweights.value
+    check_kind(backend)
     weights = {}
     for parts, z in _partition_table(n):
-        w = _generalized_class_weight(parts, fvals, backend)
+        w = _generalized_class_weight(parts, fweights, backend)
         weights[Partition(parts)] = w / z
     norm = sum(weights.values())
     mass = {lam: w / norm for lam, w in weights.items()}
-    tol = 0 if backend == "exact" else 1e-9
-    return Pmf(mass, tol=tol), norm
+    return Pmf(mass, tol=pmf_tol(backend)), norm
 
 
 def brute_force_generalized_k_pmf(fweights, n: int, backend: str = "exact") -> Pmf:
@@ -198,10 +187,4 @@ def brute_force_generalized_k_pmf(fweights, n: int, backend: str = "exact") -> P
     mass: dict = {}
     for lam, p in type_pmf.items():
         mass[lam.length] = mass.get(lam.length, 0) + p
-    tol = 0 if backend == "exact" else 1e-9
-    return Pmf(mass, tol=tol)
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in ("exact", "double"):
-        raise UsageError(f"backend must be 'exact' or 'double', got {backend!r}")
+    return Pmf(mass, tol=pmf_tol(backend))

@@ -12,8 +12,6 @@ it back as an upper-bound correction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import UsageError
 
 
@@ -91,7 +89,3 @@ class Pmf:
         more = ", ..." if len(self._mass) > 3 else ""
         return f"Pmf({{{body}{more}}}, tol={self.tol})"
 
-
-def max_fraction_tol(kind: str):
-    """Default pmf tolerance for a scalar kind."""
-    return 0 if kind == "exact" else 1e-9

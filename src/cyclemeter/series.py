@@ -9,7 +9,10 @@ discards terms of order > N.  Two scalar kinds are supported:
   orders up to a few thousand stay fast.
 
 Binary operations require equal order and equal kind; callers pick the
-backend explicitly and keep it.
+backend explicitly and keep it.  This module is also the one place that
+knows the kinds: check_kind validates a name, to_kind converts a value
+(to_kind(0, kind) is the zero of a kind), pmf_tol is the mass tolerance
+of a law in that kind, and auto_kind makes the default choice.
 
 The exponential and logarithm use the standard coefficient recurrences
 obtained by differentiating H = exp(G):
@@ -34,6 +37,10 @@ EXACT = "exact"
 DOUBLE = "double"
 _KINDS = (EXACT, DOUBLE)
 
+# The default backend is exact only up to this order: exact kernels cost
+# far more per coefficient and their rationals grow with n.
+_AUTO_EXACT_MAX_N = 200
+
 Scalar = Union[Fraction, float]
 
 
@@ -46,13 +53,34 @@ def _as_exact(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def check_kind(kind: str) -> None:
+    """Raise UsageError unless kind names a scalar kind."""
+    _require(kind in _KINDS, f"backend must be 'exact' or 'double', got {kind!r}")
+
+
+def to_kind(value, kind: str) -> Scalar:
+    """value as a scalar of the given kind: Fraction (exact) or float."""
+    return _as_exact(value) if kind == EXACT else float(value)
+
+
+def pmf_tol(kind: str):
+    """Mass tolerance of a law in this kind: exact laws sum to 1 exactly."""
+    return 0 if kind == EXACT else 1e-9
+
+
+def auto_kind(exact_rule: bool, n_max: int) -> str:
+    """Default backend: exact when the weights have an exact rule and the
+    largest order is small enough for rational arithmetic."""
+    return EXACT if exact_rule and n_max <= _AUTO_EXACT_MAX_N else DOUBLE
+
+
 class TruncatedSeries:
     """Coefficient vector a_0..a_N of a power series truncated at order N."""
 
     __slots__ = ("coeffs", "kind")
 
     def __init__(self, coeffs: Sequence[Scalar], kind: str):
-        _require(kind in _KINDS, f"unknown scalar kind {kind!r}")
+        check_kind(kind)
         _require(len(coeffs) >= 1, "need at least the order-0 coefficient")
         if kind == EXACT:
             self.coeffs = tuple(_as_exact(c) for c in coeffs)
@@ -71,8 +99,7 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int, kind: str) -> "TruncatedSeries":
         _require(order >= 0, "order must be >= 0")
-        fill = Fraction(0) if kind == EXACT else 0.0
-        return cls([fill] * (order + 1), kind)
+        return cls([to_kind(0, kind)] * (order + 1), kind)
 
     @property
     def order(self) -> int:
@@ -196,7 +223,7 @@ class BivariateSeries:
         _require(0 <= n <= self.order, f"t-order {n} outside 0..{self.order}")
         _require(k >= 0, "w-degree must be >= 0")
         if k > n:
-            return Fraction(0) if self.kind == EXACT else 0.0
+            return to_kind(0, self.kind)
         if self.kind == EXACT:
             return self._rows[n][k]
         return float(self._arr[n, k])

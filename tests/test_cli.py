@@ -8,7 +8,12 @@ import json
 
 import pytest
 
+from cyclemeter.asymptotics import ewens_family
 from cyclemeter.cli import (EXIT_MATH, EXIT_OK, EXIT_TREND, EXIT_USAGE, main)
+from cyclemeter.errors import ResourceError
+from cyclemeter.generalized import (exp_polynomial_weights,
+                                    generalized_joint_cycle_pmf)
+from cyclemeter.measure import joint_cycle_pmf
 
 
 def run_cli(capsys, *argv):
@@ -196,3 +201,49 @@ def test_exp_poly_dist(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["mass"] == ["1/4", "11/24", "1/4", "1/24"]
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "hn", "--family", "ewens", "--theta", "1",
+                             "--n", "5", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("joint, weights, family", [
+    (joint_cycle_pmf, ewens_family(1).weights, "ewens"),
+    (generalized_joint_cycle_pmf, exp_polynomial_weights(1, {}), "exp-poly"),
+])
+def test_joint_support_cap(capsys, joint, weights, family):
+    # (C_1..C_12) at n=150 has more tuples than the cap: both measures
+    # refuse at once instead of enumerating for minutes.
+    with pytest.raises(ResourceError):
+        joint(weights, 150, 12)
+    code, _, err = run_cli(capsys, "dist", "--family", family, "--theta", "1",
+                           "--target", "cycles", "--b", "12", "--n", "150",
+                           "--backend", "double")
+    assert code == EXIT_USAGE
+    assert "joint support" in err
+
+
+@pytest.mark.parametrize("flags, backend", [
+    (("ewens", "--theta", "1"), "exact"),
+    (("polylog", "--delta", "0"), "exact"),
+    (("exp-weight", "--c", "0", "--theta-exp", "1"), "exact"),
+    (("alpha-exp", "--alpha", "1/2"), "double"),
+    (("exp-weight", "--c", "1", "--theta-exp", "1"), "double"),
+])
+def test_auto_backend_follows_exact_rule(capsys, flags, backend):
+    # auto is exact exactly when the weights have an exact rule and n <= 200;
+    # the first three families all have constant-1 weights, so h_n = 1.
+    code, out, _ = run_cli(capsys, "hn", "--family", *flags, "--n-grid", "5,200")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["backend"] == backend
+    if backend == "exact":
+        assert [row["h"] for row in doc["rows"]] == ["1", "1"]
+    code, out, _ = run_cli(capsys, "hn", "--family", *flags, "--n", "201")
+    assert code == EXIT_OK
+    assert json.loads(out)["backend"] == "double"

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclemeter import generalized, measure, partitions, series
 from cyclemeter.errors import ResourceError, UsageError
 from cyclemeter.measure import WeightSequence
 from cyclemeter.partitions import (Partition, brute_force_cycle_type_pmf,
@@ -108,3 +109,17 @@ def test_normalization_double_matches_exact():
     exact = brute_force_normalization(theta, 9)
     approx = brute_force_normalization(theta, 9, backend="double")
     assert approx == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_oracle_shares_no_kernel_with_engine():
+    # The oracle is the independent reference: it may use the scalar-kind
+    # helpers of series, but no series kernel, lattice product or joint
+    # enumerator of the engine it checks.
+    kernels = {"ts_exp": series.ts_exp, "ts_log": series.ts_log,
+               "ts_mul": series.ts_mul, "bv_exp_wg": series.bv_exp_wg,
+               "_eg_product": generalized._eg_product,
+               "_joint_pmf": measure._joint_pmf}
+    namespace = vars(partitions)
+    assert not set(kernels) & set(namespace)
+    assert not any(value is kernel for value in namespace.values()
+                   for kernel in kernels.values())
