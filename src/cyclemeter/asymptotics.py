@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -55,7 +55,6 @@ class SingularityClass:
     theta: float
     K: float
     gamma: Optional[float] = None
-    geometry: Optional[tuple] = None  # (R, phi) of the slit-disk domain, informational
     main_term_zero: bool = False
 
     def __post_init__(self):
@@ -79,11 +78,6 @@ class WeightFamily:
     provenance: str
     status: str = STATUS_OK
     note: str = ""
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.cls is not None:
-            self.weights.singularity = self.cls
 
     def require_class(self) -> SingularityClass:
         if self.cls is None:
@@ -102,7 +96,7 @@ def ewens_family(theta) -> WeightFamily:
         raise UsageError(f"constant weight must be > 0, got {theta}")
     weights = WeightSequence.constant(frac, name=f"ewens({theta})")
     cls = SingularityClass("F", 1.0, float(frac), 0.0)
-    return WeightFamily(weights, cls, "ewens", params={"theta": str(frac)})
+    return WeightFamily(weights, cls, "ewens")
 
 
 def theta_shift_family(theta, amp=1, power=2) -> WeightFamily:
@@ -115,28 +109,26 @@ def theta_shift_family(theta, amp=1, power=2) -> WeightFamily:
     power_f = float(power)
     if theta_f <= 0:
         raise UsageError(f"limit weight must be > 0, got {theta}")
-    if power_f <= 0:
-        raise UsageError(f"perturbation power must be > 0, got {power}")
+    # Past 1074 (2^-1074 is the least double) amp/m^power is 0 or overflows
+    # for m >= 2, and the exact rule's m**power would not finish.
+    if not 0 < power_f <= 1074:
+        raise UsageError(f"perturbation power must lie in (0, 1074], got {power}")
     if theta_f + amp_f < 0:
         raise UsageError("theta + amp < 0 makes theta_1 negative")
 
-    integral_power = power_f == int(power_f)
     p_int = int(power_f)
 
     def eval_fn(m: int) -> float:
         return float(theta_f) + float(amp_f) / m ** power_f
 
-    exact_fn = None
-    if integral_power:
-        exact_fn = lambda m: theta_f + amp_f / Fraction(m ** p_int)
+    exact_fn = (lambda m: theta_f + amp_f / Fraction(m ** p_int)) if power_f == p_int else None
 
     weights = WeightSequence(eval_fn, name=f"theta-shift({theta},{amp},{power})",
                              exact_fn=exact_fn)
     gamma = min(power_f, 1.0)
     K = float(amp_f) * riemann_zeta(power_f + 1.0)
     cls = SingularityClass("eF", 1.0, float(theta_f), K, gamma=gamma)
-    return WeightFamily(weights, cls, "theta-shift",
-                        params={"theta": str(theta_f), "amp": str(amp_f), "power": power_f})
+    return WeightFamily(weights, cls, "theta-shift")
 
 
 def polylog_family(delta) -> WeightFamily:
@@ -148,34 +140,28 @@ def polylog_family(delta) -> WeightFamily:
     0); delta < 0 makes g blow up algebraically at 1, outside both
     classes, so estimators refuse it.
     """
-    delta_f = float(_to_fraction(delta)) if isinstance(delta, str) else float(delta)
-    integral = delta_f == int(delta_f)
+    delta_f = float(delta)
+    if abs(delta_f) > 1074:  # 2^-1074 is the least double, as for theta-shift
+        raise UsageError(f"polylog exponent must lie in [-1074, 1074], got {delta}")
     d_int = int(delta_f)
 
     if delta_f == 0:
         fam = ewens_family(1)
-        return WeightFamily(fam.weights, fam.cls, "polylog", params={"delta": 0.0})
+        return WeightFamily(fam.weights, fam.cls, "polylog")
 
     def eval_fn(m: int) -> float:
         return float(m) ** (-delta_f)
 
-    exact_fn = None
-    if integral:
-        if d_int > 0:
-            exact_fn = lambda m: Fraction(1, m**d_int)
-        else:
-            exact_fn = lambda m: Fraction(m ** (-d_int))
+    exact_fn = (lambda m: Fraction(m) ** -d_int) if delta_f == d_int else None
 
     weights = WeightSequence(eval_fn, name=f"polylog({delta})", exact_fn=exact_fn)
     if delta_f > 0:
         cls = SingularityClass("F", 1.0, 0.0, riemann_zeta(delta_f + 1.0),
                                main_term_zero=True)
         return WeightFamily(weights, cls, "polylog", status=STATUS_MAIN_TERM_ZERO,
-                            note="g is bounded at 1; transfer main term vanishes",
-                            params={"delta": delta_f})
+                            note="g is bounded at 1; transfer main term vanishes")
     return WeightFamily(weights, None, "polylog", status=STATUS_UNSUPPORTED,
-                        note="g has an algebraic blow-up at 1, outside classes F/eF",
-                        params={"delta": delta_f})
+                        note="g has an algebraic blow-up at 1, outside classes F/eF")
 
 
 def exp_weight_family(c, theta_exp) -> WeightFamily:
@@ -186,43 +172,32 @@ def exp_weight_family(c, theta_exp) -> WeightFamily:
     classes: theta_exp <= 0 and theta_exp = 1; the stretched regimes in
     between are flagged open/unsupported.
     """
-    c_f = float(_to_fraction(c)) if isinstance(c, str) else float(c)
-    p_f = float(_to_fraction(theta_exp)) if isinstance(theta_exp, str) else float(theta_exp)
+    c_f = float(c)
+    p_f = float(theta_exp)
 
     def eval_fn(m: int) -> float:
         return math.exp(c_f * m**p_f)
 
     weights = WeightSequence(eval_fn, name=f"exp-weight({c},{theta_exp})")
-    params = {"c": c_f, "theta_exp": p_f}
 
     if c_f == 0.0:
         fam = ewens_family(1)
-        params["radius"] = 1.0
-        return WeightFamily(fam.weights, fam.cls, "exp-weight", params=params)
+        return WeightFamily(fam.weights, fam.cls, "exp-weight")
 
     if p_f > 1.0:
         if c_f > 0:
-            params["radius"] = 0.0
             return WeightFamily(weights, None, "exp-weight", status=STATUS_ZERO_RADIUS,
-                                note="weights grow faster than geometrically; g has radius 0",
-                                params=params)
-        params["radius"] = math.inf
+                                note="weights grow faster than geometrically; g has radius 0")
         return WeightFamily(weights, None, "exp-weight", status=STATUS_ENTIRE,
-                            note="g is entire; no dominant singularity to transfer",
-                            params=params)
+                            note="g is entire; no dominant singularity to transfer")
 
     if p_f == 1.0:
-        r = math.exp(-c_f)
-        params["radius"] = r
-        cls = SingularityClass("F", r, 1.0, 0.0)
-        return WeightFamily(weights, cls, "exp-weight", params=params)
+        cls = SingularityClass("F", math.exp(-c_f), 1.0, 0.0)
+        return WeightFamily(weights, cls, "exp-weight")
 
-    params["radius"] = 1.0
     if p_f == 0.0:
-        value = math.exp(c_f)
-        cls = SingularityClass("F", 1.0, value, 0.0)
-        return WeightFamily(weights, cls, "exp-weight",
-                            note="constant weights e^c", params=params)
+        cls = SingularityClass("F", 1.0, math.exp(c_f), 0.0)
+        return WeightFamily(weights, cls, "exp-weight", note="constant weights e^c")
 
     if p_f < 0.0:
         # g(t) = sum_m exp(c m^p) t^m / m = -log(1-t) + sum_{k>=1} c^k/k! Li_{1-kp}(t)
@@ -237,16 +212,14 @@ def exp_weight_family(c, theta_exp) -> WeightFamily:
         else:
             raise ConvergenceError("K series for exp-weight did not converge")
         cls = SingularityClass("F", 1.0, 1.0, K)
-        return WeightFamily(weights, cls, "exp-weight", params=params)
+        return WeightFamily(weights, cls, "exp-weight")
 
     # 0 < theta_exp < 1
     if c_f > 0:
         return WeightFamily(weights, None, "exp-weight", status=STATUS_OPEN,
-                            note="stretched-exponential growth: asymptotics open",
-                            params=params)
+                            note="stretched-exponential growth: asymptotics open")
     return WeightFamily(weights, None, "exp-weight", status=STATUS_UNSUPPORTED,
-                        note="g bounded at 1 without log term; transfer not applicable",
-                        params=params)
+                        note="g bounded at 1 without log term; transfer not applicable")
 
 
 def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
@@ -256,24 +229,24 @@ def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
     perturbed exponents give eF(1, e^{-alpha}, min(power,1)) with
     K = sum (e^{-alpha_m} - e^{-alpha})/m computed numerically.
     """
-    alpha_f = float(_to_fraction(alpha)) if isinstance(alpha, str) else float(alpha)
-    amp_f = float(_to_fraction(amp)) if isinstance(amp, str) else float(amp)
-    power_f = float(_to_fraction(power)) if isinstance(power, str) else float(power)
+    alpha_f = float(alpha)
+    amp_f = float(amp)
+    power_f = float(power)
     theta_lim = math.exp(-alpha_f)
 
     def eval_fn(m: int) -> float:
-        return math.exp(-(alpha_f + amp_f / m**power_f))
+        # amp = 0 skips m**power, which can underflow to 0 for power < 0
+        return math.exp(-(alpha_f + (amp_f / m**power_f if amp_f else 0.0)))
 
     weights = WeightSequence(eval_fn, name=f"alpha-exp({alpha},{amp},{power})")
-    params = {"alpha": alpha_f, "amp": amp_f, "power": power_f}
     if amp_f == 0.0:
         cls = SingularityClass("F", 1.0, theta_lim, 0.0)
-        return WeightFamily(weights, cls, "alpha-exp", params=params)
+        return WeightFamily(weights, cls, "alpha-exp")
     if power_f <= 0:
         raise UsageError(f"perturbation power must be > 0, got {power}")
     K = theta_shift_constant(weights, theta_lim, mode="per-m")
     cls = SingularityClass("eF", 1.0, theta_lim, K, gamma=min(power_f, 1.0))
-    return WeightFamily(weights, cls, "alpha-exp", params=params)
+    return WeightFamily(weights, cls, "alpha-exp")
 
 
 def theta_shift_constant(theta_seq, theta_limit: float, mode: str = "per-m",

@@ -1,5 +1,8 @@
 """Named weight families, constructible from CLI flags or a config file.
 
+FAMILIES is the one registry of the built-in kinds; the CLI flags, the
+accepted config keys and the parsing of every value come from it.
+
 The config file is INI: one section per family name, a ``kind`` key
 naming the construction, and the kind's parameters:
 
@@ -16,15 +19,18 @@ naming the construction, and the kind's parameters:
 
 Numbers may be integers, ratios (1/2), or decimals; ratios and decimal
 literals are kept exact where the family supports an exact backend.
+Numbers outside the double range and keys the kind does not take are
+errors; flags given with a config family override its keys.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .asymptotics import (SingularityClass, WeightFamily, alpha_exp_family,
                           ewens_family, exp_weight_family, polylog_family,
@@ -34,9 +40,6 @@ from .generalized import (GeneralizedWeights, SpatialModel,
                           exp_polynomial_weights, spatial_class_params,
                           spatial_effective_weights)
 
-KINDS = ("ewens", "theta-shift", "polylog", "exp-weight", "alpha-exp",
-         "spatial", "exp-poly")
-
 
 @dataclass
 class GeneralizedFamily:
@@ -44,13 +47,6 @@ class GeneralizedFamily:
 
     fweights: GeneralizedWeights
     cls: Optional[SingularityClass]
-    provenance: str
-    params: dict = field(default_factory=dict)
-
-    def require_class(self) -> SingularityClass:
-        if self.cls is None:
-            raise UsageError(f"family {self.provenance} has no singularity class")
-        return self.cls
 
 
 FamilyHandle = Union[WeightFamily, GeneralizedFamily]
@@ -71,79 +67,116 @@ def parse_number_list(text: str) -> list:
     return [parse_number(part) for part in items]
 
 
-def _get(params: dict, key: str, default=None, required: bool = False):
-    if key in params and params[key] is not None:
-        return params[key]
-    if required:
-        raise UsageError(f"family parameter --{key.replace('_', '-')} is required")
-    return default
+class Param(NamedTuple):
+    """A kind's parameter; a name ending in <j> stands for stem + digits."""
+
+    name: str
+    type: type
+    help: str
+    required: bool = False
+    many: bool = False
+    flag: bool = True
+
+    @property
+    def shown(self) -> str:
+        return "--" + self.name.replace("_", "-") if self.flag else self.name
+
+    def parse(self, text):
+        """The one number check: all class data is float, so every value,
+        exact ones included, must be a finite double."""
+        values = parse_number_list(text) if self.many else [parse_number(text)]
+        try:
+            floats = [float(v) for v in values]
+        except OverflowError:
+            raise UsageError(f"family parameter {self.shown} is outside the double range") from None
+        values = floats if self.type is float else values
+        return values if self.many else values[0]
 
 
-def build_family(kind: str, params: dict) -> FamilyHandle:
-    """Construct a catalog family; params values are strings or numbers."""
-    if kind == "ewens":
-        theta = parse_number(_get(params, "theta", required=True))
-        fam = ewens_family(theta)
-    elif kind == "theta-shift":
-        fam = theta_shift_family(
-            parse_number(_get(params, "theta", required=True)),
-            amp=parse_number(_get(params, "amp", 1)),
-            power=float(parse_number(_get(params, "power", 2))),
-        )
-    elif kind == "polylog":
-        fam = polylog_family(float(parse_number(_get(params, "delta", required=True))))
-    elif kind == "exp-weight":
-        fam = exp_weight_family(
-            float(parse_number(_get(params, "c", required=True))),
-            float(parse_number(_get(params, "theta_exp", required=True))),
-        )
-    elif kind == "alpha-exp":
-        fam = alpha_exp_family(
-            float(parse_number(_get(params, "alpha", required=True))),
-            amp=float(parse_number(_get(params, "amp", 0))),
-            power=float(parse_number(_get(params, "power", 2))),
-        )
-    elif kind == "spatial":
-        fam = _build_spatial(params)
-    elif kind == "exp-poly":
-        return _build_exp_poly(params)
-    else:
-        raise UsageError(f"unknown family kind {kind!r}; known: {', '.join(KINDS)}")
-    return fam
-
-
-def _build_spatial(params: dict) -> WeightFamily:
-    alpha = float(parse_number(_get(params, "alpha", 0)))
-    decays_text = _get(params, "decays")
-    eps_text = _get(params, "eps")
-    if decays_text is not None:
-        model = SpatialModel.from_decays(parse_number_list(decays_text), alpha=alpha)
-    elif eps_text is not None:
-        eps = [float(e) for e in parse_number_list(eps_text)]
-        model = SpatialModel(tuple(eps), alpha=alpha)
+def _build_spatial(alpha: float = 0.0, eps: Optional[list] = None,
+                   decays: Optional[list] = None) -> WeightFamily:
+    if decays is not None:
+        model = SpatialModel.from_decays(decays, alpha=alpha)
+    elif eps is not None:
+        model = SpatialModel.from_energies(eps, alpha=alpha)
     else:
         raise UsageError("spatial family needs --eps or config key decays")
     base = SingularityClass("F", 1.0, math.exp(-alpha), 0.0)
     cls = spatial_class_params(model, base)
-    weights = spatial_effective_weights(model)
-    fam = WeightFamily(weights, cls, "spatial",
-                       params={"alpha": alpha,
-                               "decays": [str(d) for d in model.decays]})
-    fam.model = model
-    return fam
+    return WeightFamily(spatial_effective_weights(model), cls, "spatial")
 
 
-def _build_exp_poly(params: dict) -> GeneralizedFamily:
-    theta = parse_number(_get(params, "theta", required=True))
-    higher = {}
-    for key, value in params.items():
-        if key.startswith("b") and key[1:].isdigit():
-            degree = int(key[1:])
-            higher[degree] = parse_number(value)
-    fweights = exp_polynomial_weights(theta, higher)
-    return GeneralizedFamily(fweights, fweights.singularity, "exp-poly",
-                             params={"theta": str(theta),
-                                     **{f"b{j}": str(c) for j, c in sorted(higher.items())}})
+def _build_exp_poly(theta: Fraction, **higher: Fraction) -> GeneralizedFamily:
+    fweights = exp_polynomial_weights(theta, {int(k[1:]): b for k, b in higher.items()})
+    return GeneralizedFamily(fweights, fweights.singularity)
+
+
+_THETA = "weight parameter"
+_AMP = "perturbation amplitude"
+_POWER = "perturbation power"
+_ALPHA = "site exponent"
+
+# kind -> (constructor, parameters).  The constructors are looked up when
+# called, so a wrapper installed on the module attribute sees these calls.
+FAMILIES = {
+    "ewens": (lambda **kw: ewens_family(**kw), (
+        Param("theta", Fraction, _THETA, required=True),)),
+    "theta-shift": (lambda **kw: theta_shift_family(**kw), (
+        Param("theta", Fraction, _THETA, required=True),
+        Param("amp", Fraction, _AMP),
+        Param("power", float, _POWER))),
+    "polylog": (lambda **kw: polylog_family(**kw), (
+        Param("delta", float, "polylog exponent", required=True),)),
+    "exp-weight": (lambda **kw: exp_weight_family(**kw), (
+        Param("c", float, "exp-weight scale", required=True),
+        Param("theta_exp", float, "exp-weight stretch exponent", required=True))),
+    "alpha-exp": (lambda **kw: alpha_exp_family(**kw), (
+        Param("alpha", float, _ALPHA, required=True),
+        Param("amp", float, _AMP),
+        Param("power", float, _POWER))),
+    "spatial": (_build_spatial, (
+        Param("alpha", float, _ALPHA),
+        Param("eps", float, "mode energies, comma-separated", many=True),
+        Param("decays", Fraction, "mode decay factors", many=True, flag=False))),
+    "exp-poly": (_build_exp_poly, (
+        Param("theta", Fraction, _THETA, required=True),
+        Param("b<j>", Fraction, "coefficient of x^j in P(x)", flag=False))),
+}
+
+KINDS = tuple(FAMILIES)
+
+
+def family_flags() -> dict:
+    """{dest: help}, one flag per parameter name that some kind takes as a flag."""
+    flags: dict = {}
+    for kind, (_, params) in FAMILIES.items():
+        for p in params:
+            if p.flag:
+                flags.setdefault(p.name, (p.help, []))[1].append(kind)
+    return {name: f"{text} ({', '.join(kinds)})" for name, (text, kinds) in flags.items()}
+
+
+def build_family(kind: str, params: dict) -> FamilyHandle:
+    """Construct a catalog family; params values are strings or numbers.
+    Absent optional parameters take the constructor's defaults."""
+    if kind not in FAMILIES:
+        raise UsageError(f"unknown family kind {kind!r}; known: {', '.join(KINDS)}")
+    build, accepted = FAMILIES[kind]
+    by_name = {p.name: p for p in accepted}
+    values = {}
+    for key, text in params.items():
+        param = by_name.get(re.sub("[0-9]+$", "<j>", key))
+        if param is None:
+            raise UsageError(f"family kind {kind} takes no parameter {key.replace('_', '-')!r}; "
+                             f"it takes {', '.join(p.shown for p in accepted)}")
+        values[key] = param.parse(text)
+    for p in accepted:
+        if p.required and p.name not in values:
+            raise UsageError(f"family parameter {p.shown} is required")
+    try:
+        return build(**values)
+    except OverflowError as exc:
+        raise UsageError(f"family {kind} overflows a double at these parameters") from exc
 
 
 def load_config(path: str) -> dict:
@@ -163,13 +196,14 @@ def load_config(path: str) -> dict:
 
 def family_from_request(name: str, flag_params: dict,
                         config_path: Optional[str] = None) -> FamilyHandle:
-    """Resolve --family: a config section name first, a builtin kind second."""
+    """Resolve --family: a config section name first, a builtin kind second.
+    Flags override the keys of a config section."""
     if config_path is not None:
         families = load_config(config_path)
         if name in families:
             entries = dict(families[name])
             kind = entries.pop("kind")
-            return build_family(kind, entries)
+            return build_family(kind, {**entries, **flag_params})
     if name in KINDS:
         return build_family(name, flag_params)
     hint = f"; config {config_path!r} does not define it" if config_path else ""

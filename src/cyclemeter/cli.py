@@ -23,8 +23,8 @@ import re
 import sys
 
 from .asymptotics import asymptotic_hn
-from .catalog import (FamilyHandle, GeneralizedFamily, exact_capable,
-                      family_from_request)
+from .catalog import (KINDS, FamilyHandle, GeneralizedFamily, exact_capable,
+                      family_flags, family_from_request)
 from .diagnostics import (clt_report, dumps_deterministic, format_scalar,
                           large_deviation_table, mod_poisson_report,
                           poisson_k_approx_report, poisson_vector_report,
@@ -57,16 +57,9 @@ class _TrendFailure(Exception):
 def _family_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--family", required=True,
-                   help="builtin kind (ewens, theta-shift, polylog, exp-weight, "
-                        "alpha-exp, spatial, exp-poly) or a config section name")
-    p.add_argument("--theta", help="weight parameter (ewens, theta-shift, exp-poly)")
-    p.add_argument("--delta", help="polylog exponent")
-    p.add_argument("--c", help="exp-weight scale")
-    p.add_argument("--theta-exp", dest="theta_exp", help="exp-weight stretch exponent")
-    p.add_argument("--alpha", help="alpha-exp / spatial site exponent")
-    p.add_argument("--eps", help="spatial mode energies, comma-separated")
-    p.add_argument("--amp", help="perturbation amplitude (theta-shift, alpha-exp)")
-    p.add_argument("--power", help="perturbation power (theta-shift, alpha-exp)")
+                   help=f"builtin kind ({', '.join(KINDS)}) or a config section name")
+    for dest, text in family_flags().items():
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=text)
     p.add_argument("--config", help="INI file defining named families")
     p.add_argument("--backend", choices=("auto", "exact", "double"), default="auto")
     p.add_argument("--output", help="write to this path instead of stdout")
@@ -111,13 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_params(args) -> dict:
-    keys = ("theta", "delta", "c", "theta_exp", "alpha", "eps", "amp", "power")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
 def _resolve_family(args) -> FamilyHandle:
-    return family_from_request(args.family, _flag_params(args), args.config)
+    flags = {k: getattr(args, k) for k in family_flags() if getattr(args, k) is not None}
+    return family_from_request(args.family, flags, args.config)
 
 
 def _resolve_backend(args, handle: FamilyHandle, n_max: int) -> str:
@@ -347,6 +336,9 @@ _RUNNERS = {"hn": _run_hn, "dist": _run_dist, "sample": _run_sample,
 
 
 def main(argv=None) -> int:
+    # Exact outputs can pass the 4300-digit str(int) limit, a guard meant for servers
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

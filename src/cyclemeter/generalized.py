@@ -79,7 +79,10 @@ class GeneralizedWeights:
         key = (m, k)
         if key in self._cache:
             return self._cache[key]
-        v = float(self._eval(m, k))
+        try:
+            v = float(self._eval(m, k))
+        except OverflowError:
+            v = math.inf
         if not (math.isfinite(v) and v > 0):
             raise UsageError(f"F_{m}({k}) = {v} must be finite and > 0")
         if len(self._cache) < _VALUE_CACHE_LIMIT:
@@ -300,41 +303,36 @@ def exp_polynomial_log_series(theta, higher: dict, order: int,
 
 @dataclass(frozen=True)
 class SpatialModel:
-    """Finitely many modes with energies eps_k >= 0 and site exponents alpha_m.
+    """Finitely many modes with exact decay factors q_k = e^{-eps_k} in
+    (0, 1], and site exponents alpha_m.
 
-    decays holds exact per-mode factors e^{-eps_k}; by default the exact
-    binary value of the float, so the generalized route and the
-    effective-weight reduction consume identical numbers.
+    Built from energies, the decays are the exact binary values of the
+    doubles e^{-eps_k}, so the generalized route and the effective-weight
+    reduction consume identical numbers.
     """
 
-    eps_values: tuple
+    decays: tuple
     alpha: object = 0.0  # constant or callable m -> alpha_m
-    truncation_note: str = ""
-    decays: Optional[tuple] = None
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_values)
-        if not eps:
+        decays = tuple(_to_fraction(d) for d in self.decays)
+        if not decays:
             raise UsageError("a spatial model needs at least one mode")
-        if any(e < 0 for e in eps):
-            raise UsageError(f"mode energies must be >= 0, got {eps}")
-        object.__setattr__(self, "eps_values", eps)
-        if self.decays is None:
-            object.__setattr__(self, "decays",
-                               tuple(Fraction(math.exp(-e)) for e in eps))
-        else:
-            decays = tuple(_to_fraction(d) for d in self.decays)
-            if len(decays) != len(eps):
-                raise UsageError("decays must match eps_values in length")
-            if any(not 0 < d <= 1 for d in decays):
-                raise UsageError("decay factors must lie in (0, 1]")
-            object.__setattr__(self, "decays", decays)
+        # e^{-eps} underflows to 0 for large energies
+        if any(not (0 < d <= 1 and float(d) > 0) for d in decays):
+            raise UsageError("decay factors must lie in (0, 1] and not underflow a double")
+        object.__setattr__(self, "decays", decays)
 
     @classmethod
-    def from_decays(cls, decays: Sequence, alpha=0.0, note: str = "") -> "SpatialModel":
-        decays = tuple(_to_fraction(d) for d in decays)
-        eps = tuple(-math.log(float(d)) for d in decays)
-        return cls(eps, alpha=alpha, truncation_note=note, decays=decays)
+    def from_decays(cls, decays: Sequence, alpha=0.0) -> "SpatialModel":
+        return cls(decays, alpha=alpha)
+
+    @classmethod
+    def from_energies(cls, eps: Sequence, alpha=0.0) -> "SpatialModel":
+        eps = tuple(float(e) for e in eps)
+        if any(e < 0 for e in eps):
+            raise UsageError(f"mode energies must be >= 0, got {eps}")
+        return cls(tuple(Fraction(math.exp(-e)) for e in eps), alpha=alpha)
 
     def alpha_at(self, m: int) -> float:
         return float(self.alpha(m)) if callable(self.alpha) else float(self.alpha)

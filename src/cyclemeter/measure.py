@@ -54,14 +54,12 @@ class WeightSequence:
     """
 
     def __init__(self, eval_fn: Callable[[int], float], name: str = "custom",
-                 exact_fn: Optional[Callable[[int], Fraction]] = None,
-                 singularity=None):
+                 exact_fn: Optional[Callable[[int], Fraction]] = None):
         if not callable(eval_fn):
             raise UsageError("eval_fn must be callable")
         self._eval = eval_fn
         self._exact = exact_fn
         self.name = name
-        self.singularity = singularity
         self._cache: dict = {}
         self._cache_exact: dict = {}
 
@@ -77,7 +75,10 @@ class WeightSequence:
         _check_index(m)
         if m in self._cache:
             return self._cache[m]
-        value = float(self._eval(m))
+        try:
+            value = float(self._eval(m))
+        except OverflowError:
+            value = math.inf
         if not math.isfinite(value) or value < 0:
             raise UsageError(f"theta_{m} = {value} is not a finite nonnegative weight")
         if m <= _WEIGHT_CACHE_LIMIT:

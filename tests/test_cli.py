@@ -4,16 +4,24 @@ The CLI is driven in-process through main(argv); stdout is captured by
 pytest.  Oracles are the library calls the commands wrap.
 """
 
+import contextlib
+import io
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclemeter.asymptotics import ewens_family
+from cyclemeter.asymptotics import ewens_family, theta_shift_family
+from cyclemeter.catalog import FAMILIES, KINDS
 from cyclemeter.cli import (EXIT_MATH, EXIT_OK, EXIT_TREND, EXIT_USAGE, main)
 from cyclemeter.errors import ResourceError
 from cyclemeter.generalized import (exp_polynomial_weights,
                                     generalized_joint_cycle_pmf)
-from cyclemeter.measure import joint_cycle_pmf
+from cyclemeter.measure import joint_cycle_pmf, normalization_constants
 
 
 def run_cli(capsys, *argv):
@@ -247,3 +255,115 @@ def test_auto_backend_follows_exact_rule(capsys, flags, backend):
     code, out, _ = run_cli(capsys, "hn", "--family", *flags, "--n", "201")
     assert code == EXIT_OK
     assert json.loads(out)["backend"] == "double"
+
+
+def test_flags_override_config_values(tmp_path, capsys):
+    cfg = tmp_path / "families.ini"
+    cfg.write_text("[bent]\nkind = theta-shift\ntheta = 1\namp = 1\npower = 2\n")
+    code, out, _ = run_cli(capsys, "hn", "--family", "bent", "--config", str(cfg),
+                           "--theta", "5", "--n", "3")
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"][0]["h"] == "5773/108"
+    code, out, _ = run_cli(capsys, "hn", "--family", "theta-shift", "--theta", "5",
+                           "--amp", "1", "--power", "2", "--n", "3")
+    assert json.loads(out)["rows"][0]["h"] == "5773/108"
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    # A typo must not fall back to the default power 2 without a word.
+    cfg = tmp_path / "families.ini"
+    cfg.write_text("[bent]\nkind = theta-shift\ntheta = 1\npwer = 3\n")
+    code, out, err = run_cli(capsys, "hn", "--family", "bent", "--config", str(cfg),
+                             "--n", "3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'pwer'" in err and "--theta, --amp, --power" in err
+
+
+def test_zero_decay_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "families.ini"
+    cfg.write_text("[z]\nkind = spatial\ndecays = 0, 1\n")
+    code, _, err = run_cli(capsys, "hn", "--family", "z", "--config", str(cfg), "--n", "3")
+    assert code == EXIT_USAGE
+    assert "decay" in err
+
+
+def test_alpha_exp_without_amplitude_ignores_power(capsys):
+    # amp = 0 never forms m**power, which underflows to 0 for power=-1000
+    code, out, _ = run_cli(capsys, "hn", "--family", "alpha-exp", "--alpha", "1",
+                           "--power=-1000", "--n-grid", "3,10")
+    assert code == EXIT_OK
+    code, plain, _ = run_cli(capsys, "hn", "--family", "alpha-exp", "--alpha", "1",
+                             "--n-grid", "3,10")
+    assert json.loads(out)["rows"] == json.loads(plain)["rows"]
+
+
+@pytest.mark.parametrize("argv", [
+    # a flag the kind does not take
+    ("--family", "ewens", "--theta", "1", "--delta", "3", "--n", "3"),
+    ("--family", "spatial", "--eps", "0", "--theta", "1", "--n", "3"),
+    # numbers outside the double range
+    ("--family", "polylog", "--delta", "1e400", "--n", "5"),
+    ("--family", "ewens", "--theta=1e400", "--n", "6"),
+    ("--family", "spatial", "--eps", "0,-1e400", "--n", "6"),
+    # exponents whose exact rule would never finish
+    ("--family", "theta-shift", "--theta", "1", "--power", "1e300", "--n", "3"),
+    ("--family", "polylog", "--delta", "1e300", "--n", "3"),
+    # exp(-eps) underflows to a zero decay
+    ("--family", "spatial", "--eps", "1e300", "--n", "3"),
+    # weights that overflow a double: e^(m^2), and e^1000 in the class data
+    ("--family", "exp-weight", "--c", "1", "--theta-exp", "2", "--n", "50"),
+    ("--family", "alpha-exp", "--alpha=-1000", "--n", "3"),
+])
+def test_bad_family_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "hn", *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:")
+
+
+def test_exp_weight_overflow_is_no_traceback(capsys):
+    # The e^m weights overflow a double before n = 1000.  Scaling them
+    # out would make this command succeed; until then it must not crash.
+    code, _, _ = run_cli(capsys, "hn", "--family", "exp-weight", "--c", "1",
+                         "--theta-exp", "1", "--n", "1000")
+    assert code != 1
+
+
+def test_exact_output_beyond_str_digit_limit(capsys):
+    # h_30 has a 5,331-digit numerator, past the default int/str limit.
+    code, out, _ = run_cli(capsys, "hn", "--family", "theta-shift", "--theta", "1",
+                           "--power", "200", "--n", "30")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["backend"] == "exact"
+    h = normalization_constants(theta_shift_family(1, 1, 200).weights, 30, "exact")
+    assert Fraction(doc["rows"][0]["h"]) == h[30]
+
+
+_EDGE_VALUES = ("0", "1/2", "-1/2", "3", "-3", "1e-300", "1e300", "1e400", "-1e400")
+_FORMS = (("hn", "--n", "6"), ("dist", "--n", "6", "--oracle"),
+          ("dist", "--target", "cycles", "--b", "2", "--n", "6"),
+          ("sample", "--n", "6"), ("report", "--kind", "clt", "--n-grid", "10,20"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_fuzz_ends_in_documented_exit_code(kind, data):
+    argv = [*data.draw(st.sampled_from(_FORMS)), "--family", kind]
+    for param in FAMILIES[kind][1]:
+        if param.flag:
+            argv.append(f"{param.shown}={data.draw(st.sampled_from(_EDGE_VALUES))}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_TREND), argv
+
+
+def test_readme_family_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Built-in family kinds")[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        rows[cells[0]] = set(re.findall(r"`([^`]+)`", cells[1]))
+    assert rows == {kind: {p.shown for p in params} for kind, (_, params) in FAMILIES.items()}
