@@ -53,11 +53,19 @@ FamilyHandle = Union[WeightFamily, GeneralizedFamily]
 
 
 def parse_number(text: str) -> Fraction:
-    """Exact rational from an int, ratio, or decimal literal."""
+    """Exact rational from an int, ratio, or decimal literal.  A decimal
+    literal that is infinite as a double, or 0.0 with a nonzero mantissa,
+    is refused before Fraction would build 10**exponent."""
+    text = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        double = math.nan if "/" in text else float(text)
+        if double == 0 and float(re.split("[eE]", text)[0]) == 0:
+            return Fraction(0)
+        if double != 0 and not math.isinf(double):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse number {text!r}") from exc
+    raise UsageError(f"number {text!r} is outside the double range")
 
 
 def parse_number_list(text: str) -> list:

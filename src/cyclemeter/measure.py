@@ -17,18 +17,21 @@ Laws provided exactly (rational or double backend):
 * total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
 * expected_cycle_counts    -- E[C_m] = (theta_m/m) h_{n-m}/h_n.
 
-Sampling is sequential by cycle lengths: conditioned on s points being
-left, the next cycle (the one containing the smallest remaining label)
-has length j with probability theta_j h_{s-j} / (s h_s); filling the
-chosen cycles with uniformly random members makes the permutation law
-exactly P.  The generator is counter-based (Philox) so runs with the
-same seed are reproducible byte for byte.
+Sampling draws cycle lengths one by one: with s points left, the next
+cycle has length j with probability theta_j h_{s-j} / (s h_s), found by
+scanning j = 1, 2, ... until the partial sum passes u s h_s for a uniform
+u, so a draw costs O(n) time and memory.  P depends on the cycle type
+alone, so a permutation is one shuffle of 1..n cut into consecutive
+cycles of the drawn lengths: each permutation of that type arises
+prod_m m^{c_m} c_m! times.  The generator is counter-based (Philox), so
+runs with the same seed are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -270,39 +273,58 @@ def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -
 # -- sampling --------------------------------------------------------------
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _length_drawer(theta: WeightSequence, n: int) -> Callable:
+    """draw(uniform) -> the cycle lengths of one permutation of size n,
+    each found by a scan over j that costs the length it returns."""
+    h = normalization_constants(theta, n, DOUBLE)
+    _h_or_degenerate(h, n)
+    th = [0.0] + [theta.theta(j) for j in range(1, n + 1)]
+
+    def draw(uniform: Callable[[], float]) -> list:
+        lengths, s = [], n
+        while s:
+            target, acc, j = uniform() * s * h[s], 0.0, 0
+            while j < s and not acc > target:
+                j += 1
+                acc += th[j] * h[s - j]
+            if not acc > target:  # rounding left u past the last bin
+                while j and not th[j] * h[s - j] > 0:
+                    j -= 1
+                if not j:
+                    raise DegenerateMeasureError(f"reached remainder size {s} with h_{s} = 0")
+            lengths.append(j)
+            s -= j
+        return lengths
+
+    return draw
+
+
+def _permutation_of_type(lengths: list, rng: np.random.Generator) -> tuple:
+    """One shuffle of 1..n cut into cycles of the given lengths, as an image."""
+    order = rng.permutation(sum(lengths))
+    ends = np.cumsum(lengths)
+    succ = np.arange(1, len(order) + 1)  # each label maps to the next in its block
+    succ[ends - 1] = ends - lengths
+    image = np.empty_like(order)
+    image[order] = order[succ] + 1
+    return tuple(image.tolist())
+
+
+def _sample(theta: WeightSequence, n: int, seed: int, count: Optional[int], make: Callable):
+    """The checks both samplers share, then make(lengths, rng) per draw."""
+    if not isinstance(n, int) or n < 1:
+        raise UsageError(f"n must be a positive integer, got {n!r}")
     if not isinstance(seed, int) or seed < 0:
         raise UsageError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _cycle_length_tables(theta: WeightSequence, n: int) -> list:
-    """cum[s] = cumulative law of the next cycle length at s points left."""
-    h = normalization_constants(theta, n, DOUBLE)
-    if h[n] <= 0 or not math.isfinite(h[n]):
-        raise DegenerateMeasureError(f"normalization h_{n} = {h[n]}")
-    cum = [None] * (n + 1)
-    for s in range(1, n + 1):
-        if h[s] <= 0:
-            continue  # unreachable remainder size
-        probs = np.array([theta.theta(j) * h[s - j] for j in range(1, s + 1)])
-        probs /= s * h[s]
-        cum[s] = np.cumsum(probs)
-    return cum
-
-
-def _draw_lengths(cum: list, n: int, rng: np.random.Generator) -> list:
-    lengths = []
-    s = n
-    while s:
-        table = cum[s]
-        if table is None:
-            raise DegenerateMeasureError(f"reached remainder size {s} with h_{s} = 0")
-        j = int(np.searchsorted(table, rng.random(), side="right")) + 1
-        j = min(j, s)  # guard the last cumulative bin against rounding
-        lengths.append(j)
-        s -= j
-    return lengths
+    draws = 1 if count is None else count
+    if not isinstance(draws, int) or draws < 1:
+        raise UsageError(f"count must be a positive integer, got {count!r}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    batches = iter(lambda: rng.random(4096).tolist(), None)  # endless: a list is not None
+    uniform = chain.from_iterable(batches).__next__
+    draw = _length_drawer(theta, n)
+    result = [make(draw(uniform), rng) for _ in range(draws)]
+    return result[0] if count is None else result
 
 
 def sample_cycle_type(theta: WeightSequence, n: int, seed: int = 0,
@@ -312,47 +334,16 @@ def sample_cycle_type(theta: WeightSequence, n: int, seed: int = 0,
     Returns one Partition, or a list of them when count is given.
     Fixed (theta, n, seed, count) gives identical output on every run.
     """
-    if not isinstance(n, int) or n < 1:
-        raise UsageError(f"n must be a positive integer, got {n!r}")
-    rng = _rng(seed)
-    cum = _cycle_length_tables(theta, n)
-    draws = 1 if count is None else count
-    if not isinstance(draws, int) or draws < 1:
-        raise UsageError(f"count must be a positive integer, got {count!r}")
-    result = [Partition(tuple(sorted(_draw_lengths(cum, n, rng), reverse=True)))
-              for _ in range(draws)]
-    return result[0] if count is None else result
+    return _sample(theta, n, seed, count,
+                   lambda lengths, rng: Partition(tuple(sorted(lengths, reverse=True))))
 
 
 def sample_permutation(theta: WeightSequence, n: int, seed: int = 0,
                        count: Optional[int] = None):
     """Weighted random permutation(s) as image tuples (sigma(1..n)).
 
-    Cycle lengths follow the sequential rule; each cycle then absorbs the
-    smallest unused label plus a uniformly random arrangement of uniformly
-    chosen other labels, which makes the permutation exactly P-distributed.
+    The cycle lengths are drawn as for sample_cycle_type, then one shuffle
+    of 1..n is cut into cycles of those lengths; fixed (theta, n, seed,
+    count) gives identical output on every run.
     """
-    if not isinstance(n, int) or n < 1:
-        raise UsageError(f"n must be a positive integer, got {n!r}")
-    rng = _rng(seed)
-    cum = _cycle_length_tables(theta, n)
-    draws = 1 if count is None else count
-    if not isinstance(draws, int) or draws < 1:
-        raise UsageError(f"count must be a positive integer, got {count!r}")
-
-    result = []
-    for _ in range(draws):
-        lengths = _draw_lengths(cum, n, rng)
-        sigma = [0] * (n + 1)
-        pool = list(range(1, n + 1))
-        for j in lengths:
-            leader = pool.pop(0)
-            members = [leader]
-            for _ in range(j - 1):
-                idx = int(rng.random() * len(pool))
-                members.append(pool.pop(idx))
-            for a, bnext in zip(members, members[1:]):
-                sigma[a] = bnext
-            sigma[members[-1]] = leader
-        result.append(tuple(sigma[1:]))
-    return result[0] if count is None else result
+    return _sample(theta, n, seed, count, _permutation_of_type)

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemeter.asymptotics import ewens_family, theta_shift_family
-from cyclemeter.catalog import FAMILIES, KINDS
+from cyclemeter.catalog import FAMILIES, KINDS, parse_number
 from cyclemeter.cli import (EXIT_MATH, EXIT_OK, EXIT_TREND, EXIT_USAGE, main)
 from cyclemeter.errors import ResourceError
 from cyclemeter.generalized import (exp_polynomial_weights,
@@ -319,6 +320,19 @@ def test_bad_family_input_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "hn", *argv)
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error:")
+
+
+def test_huge_decimal_exponents_are_refused_at_once(capsys):
+    # Fraction would build 10**(10**7) first; 1e-400 is 0 as a double, so
+    # the exact and double backends would see different measures.
+    start = time.monotonic()
+    for value in ("1e10000000", "1e-10000000", "-1e400", "1e-400"):
+        code, out, err = run_cli(capsys, "hn", "--family", "ewens", f"--theta={value}",
+                                 "--n", "6")
+        assert code == EXIT_USAGE and out == ""
+        assert "outside the double range" in err
+    assert parse_number("0e99999999999") == 0 and parse_number("-0.0") == 0
+    assert time.monotonic() - start < 1.0
 
 
 def test_exp_weight_overflow_is_no_traceback(capsys):

@@ -5,7 +5,9 @@ recurrence c(n,k) = c(n-1,k-1) + (n-1) c(n-1,k) for unit weights, and
 chi-square goodness of fit for the samplers.
 """
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -220,6 +222,61 @@ def test_permutation_sampler_uniform_when_unit_weights():
     assert len(counts) == 24
     result = stats.chisquare(list(counts.values()))
     assert result.pvalue > 1e-3
+
+
+def test_permutation_sampler_uniform_within_class_under_unequal_weights():
+    # P[sigma] = prod_m theta_m^{c_m} / (4! h_4): a block-to-cycle map that
+    # favours some members of a cycle type shows up among the 24 images.
+    weights = (1.0, 3.0, 0.5, 2.0)
+    theta = WeightSequence(lambda m: weights[m - 1] if m <= 4 else 0.0, name="unequal")
+    draws = 31000
+    counts = {}
+    for img in sample_permutation(theta, 4, seed=23, count=draws):
+        counts[img] = counts.get(img, 0) + 1
+
+    def weight(img):
+        seen, w = set(), 1.0
+        for start in range(1, 5):
+            length, j = 0, start
+            while j not in seen:
+                seen.add(j)
+                j = img[j - 1]
+                length += 1
+            w *= weights[length - 1] if length else 1.0
+        return w
+
+    images = list(itertools.permutations(range(1, 5)))
+    total = sum(weight(img) for img in images)
+    assert total == 62.0  # 4! h_4
+    expected = [weight(img) / total * draws for img in images]
+    result = stats.chisquare([counts.get(img, 0) for img in images], expected)
+    assert result.pvalue > 1e-3
+
+
+def test_length_draw_never_lands_on_a_zero_weight_cycle():
+    # Involutions at n = 60: at some remainders s, rounding leaves
+    # u * s * h_s for u just below 1 past theta_1 h_{s-1} + theta_2 h_{s-2},
+    # the whole mass; the draw must still pick a length of positive weight.
+    from cyclemeter.measure import _length_drawer
+
+    theta = WeightSequence(lambda m: 1.0 if m <= 2 else 0.0, name="involutions")
+    n, u = 60, math.nextafter(1.0, 0.0)
+    h = normalization_constants(theta, n, "double")
+    assert any(not h[s - 1] + h[s - 2] > u * s * h[s] for s in range(n, 1, -2))
+    assert _length_drawer(theta, n)(lambda: u) == [2] * 30
+
+
+def test_cycle_type_sampler_memory_is_linear_in_n():
+    # One draw keeps h_0..h_n and theta_1..theta_n; a table per remainder
+    # would hold n^2/2 = 4.5e6 doubles (36 MB) here.
+    theta = WeightSequence.constant(2)
+    tracemalloc.start()
+    try:
+        sample_cycle_type(theta, 3000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_permutation_cycle_type_matches_requested_law():
