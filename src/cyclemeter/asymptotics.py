@@ -244,23 +244,19 @@ def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
         return WeightFamily(weights, cls, "alpha-exp")
     if power_f <= 0:
         raise UsageError(f"perturbation power must be > 0, got {power}")
-    K = theta_shift_constant(weights, theta_lim, mode="per-m")
+    K = theta_shift_constant(weights, theta_lim)
     cls = SingularityClass("eF", 1.0, theta_lim, K, gamma=min(power_f, 1.0))
     return WeightFamily(weights, cls, "alpha-exp")
 
 
-def theta_shift_constant(theta_seq, theta_limit: float, mode: str = "per-m",
-                         tol: float = 1e-10, max_m: int = 1 << 21) -> float:
+def theta_shift_constant(theta_seq, theta_limit: float, tol: float = 1e-10,
+                         max_m: int = 1 << 21) -> float:
     """K = sum_m (theta_m - theta)/m for weights converging to theta.
 
-    mode selects the summability condition being relied on (and checked):
-    "per-m" tests sum |theta_m - theta|/m, "absolute" tests
-    sum |theta_m - theta|.  Convergence is declared when dyadic blocks of
-    the tested series decay geometrically and the extrapolated tail drops
-    below tol; otherwise ConvergenceError.
+    Convergence is declared when dyadic blocks of sum |theta_m - theta|/m
+    decay geometrically and the extrapolated tail drops below tol;
+    otherwise ConvergenceError.
     """
-    if mode not in ("per-m", "absolute"):
-        raise UsageError(f"mode must be 'per-m' or 'absolute', got {mode!r}")
     theta_fn = theta_seq.theta if isinstance(theta_seq, WeightSequence) else theta_seq
     total = 0.0
     block_lo = 1
@@ -274,7 +270,7 @@ def theta_shift_constant(theta_seq, theta_limit: float, mode: str = "per-m",
         for m in range(block_lo, block_hi):
             diff = theta_fn(m) - theta_limit
             signed += diff / m
-            tested += abs(diff) / m if mode == "per-m" else abs(diff)
+            tested += abs(diff) / m
         total += signed
         if prev_block is not None and block_lo >= 16:
             if tested <= max(prev_block, 1e-300) * 0.9:

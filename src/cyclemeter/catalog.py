@@ -52,14 +52,25 @@ class GeneralizedFamily:
 FamilyHandle = Union[WeightFamily, GeneralizedFamily]
 
 
+def _as_double(text: str) -> float:
+    """The double nearest a literal, inf past the range; a ratio is rounded once."""
+    if "/" not in text:
+        return float(text)
+    try:
+        return float(Fraction(text))
+    except OverflowError:
+        return math.inf
+
+
 def parse_number(text: str) -> Fraction:
-    """Exact rational from an int, ratio, or decimal literal.  A decimal
-    literal that is infinite as a double, or 0.0 with a nonzero mantissa,
-    is refused before Fraction would build 10**exponent."""
+    """Exact rational from an int, ratio, or decimal literal.  This is the
+    one number check: all class data is float, so a literal that is
+    infinite as a double, or 0.0 although it is nonzero, is refused; a
+    decimal one before Fraction would build 10**exponent."""
     text = str(text).strip()
     try:
-        double = math.nan if "/" in text else float(text)
-        if double == 0 and float(re.split("[eE]", text)[0]) == 0:
+        double = _as_double(text)
+        if double == 0 and Fraction(re.split("[eE]", text)[0]) == 0:
             return Fraction(0)
         if double != 0 and not math.isinf(double):
             return Fraction(text)
@@ -90,14 +101,8 @@ class Param(NamedTuple):
         return "--" + self.name.replace("_", "-") if self.flag else self.name
 
     def parse(self, text):
-        """The one number check: all class data is float, so every value,
-        exact ones included, must be a finite double."""
         values = parse_number_list(text) if self.many else [parse_number(text)]
-        try:
-            floats = [float(v) for v in values]
-        except OverflowError:
-            raise UsageError(f"family parameter {self.shown} is outside the double range") from None
-        values = floats if self.type is float else values
+        values = [float(v) for v in values] if self.type is float else values
         return values if self.many else values[0]
 
 

@@ -131,6 +131,18 @@ def _parse_grid(args) -> list:
     return values
 
 
+def _measure(handle: FamilyHandle) -> tuple:
+    """(weights, normalization, K law, joint law, K oracle, type oracle) of
+    a family.  The functions are read from this module at call time, so a
+    wrapper installed on a module attribute takes effect."""
+    if isinstance(handle, GeneralizedFamily):
+        return (handle.fweights, generalized_normalization, generalized_total_cycles_pmf,
+                generalized_joint_cycle_pmf, brute_force_generalized_k_pmf,
+                brute_force_generalized_cycle_type_pmf)
+    return (handle.weights, normalization_constants, total_cycles_pmf, joint_cycle_pmf,
+            brute_force_k_pmf, brute_force_cycle_type_pmf)
+
+
 def _scalar_out(value, backend: str):
     value = to_kind(value, backend)
     return str(value) if backend == EXACT else value
@@ -153,16 +165,12 @@ def _run_hn(args) -> str:
     ns = _parse_grid(args)
     n_max = max(ns)
     backend = _resolve_backend(args, handle, n_max)
-    if isinstance(handle, GeneralizedFamily):
-        h = generalized_normalization(handle.fweights, n_max, backend)
-        cls = handle.cls
-    else:
-        h = normalization_constants(handle.weights, n_max, backend)
-        cls = handle.cls
+    weights, normalization, *_ = _measure(handle)
+    h = normalization(weights, n_max, backend)
+    cls = handle.cls
     rows = []
     for n in ns:
-        asym = None
-        ratio = None
+        asym = ratio = None
         if cls is not None and cls.theta > 0 and not cls.main_term_zero and n > 0:
             asym = asymptotic_hn(cls, n)
             ratio = float(h[n]) / asym if asym else None
@@ -189,22 +197,13 @@ def _project_cycle_counts(type_pmf, b: int) -> dict:
     return mass
 
 
-def _oracle_check(pmf, handle: FamilyHandle, args, backend: str) -> None:
-    n, b = args.n, args.b
-    if isinstance(handle, GeneralizedFamily):
-        if args.target == "k":
-            reference = brute_force_generalized_k_pmf(handle.fweights, n, backend)
-            ref_mass = dict(reference.items())
-        else:
-            type_pmf, _ = brute_force_generalized_cycle_type_pmf(handle.fweights, n, backend)
-            ref_mass = _project_cycle_counts(type_pmf, b)
+def _oracle_check(pmf, measure: tuple, args, backend: str) -> None:
+    weights, *_, k_oracle, type_oracle = measure
+    if args.target == "k":
+        ref_mass = dict(k_oracle(weights, args.n, backend).items())
     else:
-        if args.target == "k":
-            reference = brute_force_k_pmf(handle.weights, n, backend)
-            ref_mass = dict(reference.items())
-        else:
-            type_pmf, _ = brute_force_cycle_type_pmf(handle.weights, n, backend)
-            ref_mass = _project_cycle_counts(type_pmf, b)
+        type_pmf, _ = type_oracle(weights, args.n, backend)
+        ref_mass = _project_cycle_counts(type_pmf, args.b)
     tol = pmf_tol(backend)
     for key, value in pmf.items():
         ref = ref_mass.get(key, 0)
@@ -215,19 +214,15 @@ def _oracle_check(pmf, handle: FamilyHandle, args, backend: str) -> None:
 def _run_dist(args) -> str:
     handle = _resolve_family(args)
     backend = _resolve_backend(args, handle, args.n)
+    measure = _measure(handle)
+    weights, _, k_law, joint_law, *_ = measure
     if args.target == "k":
-        if isinstance(handle, GeneralizedFamily):
-            pmf = generalized_total_cycles_pmf(handle.fweights, args.n, backend)
-        else:
-            pmf = total_cycles_pmf(handle.weights, args.n, backend)
+        pmf = k_law(weights, args.n, backend)
     else:
-        if isinstance(handle, GeneralizedFamily):
-            pmf = generalized_joint_cycle_pmf(handle.fweights, args.n, args.b, backend)
-        else:
-            pmf = joint_cycle_pmf(handle.weights, args.n, args.b, backend)
+        pmf = joint_law(weights, args.n, args.b, backend)
     oracle = None
     if args.oracle:
-        _oracle_check(pmf, handle, args, backend)
+        _oracle_check(pmf, measure, args, backend)
         oracle = "match"
     support, mass = _pmf_out(pmf, backend)
     if args.format == "csv":

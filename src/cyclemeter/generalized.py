@@ -36,13 +36,11 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .asymptotics import SingularityClass
-from .errors import ConvergenceError, DegenerateMeasureError, UsageError
-from .measure import WeightSequence, _joint_pmf, _to_fraction
+from .errors import ConvergenceError, UsageError
+from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _to_fraction
 from .pmf import Pmf
 from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_kind, ts_exp
 from .specfun import riemann_zeta
-
-_VALUE_CACHE_LIMIT = 50_000
 
 
 class GeneralizedWeights:
@@ -57,8 +55,6 @@ class GeneralizedWeights:
         self._exact = exact_fn
         self.name = name
         self.singularity = singularity
-        self._cache: dict = {}
-        self._cache_exact: dict = {}
 
     @classmethod
     def from_theta(cls, theta: WeightSequence) -> "GeneralizedWeights":
@@ -76,34 +72,23 @@ class GeneralizedWeights:
         self._check(m, k)
         if k == 0:
             return 1.0
-        key = (m, k)
-        if key in self._cache:
-            return self._cache[key]
         try:
             v = float(self._eval(m, k))
         except OverflowError:
             v = math.inf
         if not (math.isfinite(v) and v > 0):
             raise UsageError(f"F_{m}({k}) = {v} must be finite and > 0")
-        if len(self._cache) < _VALUE_CACHE_LIMIT:
-            self._cache[key] = v
         return v
 
     def value_exact(self, m: int, k: int) -> Fraction:
         self._check(m, k)
         if k == 0:
             return Fraction(1)
-        key = (m, k)
-        if key in self._cache_exact:
-            return self._cache_exact[key]
-        if self._exact is not None:
-            v = _to_fraction(self._exact(m, k))
-        else:
-            v = Fraction(self.value(m, k))
+        if self._exact is None:
+            return Fraction(self.value(m, k))
+        v = _to_fraction(self._exact(m, k))
         if v <= 0:
             raise UsageError(f"F_{m}({k}) = {v} must be > 0")
-        if len(self._cache_exact) < _VALUE_CACHE_LIMIT:
-            self._cache_exact[key] = v
         return v
 
     def at(self, m: int, k: int, kind: str):
@@ -137,9 +122,9 @@ def eg_series(fweights: GeneralizedWeights, m: int, order: int,
 
 
 def _factor_coeffs(fweights: GeneralizedWeights, m: int, kmax: int, backend: str) -> list:
-    """Coefficients of EG(F_m, t^m/m) on the t^{m k} lattice, k = 0..kmax."""
-    m_kind = to_kind(m, backend)
-    return [fweights.at(m, k, backend) / (math.factorial(k) * m_kind ** k)
+    """Coefficients of EG(F_m, t^m/m) on the t^{m k} lattice, k = 0..kmax,
+    each one exact rational rounded once: k! m^k overflows a double."""
+    return [to_kind(Fraction(fweights.at(m, k, backend)) / (math.factorial(k) * m**k), backend)
             for k in range(kmax + 1)]
 
 
@@ -182,9 +167,7 @@ def generalized_joint_cycle_pmf(fweights: GeneralizedWeights, n: int, b: int,
 
     def tables():
         tail = _eg_product(fweights, range(b + 1, n + 1), n, backend)
-        hn = generalized_normalization(fweights, n, backend)[n]
-        if hn == 0:
-            raise DegenerateMeasureError(f"normalization h_{n}(F) = 0")
+        hn = _h_or_degenerate(generalized_normalization(fweights, n, backend)[n], n)
         factors = [_factor_coeffs(fweights, m, n // m, backend) for m in range(1, b + 1)]
         return factors, tail, hn
 
@@ -218,9 +201,7 @@ def generalized_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
                     new[pos][k + i] += v * fi
         rows = new
     final = rows[n]
-    hn = sum(final)
-    if hn == 0:
-        raise DegenerateMeasureError(f"normalization h_{n}(F) = 0")
+    hn = _h_or_degenerate(sum(final), n)
     mass = {k: final[k] / hn for k in range(1, n + 1)}
     return Pmf(mass, tol=pmf_tol(backend))
 
@@ -229,23 +210,24 @@ def generalized_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
 
 
 class _ExpPolynomialTable:
-    """Lazily extended exact coefficients of exp(P(x)) for rational P."""
+    """Lazily extended exact weights k! [x^k] exp(P(x)) for rational P."""
 
     def __init__(self, poly: dict):
         self.poly = dict(poly)
-        self._coeffs: Optional[list] = None
+        self._weights: Optional[list] = None
         self._order = -1
 
-    def coefficient(self, k: int) -> Fraction:
+    def weight(self, k: int) -> Fraction:
         if k > self._order:
             order = max(16, 2 * k)
             coeffs = [Fraction(0)] * (order + 1)
             for j, c in self.poly.items():
                 if j <= order:
                     coeffs[j] = c
-            self._coeffs = list(ts_exp(TruncatedSeries(coeffs, EXACT)).coeffs)
+            exp_coeffs = ts_exp(TruncatedSeries(coeffs, EXACT)).coeffs
+            self._weights = [c * math.factorial(i) for i, c in enumerate(exp_coeffs)]
             self._order = order
-        return self._coeffs[k]
+        return self._weights[k]
 
 
 def exp_polynomial_weights(theta, higher: dict) -> GeneralizedWeights:
@@ -266,10 +248,10 @@ def exp_polynomial_weights(theta, higher: dict) -> GeneralizedWeights:
     table = _ExpPolynomialTable(poly)
 
     def eval_fn(m: int, k: int) -> float:
-        return float(table.coefficient(k)) * math.factorial(k)
+        return float(table.weight(k))
 
     def exact_fn(m: int, k: int) -> Fraction:
-        return table.coefficient(k) * math.factorial(k)
+        return table.weight(k)
 
     K = sum(float(b) * riemann_zeta(float(j)) for j, b in poly.items() if j >= 2)
     cls = SingularityClass("F", 1.0, float(theta_f), K)

@@ -43,7 +43,6 @@ from .series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, check_kind,
                      pmf_tol, to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
-_WEIGHT_CACHE_LIMIT = 20_000
 
 
 class WeightSequence:
@@ -63,8 +62,6 @@ class WeightSequence:
         self._eval = eval_fn
         self._exact = exact_fn
         self.name = name
-        self._cache: dict = {}
-        self._cache_exact: dict = {}
 
     @classmethod
     def constant(cls, value, name: Optional[str] = None) -> "WeightSequence":
@@ -76,30 +73,21 @@ class WeightSequence:
 
     def theta(self, m: int) -> float:
         _check_index(m)
-        if m in self._cache:
-            return self._cache[m]
         try:
             value = float(self._eval(m))
         except OverflowError:
             value = math.inf
         if not math.isfinite(value) or value < 0:
             raise UsageError(f"theta_{m} = {value} is not a finite nonnegative weight")
-        if m <= _WEIGHT_CACHE_LIMIT:
-            self._cache[m] = value
         return value
 
     def theta_exact(self, m: int) -> Fraction:
         _check_index(m)
-        if m in self._cache_exact:
-            return self._cache_exact[m]
-        if self._exact is not None:
-            value = _to_fraction(self._exact(m))
-        else:
-            value = Fraction(self.theta(m))
+        if self._exact is None:
+            return Fraction(self.theta(m))
+        value = _to_fraction(self._exact(m))
         if value < 0:
             raise UsageError(f"theta_{m} = {value} is negative")
-        if m <= _WEIGHT_CACHE_LIMIT:
-            self._cache_exact[m] = value
         return value
 
     def at(self, m: int, kind: str):
@@ -146,13 +134,13 @@ def normalization_constants(theta: WeightSequence, n_max: int, backend: str = EX
     return list(ts_exp(g).coeffs)
 
 
-def _h_or_degenerate(h: Sequence, n: int):
-    hn = h[n]
+def _h_or_degenerate(hn, n: int):
+    """hn, unless it is 0 (the measure on S_n is undefined) or not finite."""
     if hn == 0:
         raise DegenerateMeasureError(
             f"normalization h_{n} = 0; the measure is undefined there")
     if isinstance(hn, float) and not math.isfinite(hn):
-        raise DegenerateMeasureError(f"normalization h_{n} = {hn} overflowed")
+        raise DegenerateMeasureError(f"normalization h_{n} = {hn} is not finite")
     return hn
 
 
@@ -167,7 +155,7 @@ def joint_cycle_pmf(theta: WeightSequence, n: int, b: int, backend: str = EXACT)
     check_kind(backend)
 
     def tables():
-        hn = _h_or_degenerate(normalization_constants(theta, n, backend), n)
+        hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
         zero, one = to_kind(0, backend), to_kind(1, backend)
         tail_coeffs = [zero] * (b + 1) + [theta.at(m, backend) / m
                                           for m in range(b + 1, n + 1)]
@@ -248,9 +236,7 @@ def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
     out = {}
     for n in ns:
         row = biv.row(n)
-        hn = sum(row) if backend == EXACT else float(np.sum(row))
-        if hn == 0 or (isinstance(hn, float) and not math.isfinite(hn)):
-            raise DegenerateMeasureError(f"normalization h_{n} = {hn}")
+        hn = _h_or_degenerate(sum(row) if backend == EXACT else float(np.sum(row)), n)
         mass = {k: row[k] / hn for k in range(1, n + 1)}
         out[n] = Pmf(mass, tol=pmf_tol(backend))
     return out
@@ -266,7 +252,7 @@ def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
     h = normalization_constants(theta, n, backend)
-    hn = _h_or_degenerate(h, n)
+    hn = _h_or_degenerate(h[n], n)
     return [theta.at(m, backend) / m * h[n - m] / hn for m in range(1, n + 1)]
 
 
@@ -277,7 +263,7 @@ def _length_drawer(theta: WeightSequence, n: int) -> Callable:
     """draw(uniform) -> the cycle lengths of one permutation of size n,
     each found by a scan over j that costs the length it returns."""
     h = normalization_constants(theta, n, DOUBLE)
-    _h_or_degenerate(h, n)
+    _h_or_degenerate(h[n], n)
     th = [0.0] + [theta.theta(j) for j in range(1, n + 1)]
 
     def draw(uniform: Callable[[], float]) -> list:

@@ -10,14 +10,20 @@ cycle type with c_m cycles of length m, and
 
     z_lambda = prod_m m^{c_m} * c_m!
 
-so that n!/z_lambda permutations share the type.  The weighted measure
-assigns the class total mass prod_m theta_{lambda_i} / z_lambda (before
-normalization); the generalized measure assigns prod_m F_m(c_m) / z_lambda.
+so that n!/z_lambda permutations share the type.  A class of cycle type
+lambda has total mass weigh(lambda) / z_lambda before normalization, and
+both measures share one walk over the classes and one projection onto
+the cycle count; they differ only in weigh:
+
+* weighted:    weigh(lambda) = prod_i theta_{lambda_i};
+* generalized: weigh(lambda) = prod_m F_m(c_m), which is the weighted
+  case again for F_m(k) = theta_m^k.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,10 +59,7 @@ class Partition:
         return len(self.parts)
 
     def cycle_counts(self) -> dict:
-        counts: dict = {}
-        for p in self.parts:
-            counts[p] = counts.get(p, 0) + 1
-        return counts
+        return dict(Counter(self.parts))
 
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
@@ -83,13 +86,7 @@ def enumerate_partitions(n: int, cap: int = PARTITION_CAP) -> list:
 def z_of(partition) -> int:
     """Conjugacy class index z_lambda = prod m^{c_m} c_m!."""
     parts = partition.parts if isinstance(partition, Partition) else tuple(partition)
-    z = 1
-    counts: dict = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    for m, c in counts.items():
-        z *= m**c * math.factorial(c)
-    return z
+    return math.prod(m**c * math.factorial(c) for m, c in Counter(parts).items())
 
 
 @lru_cache(maxsize=None)
@@ -98,93 +95,73 @@ def _partition_table(n: int) -> tuple:
     return tuple((p.parts, z_of(p)) for p in enumerate_partitions(n))
 
 
-def _theta_values(theta, n: int, backend: str) -> list:
-    return [None] + [theta.at(m, backend) for m in range(1, n + 1)]
+def _weighted(theta, n: int, backend: str):
+    """weigh(parts) = prod_i theta_{lambda_i}; theta_1..theta_n are read once."""
+    vals = [None] + [theta.at(m, backend) for m in range(1, n + 1)]
+    one = to_kind(1, backend)
+    return lambda parts: math.prod((vals[p] for p in parts[1:]),
+                                   start=vals[parts[0]] if parts else one)
 
 
-def _class_weight(parts, vals, backend):
-    w = vals[parts[0]] if parts else to_kind(1, backend)
-    for p in parts[1:]:
-        w = w * vals[p]
-    return w
+def _generalized(fweights, n: int, backend: str):
+    """weigh(parts) = prod_m F_m(c_m) over the multiplicities c_m of the parts."""
+    one = to_kind(1, backend)
+    return lambda parts: math.prod((fweights.at(m, c, backend)
+                                    for m, c in Counter(parts).items()), start=one)
 
 
-def brute_force_normalization(theta, n: int, backend: str = "exact"):
-    """Partition sum h_n = sum_lambda prod_i theta_{lambda_i} / z_lambda."""
+def _classes(builder, weights, n: int, backend: str):
+    """(parts, weigh(parts) / z_lambda) for every partition of n, streamed;
+    weigh = builder(weights, n, backend)."""
     check_kind(backend)
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    vals = _theta_values(theta, n, backend)
-    total = to_kind(0, backend)
-    for parts, z in _partition_table(n):
-        total += _class_weight(parts, vals, backend) / z
-    return total
+    weigh = builder(weights, n, backend)
+    return ((parts, weigh(parts) / z) for parts, z in _partition_table(n))
 
 
-def brute_force_cycle_type_pmf(theta, n: int, backend: str = "exact"):
-    """Exact law of the cycle type; returns (pmf over Partition, normalization)."""
-    check_kind(backend)
-    vals = _theta_values(theta, n, backend)
-    weights = {}
-    for parts, z in _partition_table(n):
-        weights[Partition(parts)] = _class_weight(parts, vals, backend) / z
+def _type_pmf(classes, n: int, backend: str):
+    """(law of the cycle type, normalization) from the class weights."""
+    weights = {Partition(parts): w for parts, w in classes}
     norm = sum(weights.values())
     if norm == 0:
         raise DegenerateMeasureError(f"normalization vanishes at n={n}")
-    mass = {lam: w / norm for lam, w in weights.items()}
-    return Pmf(mass, tol=pmf_tol(backend)), norm
+    return Pmf({lam: w / norm for lam, w in weights.items()}, tol=pmf_tol(backend)), norm
 
 
-def brute_force_k_pmf(theta, n: int, backend: str = "exact") -> Pmf:
-    """Exact law of the total number of cycles, by partition length."""
-    type_pmf, _ = brute_force_cycle_type_pmf(theta, n, backend)
-    mass: dict = {}
-    for lam, p in type_pmf.items():
-        k = lam.length
-        mass[k] = mass.get(k, 0) + p
-    return Pmf(mass, tol=pmf_tol(backend))
-
-
-# -- generalized measure oracle ------------------------------------------
-#
-# Same partition sum with per-multiplicity weights:
-#   class weight = prod_m F_m(c_m) / z_lambda.
-
-
-def _generalized_class_weight(parts, fweights, backend):
-    counts: dict = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    w = to_kind(1, backend)
-    for m, c in counts.items():
-        w = w * fweights.at(m, c, backend)
-    return w
-
-
-def brute_force_generalized_normalization(fweights, n: int, backend: str = "exact"):
-    check_kind(backend)
-    if not isinstance(n, int) or n < 0:
-        raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    total = to_kind(0, backend)
-    for parts, z in _partition_table(n):
-        total += _generalized_class_weight(parts, fweights, backend) / z
-    return total
-
-
-def brute_force_generalized_cycle_type_pmf(fweights, n: int, backend: str = "exact"):
-    check_kind(backend)
-    weights = {}
-    for parts, z in _partition_table(n):
-        w = _generalized_class_weight(parts, fweights, backend)
-        weights[Partition(parts)] = w / z
-    norm = sum(weights.values())
-    mass = {lam: w / norm for lam, w in weights.items()}
-    return Pmf(mass, tol=pmf_tol(backend)), norm
-
-
-def brute_force_generalized_k_pmf(fweights, n: int, backend: str = "exact") -> Pmf:
-    type_pmf, _ = brute_force_generalized_cycle_type_pmf(fweights, n, backend)
+def _k_pmf(type_pmf: Pmf, backend: str) -> Pmf:
+    """The law of the number of cycles, projected from a cycle-type law."""
     mass: dict = {}
     for lam, p in type_pmf.items():
         mass[lam.length] = mass.get(lam.length, 0) + p
     return Pmf(mass, tol=pmf_tol(backend))
+
+
+def brute_force_normalization(theta, n: int, backend: str = "exact"):
+    """Partition sum h_n = sum_lambda prod_i theta_{lambda_i} / z_lambda."""
+    return sum(w for _, w in _classes(_weighted, theta, n, backend))
+
+
+def brute_force_cycle_type_pmf(theta, n: int, backend: str = "exact"):
+    """Exact law of the cycle type; returns (pmf over Partition, normalization)."""
+    return _type_pmf(_classes(_weighted, theta, n, backend), n, backend)
+
+
+def brute_force_k_pmf(theta, n: int, backend: str = "exact") -> Pmf:
+    """Exact law of the total number of cycles, by partition length."""
+    return _k_pmf(brute_force_cycle_type_pmf(theta, n, backend)[0], backend)
+
+
+def brute_force_generalized_normalization(fweights, n: int, backend: str = "exact"):
+    """Partition sum h_n(F) = sum_lambda prod_m F_m(c_m) / z_lambda."""
+    return sum(w for _, w in _classes(_generalized, fweights, n, backend))
+
+
+def brute_force_generalized_cycle_type_pmf(fweights, n: int, backend: str = "exact"):
+    """Cycle-type law of the generalized measure; returns (pmf, normalization)."""
+    return _type_pmf(_classes(_generalized, fweights, n, backend), n, backend)
+
+
+def brute_force_generalized_k_pmf(fweights, n: int, backend: str = "exact") -> Pmf:
+    """Law of the total number of cycles under the generalized measure."""
+    return _k_pmf(brute_force_generalized_cycle_type_pmf(fweights, n, backend)[0], backend)

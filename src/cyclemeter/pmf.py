@@ -12,6 +12,8 @@ it back as an upper-bound correction.
 
 from __future__ import annotations
 
+import math
+
 from .errors import UsageError
 
 
@@ -22,15 +24,15 @@ class Pmf:
         if not isinstance(mass, dict) or not mass:
             raise UsageError("mass must be a nonempty dict")
         for key, value in mass.items():
-            if value < 0:
-                raise UsageError(f"negative mass {value} at {key!r}")
-        if tail_bound < 0:
-            raise UsageError("tail_bound must be >= 0")
+            if not 0 <= value < math.inf:
+                raise UsageError(f"mass {value} at {key!r} must be finite and >= 0")
+        if not 0 <= tail_bound < math.inf:
+            raise UsageError("tail_bound must be finite and >= 0")
         total = sum(mass.values()) + tail_bound
         if tol == 0:
             if total != 1:
                 raise UsageError(f"mass must sum to 1 exactly, got {total}")
-        elif abs(total - 1) > tol:
+        elif not abs(total - 1) <= tol:
             raise UsageError(f"mass sums to {total}, outside 1 +/- {tol}")
         self._mass = dict(sorted(mass.items()))
         self.tol = tol
@@ -71,12 +73,6 @@ class Pmf:
         self._require_scalar_keys()
         mu = self.mean()
         return sum((k - mu) ** 2 * p for k, p in self._mass.items())
-
-    def to_float(self) -> "Pmf":
-        """Double-precision copy (tolerance widened to cover rounding)."""
-        mass = {k: float(v) for k, v in self._mass.items()}
-        tol = max(float(self.tol), 1e-12)
-        return Pmf(mass, tol=tol, tail_bound=float(self.tail_bound))
 
     def _require_scalar_keys(self) -> None:
         for key in self._mass:

@@ -96,11 +96,6 @@ class TruncatedSeries:
     def double(cls, coeffs: Sequence) -> "TruncatedSeries":
         return cls(coeffs, DOUBLE)
 
-    @classmethod
-    def zero(cls, order: int, kind: str) -> "TruncatedSeries":
-        _require(order >= 0, "order must be >= 0")
-        return cls([to_kind(0, kind)] * (order + 1), kind)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

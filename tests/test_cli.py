@@ -381,3 +381,36 @@ def test_readme_family_table_matches_registry():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         rows[cells[0]] = set(re.findall(r"`([^`]+)`", cells[1]))
     assert rows == {kind: {p.shown for p in params} for kind, (_, params) in FAMILIES.items()}
+
+
+@pytest.mark.parametrize("family", ["ewens", "exp-poly"])
+@pytest.mark.parametrize("target, oracle", [("k", "k"), ("cycles", "cycle_type")])
+def test_oracle_tripwire_per_measure_and_target(monkeypatch, capsys, family, target, oracle):
+    # The law lookup runs per call, so a patched oracle of either measure
+    # and either target is the one --oracle consults.
+    import cyclemeter.cli as cli_mod
+    from cyclemeter.partitions import Partition
+    from cyclemeter.pmf import Pmf
+
+    def wrong_oracle(weights, n, backend="exact"):
+        if oracle == "k":
+            return Pmf({1: Fraction(1)})
+        return Pmf({Partition((n,)): Fraction(1)}), Fraction(1)
+
+    generalized = "generalized_" if family == "exp-poly" else ""
+    monkeypatch.setattr(cli_mod, f"brute_force_{generalized}{oracle}_pmf", wrong_oracle)
+    code, out, err = run_cli(capsys, "dist", "--family", family, "--theta", "1",
+                             "--target", target, "--n", "4", "--oracle")
+    assert code == EXIT_MATH and out == ""
+    assert "mismatch" in err
+
+
+def test_sub_double_ratio_is_refused(capsys):
+    # 10^-400 as a ratio is 0 as a double: the exact backend would see a
+    # nonzero weight and the double backend none.
+    for value in ("1/1" + "0" * 400, "1" + "0" * 400 + "/3"):
+        code, out, err = run_cli(capsys, "hn", "--family", "ewens", f"--theta={value}",
+                                 "--n", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert "outside the double range" in err
+    assert parse_number("0/7") == 0 and parse_number("-3/7") == Fraction(-3, 7)

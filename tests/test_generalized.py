@@ -130,3 +130,26 @@ def test_spatial_model_validation():
         SpatialModel.from_decays([])
     with pytest.raises(UsageError):
         SpatialModel.from_decays([Fraction(3, 2)])
+
+
+def test_exp_polynomial_double_past_k_170():
+    # k! overflows a double past k = 170, though F_1(k) = 1 and every
+    # coefficient of EG(F_1, t) = e^t is representable or underflows.
+    fw = exp_polynomial_weights(1, {})
+    assert fw.value(1, 400) == 1.0
+    h = generalized_normalization(fw, 400, "double")
+    assert all(abs(h[n] - 1) <= 1e-12 for n in (171, 201, 400))
+    third = exp_polynomial_weights(Fraction(1, 3), {})
+    exact = generalized_normalization(third, 150)[150]
+    assert generalized_normalization(third, 150, "double")[150] == pytest.approx(
+        float(exact), rel=1e-12)
+
+
+def test_generalized_laws_refuse_non_finite_normalization():
+    # F = 1e308: F_1(1) F_2(1) / 2 overflows, so h_3 = inf and the
+    # masses would be inf / inf = NaN.
+    huge = GeneralizedWeights(lambda m, k: 1e308, name="huge")
+    with pytest.raises(DegenerateMeasureError):
+        generalized_total_cycles_pmf(huge, 3, "double")
+    with pytest.raises(DegenerateMeasureError):
+        generalized_joint_cycle_pmf(huge, 3, 1, "double")

@@ -319,3 +319,12 @@ def test_weight_sequence_validation():
         bad.theta(1)
     with pytest.raises(UsageError):
         WeightSequence.constant(1).theta(0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pmf_rejects_non_finite_mass(bad):
+    # nan < 0 and abs(nan - 1) > tol are both false, so NaN needs its own check
+    with pytest.raises(UsageError):
+        Pmf({1: bad}, tol=1e-9)
+    with pytest.raises(UsageError):
+        Pmf({1: 1.0}, tol=1e-9, tail_bound=bad)

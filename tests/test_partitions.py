@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cyclemeter import generalized, measure, partitions, series
-from cyclemeter.errors import ResourceError, UsageError
+from cyclemeter.errors import DegenerateMeasureError, ResourceError, UsageError
 from cyclemeter.measure import WeightSequence
 from cyclemeter.partitions import (Partition, brute_force_cycle_type_pmf,
                                    brute_force_k_pmf,
@@ -123,3 +123,12 @@ def test_oracle_shares_no_kernel_with_engine():
     assert not set(kernels) & set(namespace)
     assert not any(value is kernel for value in namespace.values()
                    for kernel in kernels.values())
+
+
+def test_generalized_oracle_refuses_vanishing_normalization():
+    # F = 5e-324: every class weight F / z_lambda rounds to 0 at n = 2.
+    tiny = generalized.GeneralizedWeights(lambda m, k: 5e-324, name="tiny")
+    with pytest.raises(DegenerateMeasureError):
+        partitions.brute_force_generalized_cycle_type_pmf(tiny, 2, "double")
+    with pytest.raises(DegenerateMeasureError):
+        partitions.brute_force_generalized_k_pmf(tiny, 2, "double")
