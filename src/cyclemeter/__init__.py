@@ -6,9 +6,8 @@ from .asymptotics import (LargeDeviationEstimate, LindelofResult,
                           hwang_estimate, large_deviation_estimate,
                           lindelof_eval, mod_poisson_limit, polylog_family,
                           theta_shift_constant, theta_shift_family)
-from .catalog import (GeneralizedFamily, build_family, exact_capable,
-                      family_from_request, load_config, parse_number,
-                      parse_number_list)
+from .catalog import (GeneralizedFamily, build_family, family_from_request,
+                      load_config, parse_number, parse_number_list)
 from .diagnostics import (ComparisonReport, clt_report, d_K, d_loc,
                           dumps_deterministic, large_deviation_table,
                           mod_poisson_report, poisson_k_approx_report,
@@ -33,8 +32,7 @@ from .partitions import (Partition, brute_force_cycle_type_pmf,
                          brute_force_k_pmf, brute_force_normalization,
                          enumerate_partitions, z_of)
 from .pmf import Pmf
-from .series import (BivariateSeries, TruncatedSeries, bv_exp_wg, ts_exp,
-                     ts_log, ts_mul)
+from .series import TruncatedSeries, bv_exp_wg, ts_exp, ts_log, ts_mul
 from .specfun import (complex_gamma, normal_cdf, poisson_pmf,
                       reciprocal_gamma, riemann_zeta)
 

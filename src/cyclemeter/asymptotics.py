@@ -255,7 +255,9 @@ def theta_shift_constant(theta_seq, theta_limit: float, tol: float = 1e-10,
 
     Convergence is declared when dyadic blocks of sum |theta_m - theta|/m
     decay geometrically and the extrapolated tail drops below tol;
-    otherwise ConvergenceError.
+    otherwise ConvergenceError.  That is raised as soon as the decay ratio
+    has stopped falling and, held at its current value, would not bring
+    the tail below tol within the blocks left before max_m.
     """
     theta_fn = theta_seq.theta if isinstance(theta_seq, WeightSequence) else theta_seq
     total = 0.0
@@ -278,12 +280,18 @@ def theta_shift_constant(theta_seq, theta_limit: float, tol: float = 1e-10,
                 tail = tested * ratio / (1.0 - ratio) if ratio > 0 else 0.0
                 if tail <= tol:
                     return total
+                # a falling ratio can still rescue the tail (the decay of
+                # large perturbations speeds up), a steady or rising one not
+                blocks_left = ((max_m + 1) // block_hi).bit_length() - 1
+                if ratio >= prev_ratio and tail * ratio**blocks_left > tol:
+                    break
             elif tested <= tol * 1e-3:
                 return total
+        prev_ratio = tested / prev_block if prev_block else math.inf
         prev_block = tested
         block_lo = block_hi
     raise ConvergenceError(
-        f"sum of (theta_m - {theta_limit})/m shows no geometric decay by m = {max_m}")
+        f"sum of (theta_m - {theta_limit})/m decays too slowly to converge by m = {max_m}")
 
 
 # -- coefficient asymptotics ------------------------------------------------

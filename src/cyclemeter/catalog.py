@@ -222,11 +222,3 @@ def family_from_request(name: str, flag_params: dict,
     hint = f"; config {config_path!r} does not define it" if config_path else ""
     raise UsageError(f"unknown family {name!r}{hint}")
 
-
-def exact_capable(handle: FamilyHandle) -> bool:
-    """Whether the family's weights carry an exact rule (true rationals
-    rather than float snapshots), which is when the exact backend is
-    worth defaulting to."""
-    if isinstance(handle, GeneralizedFamily):
-        return handle.fweights.has_exact_rule
-    return handle.weights.has_exact_rule

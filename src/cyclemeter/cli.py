@@ -22,9 +22,11 @@ import argparse
 import re
 import sys
 
+import numpy as np
+
 from .asymptotics import asymptotic_hn
-from .catalog import (KINDS, FamilyHandle, GeneralizedFamily, exact_capable,
-                      family_flags, family_from_request)
+from .catalog import (KINDS, FamilyHandle, GeneralizedFamily, family_flags,
+                      family_from_request)
 from .diagnostics import (clt_report, dumps_deterministic, format_scalar,
                           large_deviation_table, mod_poisson_report,
                           poisson_k_approx_report, poisson_vector_report,
@@ -109,10 +111,10 @@ def _resolve_family(args) -> FamilyHandle:
     return family_from_request(args.family, flags, args.config)
 
 
-def _resolve_backend(args, handle: FamilyHandle, n_max: int) -> str:
+def _resolve_backend(args, weights, n_max: int) -> str:
     if args.backend != "auto":
         return args.backend
-    return auto_kind(exact_capable(handle), n_max)
+    return auto_kind(weights.has_exact_rule, n_max)
 
 
 def _parse_grid(args) -> list:
@@ -164,8 +166,8 @@ def _run_hn(args) -> str:
     handle = _resolve_family(args)
     ns = _parse_grid(args)
     n_max = max(ns)
-    backend = _resolve_backend(args, handle, n_max)
     weights, normalization, *_ = _measure(handle)
+    backend = _resolve_backend(args, weights, n_max)
     h = normalization(weights, n_max, backend)
     cls = handle.cls
     rows = []
@@ -213,9 +215,9 @@ def _oracle_check(pmf, measure: tuple, args, backend: str) -> None:
 
 def _run_dist(args) -> str:
     handle = _resolve_family(args)
-    backend = _resolve_backend(args, handle, args.n)
     measure = _measure(handle)
     weights, _, k_law, joint_law, *_ = measure
+    backend = _resolve_backend(args, weights, args.n)
     if args.target == "k":
         pmf = k_law(weights, args.n, backend)
     else:
@@ -340,7 +342,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = _RUNNERS[args.command](args)
+        # every non-finite value is refused before it is printed, so numpy's
+        # overflow warnings would only add noise ahead of the error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            text = _RUNNERS[args.command](args)
     except (UsageError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

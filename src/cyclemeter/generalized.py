@@ -128,19 +128,30 @@ def _factor_coeffs(fweights: GeneralizedWeights, m: int, kmax: int, backend: str
             for k in range(kmax + 1)]
 
 
-def _eg_product(fweights: GeneralizedWeights, lengths, n: int, backend: str) -> list:
-    """Coefficients t^0..t^n of prod_{m in lengths} EG(F_m, t^m/m)."""
+def _eg_product(fweights: GeneralizedWeights, lengths, n: int, backend: str,
+                acc=None, marked: bool = False) -> list:
+    """Coefficients t^0..t^n of acc * prod_{m in lengths} EG(F_m, t^m/m),
+    where acc defaults to 1.  With marked, every cycle also carries a u:
+    t^d u^c sits at index d*(n+1) + c, and each factor EG(F_m, u t^m/m)
+    steps by m*(n+1) + 1 per cycle."""
     zero = to_kind(0, backend)
-    acc = [to_kind(1, backend)] + [zero] * n
+    size = (n + 1) ** 2 if marked else n + 1
+    if acc is None:
+        acc = [to_kind(1, backend)] + [zero] * (size - 1)
     for m in lengths:
+        # c cycles cover at least c points, so every nonzero t^d u^c has
+        # c <= d: the u-power never carries into the next t, and an index
+        # past the end is exactly a t-degree past n.
+        step = m * (n + 1) + 1 if marked else m
         fac = _factor_coeffs(fweights, m, n // m, backend)
-        new = [zero] * (n + 1)
+        new = [zero] * size
         for j, aj in enumerate(acc):
-            if aj == 0:
+            # untouched slots still hold zero itself, which the identity test skips cheaply
+            if aj is zero or aj == 0:
                 continue
             for k, fk in enumerate(fac):
-                pos = j + m * k
-                if pos > n:
+                pos = j + step * k
+                if pos >= size:
                     break
                 new[pos] += aj * fk
         acc = new
@@ -167,7 +178,8 @@ def generalized_joint_cycle_pmf(fweights: GeneralizedWeights, n: int, b: int,
 
     def tables():
         tail = _eg_product(fweights, range(b + 1, n + 1), n, backend)
-        hn = _h_or_degenerate(generalized_normalization(fweights, n, backend)[n], n)
+        full = _eg_product(fweights, range(1, b + 1), n, backend, acc=tail)
+        hn = _h_or_degenerate(full[n], n)
         factors = [_factor_coeffs(fweights, m, n // m, backend) for m in range(1, b + 1)]
         return factors, tail, hn
 
@@ -181,26 +193,7 @@ def generalized_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
     check_kind(backend)
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
-    zero = to_kind(0, backend)
-    # rows[j][k] = coefficient of t^j u^k; each EG factor adds u^k with t^{mk}
-    rows = [[zero] * (j + 1) for j in range(n + 1)]
-    rows[0][0] = to_kind(1, backend)
-    for m in range(1, n + 1):
-        fac = _factor_coeffs(fweights, m, n // m, backend)
-        new = [[zero] * (j + 1) for j in range(n + 1)]
-        for j in range(n + 1):
-            row = rows[j]
-            for k in range(min(j, len(row) - 1) + 1):
-                if row[k] == 0:
-                    continue
-                v = row[k]
-                for i, fi in enumerate(fac):
-                    pos = j + m * i
-                    if pos > n:
-                        break
-                    new[pos][k + i] += v * fi
-        rows = new
-    final = rows[n]
+    final = _eg_product(fweights, range(1, n + 1), n, backend, marked=True)[n * (n + 1):]
     hn = _h_or_degenerate(sum(final), n)
     mass = {k: final[k] / hn for k in range(1, n + 1)}
     return Pmf(mass, tol=pmf_tol(backend))

@@ -232,10 +232,10 @@ def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
         raise UsageError(f"n values must be positive integers, got {n_values!r}")
     n_max = max(ns)
     g = weight_log_series(theta, n_max, backend)
-    biv = bv_exp_wg(g)
+    rows = bv_exp_wg(g)
     out = {}
     for n in ns:
-        row = biv.row(n)
+        row = rows[n][: n + 1]
         hn = _h_or_degenerate(sum(row) if backend == EXACT else float(np.sum(row)), n)
         mass = {k: row[k] / hn for k in range(1, n + 1)}
         out[n] = Pmf(mass, tol=pmf_tol(backend))

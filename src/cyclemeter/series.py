@@ -21,7 +21,9 @@ obtained by differentiating H = exp(G):
 
 which is also the workhorse for the bivariate exp(w * G(t)) needed for
 cycle-count generating functions: the coefficient of t^n there is a
-polynomial in w of degree at most n, stored triangularly.
+polynomial in w of degree at most n, and bv_exp_wg returns one row of
+w-coefficients per t-order: tuples of length n + 1 (exact) or the rows
+of one square array, zero past degree n (double).
 """
 
 from __future__ import annotations
@@ -193,49 +195,12 @@ def ts_log(h: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(g, EXACT)
 
 
-class BivariateSeries:
-    """Series in t whose t^n coefficient is a polynomial in w of degree <= n.
-
-    Storage is triangular: row n holds the w-coefficients of [t^n].
-    Only produced by bv_exp_wg, which guarantees the degree bound.
-    """
-
-    __slots__ = ("kind", "_rows", "_arr")
-
-    def __init__(self, rows=None, arr=None, kind=EXACT):
-        self.kind = kind
-        self._rows = rows
-        self._arr = arr
-
-    @property
-    def order(self) -> int:
-        if self.kind == EXACT:
-            return len(self._rows) - 1
-        return self._arr.shape[0] - 1
-
-    def w_coeff(self, n: int, k: int) -> Scalar:
-        """Coefficient of t^n w^k."""
-        _require(0 <= n <= self.order, f"t-order {n} outside 0..{self.order}")
-        _require(k >= 0, "w-degree must be >= 0")
-        if k > n:
-            return to_kind(0, self.kind)
-        if self.kind == EXACT:
-            return self._rows[n][k]
-        return float(self._arr[n, k])
-
-    def row(self, n: int):
-        """All w-coefficients of [t^n]: tuple (exact) or ndarray (double)."""
-        _require(0 <= n <= self.order, f"t-order {n} outside 0..{self.order}")
-        if self.kind == EXACT:
-            return self._rows[n]
-        return self._arr[n, : n + 1].copy()
-
-
-def bv_exp_wg(g: TruncatedSeries) -> BivariateSeries:
+def bv_exp_wg(g: TruncatedSeries):
     """exp(w * g(t)) truncated at t-order N, exact in w.
 
-    Same recurrence as ts_exp with every use of g_k carrying one factor
-    of w, so row n is built from shifted earlier rows:
+    Row n holds the w-coefficients of [t^n], in the shape the module
+    docstring gives.  Same recurrence as ts_exp with every use of g_k
+    carrying one factor of w, so row n is built from shifted earlier rows:
 
         n * H_n(w) = sum_k k*g_k * w * H_{n-k}(w)
     """
@@ -250,7 +215,7 @@ def bv_exp_wg(g: TruncatedSeries) -> BivariateSeries:
             # S[k] = sum_j kg[j] * arr[n-j, k]; rows 0..n-1 only reach w-degree n-1
             s = kg[n:0:-1].dot(arr[0:n, 0:n])
             arr[n, 1 : n + 1] = s / n
-        return BivariateSeries(arr=arr, kind=DOUBLE)
+        return arr
     terms = [(k, k * gk) for k, gk in enumerate(g.coeffs) if k and gk]
     rows = [(Fraction(1),)]
     for n in range(1, n_max + 1):
@@ -263,4 +228,4 @@ def bv_exp_wg(g: TruncatedSeries) -> BivariateSeries:
                 if v:
                     acc[j + 1] += kgk * v
         rows.append(tuple(c / n for c in acc))
-    return BivariateSeries(rows=rows, kind=EXACT)
+    return rows

@@ -9,6 +9,7 @@ import io
 import json
 import re
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,6 +342,28 @@ def test_exp_weight_overflow_is_no_traceback(capsys):
     code, _, _ = run_cli(capsys, "hn", "--family", "exp-weight", "--c", "1",
                          "--theta-exp", "1", "--n", "1000")
     assert code != 1
+
+
+def test_slow_perturbation_decay_is_refused_at_once(capsys):
+    # alpha_m = 1/2 + 1/sqrt(m): the blocks of |theta_m - theta|/m decay
+    # too slowly for K, which shows long before m = 2^21.
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "hn", "--family", "alpha-exp", "--alpha", "1/2",
+                             "--amp", "1", "--power", "1/2", "--n", "6")
+    assert code == EXIT_MATH and out == ""
+    assert err.startswith("error:")
+    assert time.monotonic() - start < 0.5
+
+
+def test_double_overflow_leaks_no_numpy_warning(capsys):
+    # theta = 1e300 overflows h_5 in a numpy dot; the refusal is the error
+    # line alone, even when warnings are errors.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "hn", "--family", "ewens", "--theta", "1e300",
+                                 "--n", "5", "--backend", "double")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:")
 
 
 def test_exact_output_beyond_str_digit_limit(capsys):

@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclemeter.errors import DegenerateMeasureError, UsageError
 from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
@@ -23,7 +25,8 @@ from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
 from cyclemeter.asymptotics import SingularityClass, ewens_family
 from cyclemeter.measure import (WeightSequence, joint_cycle_pmf,
                                 normalization_constants, total_cycles_pmf)
-from cyclemeter.partitions import (brute_force_generalized_k_pmf,
+from cyclemeter.partitions import (brute_force_generalized_cycle_type_pmf,
+                                   brute_force_generalized_k_pmf,
                                    brute_force_generalized_normalization)
 from cyclemeter.series import ts_exp
 
@@ -153,3 +156,28 @@ def test_generalized_laws_refuse_non_finite_normalization():
         generalized_total_cycles_pmf(huge, 3, "double")
     with pytest.raises(DegenerateMeasureError):
         generalized_joint_cycle_pmf(huge, 3, 1, "double")
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_generalized_laws_match_oracle_for_weights_in_m_and_k(data):
+    # F_m(k) drawn per (m, k), so no reduction to theta_m^k or to one
+    # F for every m holds; K = n exercises the last slot of the marked
+    # lattice, and the joint law's h_n continues its tail product.
+    n = data.draw(st.integers(1, 8))
+    b = data.draw(st.integers(1, min(3, n)))
+    ratio = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    table = {(m, k): data.draw(ratio) for m in range(1, n + 1) for k in range(1, n // m + 1)}
+    fw = GeneralizedWeights(lambda m, k: float(table[m, k]), name="table",
+                            exact_fn=lambda m, k: table[m, k])
+    assert generalized_normalization(fw, n)[n] == brute_force_generalized_normalization(fw, n)
+    assert (dict(generalized_total_cycles_pmf(fw, n).items())
+            == dict(brute_force_generalized_k_pmf(fw, n).items()))
+    type_pmf, _ = brute_force_generalized_cycle_type_pmf(fw, n)
+    projected = {}
+    for lam, p in type_pmf.items():
+        counts = lam.cycle_counts()
+        key = tuple(counts.get(m, 0) for m in range(1, b + 1))
+        projected[key] = projected.get(key, 0) + p
+    joint = generalized_joint_cycle_pmf(fw, n, b)
+    assert {key: p for key, p in joint.items() if p} == projected
