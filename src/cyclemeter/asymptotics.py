@@ -39,7 +39,6 @@ from .measure import WeightSequence, _to_fraction
 from .specfun import complex_gamma, reciprocal_gamma, riemann_zeta
 
 STATUS_OK = "ok"
-STATUS_MAIN_TERM_ZERO = "main-term-zero"
 STATUS_UNSUPPORTED = "unsupported"
 STATUS_OPEN = "open"
 STATUS_ZERO_RADIUS = "zero-radius"
@@ -55,7 +54,6 @@ class SingularityClass:
     theta: float
     K: float
     gamma: Optional[float] = None
-    main_term_zero: bool = False
 
     def __post_init__(self):
         if self.kind not in ("F", "eF"):
@@ -67,6 +65,11 @@ class SingularityClass:
         if self.kind == "eF":
             if self.gamma is None or not 0 < self.gamma <= 1:
                 raise UsageError(f"class eF needs gamma in (0, 1], got {self.gamma}")
+
+    @property
+    def main_term_zero(self) -> bool:
+        """theta = 0: 1/Gamma(theta) kills the transfer main term of h_n."""
+        return self.theta == 0
 
 
 @dataclass
@@ -156,10 +159,8 @@ def polylog_family(delta) -> WeightFamily:
 
     weights = WeightSequence(eval_fn, name=f"polylog({delta})", exact_fn=exact_fn)
     if delta_f > 0:
-        cls = SingularityClass("F", 1.0, 0.0, riemann_zeta(delta_f + 1.0),
-                               main_term_zero=True)
-        return WeightFamily(weights, cls, "polylog", status=STATUS_MAIN_TERM_ZERO,
-                            note="g is bounded at 1; transfer main term vanishes")
+        cls = SingularityClass("F", 1.0, 0.0, riemann_zeta(delta_f + 1.0))
+        return WeightFamily(weights, cls, "polylog")
     return WeightFamily(weights, None, "polylog", status=STATUS_UNSUPPORTED,
                         note="g has an algebraic blow-up at 1, outside classes F/eF")
 
@@ -169,8 +170,9 @@ def exp_weight_family(c, theta_exp) -> WeightFamily:
 
     Radius of g: 1 for theta_exp < 1, e^{-c} at theta_exp = 1, and 0 or
     infinity for theta_exp > 1 depending on the sign of c.  Supported
-    classes: theta_exp <= 0 and theta_exp = 1; the stretched regimes in
-    between are flagged open/unsupported.
+    classes: F for theta_exp = 0 and 1, eF(1, 1, min(-theta_exp, 1)) for
+    theta_exp < 0; the stretched regimes in between are flagged
+    open/unsupported.
     """
     c_f = float(c)
     p_f = float(theta_exp)
@@ -200,19 +202,7 @@ def exp_weight_family(c, theta_exp) -> WeightFamily:
         return WeightFamily(weights, cls, "exp-weight", note="constant weights e^c")
 
     if p_f < 0.0:
-        # g(t) = sum_m exp(c m^p) t^m / m = -log(1-t) + sum_{k>=1} c^k/k! Li_{1-kp}(t)
-        K = 0.0
-        term_k = 1.0
-        for k in range(1, 400):
-            term_k *= c_f / k
-            add = term_k * riemann_zeta(1.0 - k * p_f)
-            K += add
-            if abs(add) <= 1e-16 * (1.0 + abs(K)):
-                break
-        else:
-            raise ConvergenceError("K series for exp-weight did not converge")
-        cls = SingularityClass("F", 1.0, 1.0, K)
-        return WeightFamily(weights, cls, "exp-weight")
+        return WeightFamily(weights, _exp_perturbation_class(1.0, c_f, p_f), "exp-weight")
 
     # 0 < theta_exp < 1
     if c_f > 0:
@@ -227,7 +217,8 @@ def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
 
     Constant exponents (amp = 0) give class F(1, e^{-alpha}) with K = 0;
     perturbed exponents give eF(1, e^{-alpha}, min(power,1)) with
-    K = sum (e^{-alpha_m} - e^{-alpha})/m computed numerically.
+    K = sum (e^{-alpha_m} - e^{-alpha})/m, the exp-weight constant with
+    c = -amp, p = -power, scaled by e^{-alpha}.
     """
     alpha_f = float(alpha)
     amp_f = float(amp)
@@ -244,9 +235,34 @@ def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
         return WeightFamily(weights, cls, "alpha-exp")
     if power_f <= 0:
         raise UsageError(f"perturbation power must be > 0, got {power}")
-    K = theta_shift_constant(weights, theta_lim)
-    cls = SingularityClass("eF", 1.0, theta_lim, K, gamma=min(power_f, 1.0))
-    return WeightFamily(weights, cls, "alpha-exp")
+    return WeightFamily(weights, _exp_perturbation_class(theta_lim, -amp_f, -power_f),
+                        "alpha-exp")
+
+
+def _exp_perturbation_class(scale: float, c: float, p: float) -> SingularityClass:
+    """eF(1, scale, scale*K, min(-p, 1)) for theta_m = scale * exp(c m^p), p < 0.
+
+    K = sum_m (e^{c m^p} - 1)/m.  The terms with c m^p < -4 (m < M) are
+    summed one by one, so the rest, sum_{k>=1} c^k/k! zeta(1 - kp, M),
+    cancels no worse than e^{-4} = sum_k (-4)^k/k!; for c > 0 it does not
+    cancel at all.  ConvergenceError, before any summing, when M > 2^21
+    or when rounding 1 - p to a double could cost more than 1e-13 of K.
+    """
+    log_head = math.log(max(c / -4.0, 1.0)) / -p
+    if -p < 2.0**-53 / 1e-13 or log_head > 21 * math.log(2):
+        raise ConvergenceError(f"perturbation {c}*m^{p} decays too slowly to sum K")
+    head = math.ceil(math.exp(log_head))
+    term, tail = 1.0, 0.0
+    for k in range(1, 400):
+        term *= c / k
+        add = term * riemann_zeta(1.0 - k * p, head)
+        tail += add
+        if abs(add) <= 1e-17 * abs(tail):
+            break
+    K = math.fsum(math.expm1(c * m**p) / m for m in range(1, head)) + tail
+    if not (abs(add) <= 1e-17 * abs(tail) and math.isfinite(K)):
+        raise ConvergenceError(f"K for weights exp({c}*m^{p}) did not converge")
+    return SingularityClass("eF", 1.0, scale, scale * K, gamma=min(-p, 1.0))
 
 
 def theta_shift_constant(theta_seq, theta_limit: float, tol: float = 1e-10,
@@ -333,7 +349,7 @@ def asymptotic_hn(cls: SingularityClass, n: int) -> float:
         raise UsageError("cls must be a SingularityClass")
     if not (isinstance(n, (int, float)) and n > 0):
         raise UsageError(f"n must be positive, got {n!r}")
-    if cls.theta <= 0 or cls.main_term_zero:
+    if cls.main_term_zero:
         raise UnsupportedClassError(
             "main term vanishes (theta = 0); no leading-order h_n available")
     log_value = cls.K + (cls.theta - 1.0) * math.log(n) - n * math.log(cls.r)

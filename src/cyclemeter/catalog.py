@@ -114,9 +114,8 @@ def _build_spatial(alpha: float = 0.0, eps: Optional[list] = None,
         model = SpatialModel.from_energies(eps, alpha=alpha)
     else:
         raise UsageError("spatial family needs --eps or config key decays")
-    base = SingularityClass("F", 1.0, math.exp(-alpha), 0.0)
-    cls = spatial_class_params(model, base)
-    return WeightFamily(spatial_effective_weights(model), cls, "spatial")
+    return WeightFamily(spatial_effective_weights(model), spatial_class_params(model),
+                        "spatial")
 
 
 def _build_exp_poly(theta: Fraction, **higher: Fraction) -> GeneralizedFamily:

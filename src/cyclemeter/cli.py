@@ -173,7 +173,7 @@ def _run_hn(args) -> str:
     rows = []
     for n in ns:
         asym = ratio = None
-        if cls is not None and cls.theta > 0 and not cls.main_term_zero and n > 0:
+        if cls is not None and not cls.main_term_zero and n > 0:
             asym = asymptotic_hn(cls, n)
             ratio = float(h[n]) / asym if asym else None
         rows.append({"n": n, "h": _scalar_out(h[n], backend),

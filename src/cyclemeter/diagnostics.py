@@ -117,7 +117,8 @@ class ComparisonReport:
 
 
 def _fit_slope(n_values: Sequence[int], values: Sequence[float]) -> Optional[float]:
-    if len(n_values) < 2 or any(v <= 0 for v in values):
+    """Log-log slope of values against n; None without two distinct n."""
+    if len(set(n_values)) < 2 or any(v <= 0 for v in values):
         return None
     slope = np.polyfit(np.log(np.asarray(n_values, float)),
                        np.log(np.asarray(values, float)), 1)[0]
@@ -191,6 +192,8 @@ def mod_poisson_report(family: WeightFamily, n_values: Sequence[int],
     ss = [float(s) for s in s_grid]
     if not ss:
         raise UsageError("s_grid must be nonempty")
+    if not all(map(math.isfinite, ss)):
+        raise UsageError(f"s_grid values must be finite, got {ss}")
     pmfs = total_cycles_pmf_many(family.weights, ns, backend="double")
     values_primary = []
     values_bare = []

@@ -21,11 +21,11 @@ Two concrete constructions:
   sum h_n t^n = exp(-theta log(1-t) + sum_j b_j Li_j(t^j)); the package
   exposes that second route as exp_polynomial_log_series for a two-path
   identity check.  Class F(1, theta) with K = sum_j b_j zeta(j).
-* spatial models: a cycle of length m carries e^{-alpha_m} times a sum
+* spatial models: a cycle of length m carries e^{-alpha} times a sum
   of mode factors e^{-eps_k m}, multiplicatively over cycles.  That is
   again a plain weighted measure with effective weights
-  theta'_m = e^{-alpha_m} sum_k e^{-eps_k m}; spatial_class_params
-  aggregates the singularity data of the base family over the modes.
+  theta'_m = e^{-alpha} sum_k e^{-eps_k m}; spatial_class_params gives
+  its singularity data in closed form.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .asymptotics import SingularityClass
-from .errors import ConvergenceError, UsageError
+from .errors import UsageError
 from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _to_fraction
 from .pmf import Pmf
 from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_kind, ts_exp
@@ -279,7 +279,7 @@ def exp_polynomial_log_series(theta, higher: dict, order: int,
 @dataclass(frozen=True)
 class SpatialModel:
     """Finitely many modes with exact decay factors q_k = e^{-eps_k} in
-    (0, 1], and site exponents alpha_m.
+    (0, 1], and one site exponent alpha.
 
     Built from energies, the decays are the exact binary values of the
     doubles e^{-eps_k}, so the generalized route and the effective-weight
@@ -287,7 +287,7 @@ class SpatialModel:
     """
 
     decays: tuple
-    alpha: object = 0.0  # constant or callable m -> alpha_m
+    alpha: float = 0.0
 
     def __post_init__(self):
         decays = tuple(_to_fraction(d) for d in self.decays)
@@ -297,6 +297,7 @@ class SpatialModel:
         if any(not (0 < d <= 1 and float(d) > 0) for d in decays):
             raise UsageError("decay factors must lie in (0, 1] and not underflow a double")
         object.__setattr__(self, "decays", decays)
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @classmethod
     def from_decays(cls, decays: Sequence, alpha=0.0) -> "SpatialModel":
@@ -309,21 +310,18 @@ class SpatialModel:
             raise UsageError(f"mode energies must be >= 0, got {eps}")
         return cls(tuple(Fraction(math.exp(-e)) for e in eps), alpha=alpha)
 
-    def alpha_at(self, m: int) -> float:
-        return float(self.alpha(m)) if callable(self.alpha) else float(self.alpha)
-
 
 def spatial_effective_weights(model: SpatialModel) -> WeightSequence:
-    """theta'_m = e^{-alpha_m} * sum_k e^{-eps_k m} (exact reduction)."""
+    """theta'_m = e^{-alpha} * sum_k e^{-eps_k m} (exact reduction)."""
 
     decay_floats = [float(d) for d in model.decays]
+    site = math.exp(-model.alpha)
 
     def eval_fn(m: int) -> float:
-        return math.exp(-model.alpha_at(m)) * sum(q**m for q in decay_floats)
+        return site * sum(q**m for q in decay_floats)
 
     def exact_fn(m: int) -> Fraction:
-        site = Fraction(math.exp(-model.alpha_at(m)))
-        return site * sum(q**m for q in model.decays)
+        return Fraction(site) * sum(q**m for q in model.decays)
 
     return WeightSequence(eval_fn, name="spatial", exact_fn=exact_fn)
 
@@ -334,40 +332,17 @@ def spatial_F(model: SpatialModel) -> GeneralizedWeights:
     return GeneralizedWeights.from_theta(spatial_effective_weights(model))
 
 
-def spatial_class_params(model: SpatialModel, base_class: SingularityClass) -> SingularityClass:
-    """Aggregate singularity data of g'(t) = sum_m theta'_m t^m / m.
+def spatial_class_params(model: SpatialModel) -> SingularityClass:
+    """Singularity data of g'(t) = sum_m theta'_m t^m / m.
 
-    base_class describes g_base(t) = sum_m e^{-alpha_m} t^m / m.  With
-    rr = min_k e^{eps_k} and A the number of minimizing modes,
+    g'(t) = -e^{-alpha} sum_k log(1 - q_k t), so with qmax = max_k q_k
+    and A the number of modes at qmax it is class F with
 
-        radius -> rr * r,   strength -> A * theta_base,
-        K -> A * K_base + sum_{non-minimal k} g_base(e^{-eps_k} * rr * r).
+        r = 1/qmax,   theta = A e^{-alpha},
+        K = -e^{-alpha} sum_{q_k < qmax} log(1 - q_k/qmax).
     """
-    if not isinstance(base_class, SingularityClass):
-        raise UsageError("base_class must be a SingularityClass")
     decay_floats = [float(d) for d in model.decays]
     qmax = max(decay_floats)
-    minimal = [abs(q - qmax) <= 1e-12 * qmax for q in decay_floats]
-    mult = sum(minimal)
-    r_total = base_class.r / qmax
-    K = mult * base_class.K
-    for q, is_min in zip(decay_floats, minimal):
-        if not is_min:
-            K += _g_base_value(model, base_class, q / qmax * base_class.r)
-    return SingularityClass(base_class.kind, r_total, mult * base_class.theta, K,
-                            gamma=base_class.gamma)
-
-
-def _g_base_value(model: SpatialModel, base_class: SingularityClass, x: float) -> float:
-    """g_base(x) = sum_m e^{-alpha_m} x^m / m for |x| < base radius."""
-    if abs(x) >= base_class.r:
-        raise UsageError(f"g evaluation point {x} outside radius {base_class.r}")
-    total = 0.0
-    power = 1.0
-    for m in range(1, 1_000_000):
-        power *= x
-        term = math.exp(-model.alpha_at(m)) * power / m
-        total += term
-        if abs(term) <= 1e-17 * (1.0 + abs(total)) and m > 8:
-            return total
-    raise ConvergenceError(f"series for g({x}) converged too slowly")
+    site = math.exp(-model.alpha)
+    K = -site * math.fsum(math.log1p(-q / qmax) for q in decay_floats if q < qmax)
+    return SingularityClass("F", 1.0 / qmax, decay_floats.count(qmax) * site, K)

@@ -23,6 +23,7 @@ the cycle count; they differ only in weigh:
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,13 +43,13 @@ class Partition:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        # one pass over the parts: nonincreasing, so the last is the least
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        for p in parts:
-            if p < 1:
-                raise UsageError(f"partition parts must be >= 1, got {p}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(operator.lt, parts, parts[1:])):
             raise UsageError(f"parts must be nonincreasing, got {parts}")
+        if parts and parts[-1] < 1:
+            raise UsageError(f"partition parts must be >= 1, got {parts[-1]}")
 
     @property
     def size(self) -> int:

@@ -7,7 +7,8 @@ Only what the estimators actually use, implemented directly:
                         ~1e-13 relative accuracy on moderate arguments.
 * reciprocal_gamma   -- 1/Gamma extended by 0 at the poles, which is the
                         value the coefficient asymptotics actually need.
-* riemann_zeta       -- Euler-Maclaurin with four Bernoulli corrections
+* riemann_zeta       -- zeta(s) and its tails sum_{k >= start} k^{-s},
+                        Euler-Maclaurin with four Bernoulli corrections
                         for real s > 1.
 * poisson_log_pmf / poisson_pmf / normal_cdf -- reference laws.
 """
@@ -72,17 +73,20 @@ _BERNOULLI = (
 _ZETA_CUTOFF = 30
 
 
-def riemann_zeta(s: float) -> float:
-    """zeta(s) for real s > 1, via Euler-Maclaurin at cutoff M = 30.
+def riemann_zeta(s: float, start: int = 1) -> float:
+    """sum_{k >= start} k^{-s} for real s > 1 (zeta(s) at start = 1), by
+    Euler-Maclaurin at cutoff M = start + 29.
 
-    The first omitted correction is of order M^{-s-9}, far below the
-    1e-10 accuracy target throughout s > 1.
+    The first omitted correction is of order M^{-s-9}, below 1e-13 of the
+    sum throughout s > 1.
     """
     s = float(s)
     if not s > 1.0:
         raise UsageError(f"riemann_zeta needs real s > 1, got {s}")
-    m_cut = _ZETA_CUTOFF
-    total = sum(k ** (-s) for k in range(1, m_cut))
+    if not (isinstance(start, int) and start >= 1):
+        raise UsageError(f"riemann_zeta needs an integer start >= 1, got {start!r}")
+    m_cut = start + _ZETA_CUTOFF - 1
+    total = sum(k ** (-s) for k in range(start, m_cut))
     total += m_cut ** (1.0 - s) / (s - 1.0)
     total += 0.5 * m_cut ** (-s)
     for order, bern in _BERNOULLI:

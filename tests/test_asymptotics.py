@@ -73,10 +73,35 @@ def test_exp_weight_negative_power_constant():
     # theta_m = exp(c m^p) with p < 0: K = sum_m (theta_m - 1)/m, summed
     # directly with an integral tail bracket as the oracle.
     fam = exp_weight_family(1.0, -1.0)
-    assert fam.cls.theta == 1.0
+    assert (fam.cls.kind, fam.cls.theta, fam.cls.gamma) == ("eF", 1.0, 1.0)
+    assert exp_weight_family(1.0, -0.5).cls.gamma == 0.5
     direct = sum((math.exp(1.0 / m) - 1.0) / m for m in range(1, 200001))
     tail_hi = 1.2 / 200000  # (e^{1/m}-1)/m <= 1.2/m^2 beyond m = 2e5
     assert direct <= fam.cls.K <= direct + tail_hi
+
+
+@pytest.mark.parametrize("c", [-100.0, -40.0, -5.0, -1.0, 1.0, 30.0])
+@pytest.mark.parametrize("p", [-0.5, -1.0, -2.0, -3.0])
+def test_exp_weight_constant_does_not_depend_on_the_split(c, p):
+    # The first 4000 terms summed one by one and the zeta series from 4000
+    # on, where |c m^p| is at most 1.6: the class splits elsewhere.
+    N = 4000
+    head = math.fsum(math.expm1(c * m**p) / m for m in range(1, N))
+    term, tail = 1.0, 0.0
+    for k in range(1, 60):
+        term *= c / k
+        tail += term * riemann_zeta(1.0 - k * p, N)
+    K = exp_weight_family(c, p).cls.K
+    assert K == pytest.approx(head + tail, rel=1e-13, abs=0)
+
+
+def test_slow_exp_perturbations_are_refused():
+    # A head of about 6e10 terms, and a power too small for 1 - p to carry
+    # K to double accuracy.
+    with pytest.raises(ConvergenceError):
+        alpha_exp_family(0.5, amp=1e6, power=0.5)
+    with pytest.raises(ConvergenceError):
+        exp_weight_family(-1.0, -1e-4)
 
 
 def test_alpha_exp_families():

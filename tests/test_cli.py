@@ -7,6 +7,7 @@ pytest.  Oracles are the library calls the commands wrap.
 import contextlib
 import io
 import json
+import math
 import re
 import time
 import warnings
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemeter.asymptotics import ewens_family, theta_shift_family
-from cyclemeter.catalog import FAMILIES, KINDS, parse_number
+from cyclemeter.catalog import FAMILIES, KINDS, build_family, parse_number
 from cyclemeter.cli import (EXIT_MATH, EXIT_OK, EXIT_TREND, EXIT_USAGE, main)
 from cyclemeter.errors import ResourceError
 from cyclemeter.generalized import (exp_polynomial_weights,
@@ -93,6 +94,59 @@ def test_report_csv_deterministic(capsys):
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     assert out1.startswith("n,metric,value,reference_rate_value\n")
+
+
+@pytest.mark.parametrize("s_value", ["inf", "nan"])
+def test_non_finite_s_grid_is_usage_error(capsys, s_value):
+    code, out, err = run_cli(capsys, "report", "--family", "ewens", "--theta", "2",
+                             "--kind", "mod-poisson", "--n-grid", "10,20",
+                             "--s-grid", s_value)
+    assert code == EXIT_USAGE and out == ""
+    assert "finite" in err
+
+
+def test_repeated_n_fits_no_slope(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "report", "--family", "ewens", "--theta", "2",
+                               "--kind", "clt", "--n-grid", "10,10")
+    assert code == EXIT_OK
+    assert [r["fitted_slope"] for r in json.loads(out)["reports"]] == [None, None]
+
+
+def test_dist_csv_format(capsys):
+    code, out, _ = run_cli(capsys, "dist", "--family", "ewens", "--theta", "1",
+                           "--n", "4", "--format", "csv")
+    assert code == EXIT_OK
+    assert out == "support,mass\n1,1/4\n2,11/24\n3,1/4\n4,1/24\n"
+    code, out, _ = run_cli(capsys, "dist", "--family", "ewens", "--theta", "1",
+                           "--target", "cycles", "--b", "2", "--n", "4", "--format", "csv")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "support,mass"
+    assert "0 2,1/8" in lines and "2 1,1/4" in lines and "4 0,1/24" in lines
+
+
+def test_sample_csv_format(capsys):
+    base = ("sample", "--family", "ewens", "--theta", "1", "--n", "5", "--count", "3",
+            "--seed", "7", "--format", "csv")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == EXIT_OK
+    assert out == "2,5,4,1,3\n5,4,3,2,1\n1,5,3,2,4\n"
+    code, out, _ = run_cli(capsys, *base, "--cycle-type-only")
+    assert code == EXIT_OK
+    assert out == "5\n2,2,1\n3,1,1\n"
+
+
+def test_large_dev_csv_format(capsys):
+    code, out, _ = run_cli(capsys, "report", "--family", "ewens", "--theta", "1",
+                           "--kind", "large-dev", "--n", "50", "--format", "csv")
+    assert code == EXIT_OK
+    rows = dict(line.split(",") for line in out.splitlines())
+    assert list(rows) == ["key", "n", "k", "mean", "sd", "t_n", "x", "estimate", "exact",
+                          "rel_error", "rate_I", "tilt_h"]
+    assert rows["key"] == "value" and rows["n"] == "50" and rows["k"] == "10"
+    assert float(rows["t_n"]) == pytest.approx(math.log(50), rel=1e-15)
 
 
 def test_config_file_family(tmp_path, capsys):
@@ -345,14 +399,34 @@ def test_exp_weight_overflow_is_no_traceback(capsys):
 
 
 def test_slow_perturbation_decay_is_refused_at_once(capsys):
-    # alpha_m = 1/2 + 1/sqrt(m): the blocks of |theta_m - theta|/m decay
-    # too slowly for K, which shows long before m = 2^21.
+    # alpha_m = 1/2 + 10^6/sqrt(m): K would need about 6e10 terms summed
+    # one by one; a power whose 1 + power rounds to 1 has no usable zeta
+    # series.  Both refusals come before any term is summed.
     start = time.monotonic()
-    code, out, err = run_cli(capsys, "hn", "--family", "alpha-exp", "--alpha", "1/2",
-                             "--amp", "1", "--power", "1/2", "--n", "6")
-    assert code == EXIT_MATH and out == ""
-    assert err.startswith("error:")
+    for amp, power in (("1000000", "1/2"), ("1", "1e-300")):
+        code, out, err = run_cli(capsys, "hn", "--family", "alpha-exp", "--alpha", "1/2",
+                                 "--amp", amp, "--power", power, "--n", "6")
+        assert code == EXIT_MATH and out == ""
+        assert err.startswith("error:")
     assert time.monotonic() - start < 0.5
+
+
+# K against 90-digit values: the exp-weight/alpha-exp series summed with
+# mpmath at 90 digits, and -e^{-alpha} sum log(1 - q/qmax) for spatial with
+# the model's decay q, the double nearest e^{-10^-6}.
+@pytest.mark.parametrize("argv, K", [
+    (("alpha-exp", "--alpha", "1/2", "--amp", "1", "--power", "1/2"), -1.1957607364357795),
+    (("alpha-exp", "--alpha", "1/2", "--amp", "3", "--power", "1/2"), -2.3848970335254113),
+    (("exp-weight", "--c", "-100", "--theta-exp", "-2"), -3.1684085248217695),
+    (("exp-weight", "--c", "-40", "--theta-exp", "-2"), -2.7102538612141183),
+    (("spatial", "--eps", "0,1e-6"), 13.815511057980094),
+])
+def test_class_constant_matches_high_precision_value(capsys, argv, K):
+    code, out, _ = run_cli(capsys, "hn", "--family", *argv, "--n", "6")
+    assert code == EXIT_OK
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    params = {flag[2:].replace("-", "_"): value for flag, value in flags.items()}
+    assert build_family(argv[0], params).cls.K == pytest.approx(K, rel=1e-13, abs=0)
 
 
 def test_double_overflow_leaks_no_numpy_warning(capsys):

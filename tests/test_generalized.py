@@ -22,7 +22,6 @@ from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
                                     generalized_total_cycles_pmf, spatial_F,
                                     spatial_class_params,
                                     spatial_effective_weights)
-from cyclemeter.asymptotics import SingularityClass, ewens_family
 from cyclemeter.measure import (WeightSequence, joint_cycle_pmf,
                                 normalization_constants, total_cycles_pmf)
 from cyclemeter.partitions import (brute_force_generalized_cycle_type_pmf,
@@ -109,11 +108,10 @@ def test_spatial_reduction_matches_brute_force():
 
 
 def test_spatial_class_single_minimal_mode():
-    # Decays {1, 1/2}: one minimal mode, base Ewens 1; the non-minimal
-    # mode contributes g(1/2) = log 2 to K.
+    # Decays {1, 1/2}: one minimal mode, alpha = 0; the non-minimal
+    # mode contributes -log(1 - 1/2) = log 2 to K.
     model = SpatialModel.from_decays([1, Fraction(1, 2)])
-    base = ewens_family(1).cls
-    cls = spatial_class_params(model, base)
+    cls = spatial_class_params(model)
     assert cls.r == pytest.approx(1.0, abs=0)
     assert cls.theta == pytest.approx(1.0, abs=0)
     assert cls.K == pytest.approx(math.log(2), rel=1e-12)
@@ -122,8 +120,7 @@ def test_spatial_class_single_minimal_mode():
 def test_spatial_class_two_equal_modes():
     # Two equal modes double theta and leave K at zero.
     model = SpatialModel.from_decays([1, 1])
-    base = ewens_family(1).cls
-    cls = spatial_class_params(model, base)
+    cls = spatial_class_params(model)
     assert cls.theta == pytest.approx(2.0, abs=0)
     assert cls.K == pytest.approx(0.0, abs=1e-15)
 

@@ -82,6 +82,22 @@ def test_zeta_inside_integral_bracket():
         assert lo - slack <= value <= hi + slack
 
 
+def test_zeta_tail_from_start():
+    # sum_{k >= start} k^{-s} is zeta(s) less its first terms while those
+    # are few, and inside the integral bracket of the tail alone for a
+    # late start, where the difference would cancel.
+    for s in (1.5, 2.0, 3.0):
+        head = sum(k ** (-s) for k in range(1, 4))
+        assert riemann_zeta(s, start=4) == pytest.approx(riemann_zeta(s) - head, rel=1e-13)
+    for s, start in ((1.5, 1000), (17.0, 100), (41.0, 30)):
+        value = riemann_zeta(s, start)
+        lo = sum(k ** (-s) for k in range(start, start + 400)) + (start + 400) ** (1 - s) / (s - 1)
+        hi = lo + (start + 399) ** (-s)
+        assert lo * (1 - 5e-15) <= value <= hi * (1 + 5e-15)
+    with pytest.raises(UsageError):
+        riemann_zeta(2.0, start=0)
+
+
 def test_zeta_requires_s_above_one():
     with pytest.raises(UsageError):
         riemann_zeta(1.0)
