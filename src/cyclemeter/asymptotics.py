@@ -129,7 +129,7 @@ def theta_shift_family(theta, amp=1, power=2) -> WeightFamily:
     weights = WeightSequence(eval_fn, name=f"theta-shift({theta},{amp},{power})",
                              exact_fn=exact_fn)
     gamma = min(power_f, 1.0)
-    K = float(amp_f) * riemann_zeta(power_f + 1.0)
+    K = float(amp_f) * riemann_zeta(1.0 + power_f, s_minus_1=power_f)
     cls = SingularityClass("eF", 1.0, float(theta_f), K, gamma=gamma)
     return WeightFamily(weights, cls, "theta-shift")
 
@@ -159,7 +159,7 @@ def polylog_family(delta) -> WeightFamily:
 
     weights = WeightSequence(eval_fn, name=f"polylog({delta})", exact_fn=exact_fn)
     if delta_f > 0:
-        cls = SingularityClass("F", 1.0, 0.0, riemann_zeta(delta_f + 1.0))
+        cls = SingularityClass("F", 1.0, 0.0, riemann_zeta(1.0 + delta_f, s_minus_1=delta_f))
         return WeightFamily(weights, cls, "polylog")
     return WeightFamily(weights, None, "polylog", status=STATUS_UNSUPPORTED,
                         note="g has an algebraic blow-up at 1, outside classes F/eF")

@@ -174,7 +174,10 @@ def _run_hn(args) -> str:
     for n in ns:
         asym = ratio = None
         if cls is not None and not cls.main_term_zero and n > 0:
-            asym = asymptotic_hn(cls, n)
+            try:
+                asym = asymptotic_hn(cls, n)
+            except UsageError:  # only the estimate overflows; h is still printed
+                asym = None
             ratio = float(h[n]) / asym if asym else None
         rows.append({"n": n, "h": _scalar_out(h[n], backend),
                      "asymptotic": asym, "ratio": ratio})

@@ -25,18 +25,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .asymptotics import WeightFamily, mod_poisson_limit
-from .errors import UsageError
+from .errors import ResourceError, UsageError
 from .measure import joint_cycle_pmf, total_cycles_pmf_many
 from .pmf import Pmf
 from .specfun import normal_cdf, poisson_pmf
 
 POISSON_TAIL = 1e-15
+_POISSON_LAM_MAX = 1e7  # about lam atoms are tabulated, some 10 s at this size
 
 
 def truncated_poisson(lam: float, tail: float = POISSON_TAIL) -> Pmf:
     """Poisson(lam) truncated once cumulative mass reaches 1 - tail."""
     if lam <= 0:
         raise UsageError(f"Poisson intensity must be > 0, got {lam}")
+    if lam > _POISSON_LAM_MAX:
+        raise ResourceError(f"Poisson intensity {lam} exceeds {_POISSON_LAM_MAX:g}")
     mass = {}
     cumulative = 0.0
     k = 0

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .asymptotics import SingularityClass
 from .errors import UsageError
 from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _to_fraction
@@ -128,34 +130,44 @@ def _factor_coeffs(fweights: GeneralizedWeights, m: int, kmax: int, backend: str
             for k in range(kmax + 1)]
 
 
+def _scaled(values, backend: str) -> tuple:
+    """values as one numpy array over a denominator: Python ints over the
+    lcm of their denominators (exact), or float64 over 1 (double)."""
+    if backend != EXACT:
+        return np.asarray(values, dtype=float), 1
+    den = math.lcm(*[v.denominator for v in values])
+    return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
+
+
 def _eg_product(fweights: GeneralizedWeights, lengths, n: int, backend: str,
                 acc=None, marked: bool = False) -> list:
     """Coefficients t^0..t^n of acc * prod_{m in lengths} EG(F_m, t^m/m),
     where acc defaults to 1.  With marked, every cycle also carries a u:
     t^d u^c sits at index d*(n+1) + c, and each factor EG(F_m, u t^m/m)
-    steps by m*(n+1) + 1 per cycle."""
-    zero = to_kind(0, backend)
+    steps by m*(n+1) + 1 per cycle.  One slice-update loop serves both
+    kinds, on the arrays of _scaled; an exact product is reduced by one gcd
+    pass per factor, and Fractions are built only at the end."""
     size = (n + 1) ** 2 if marked else n + 1
     if acc is None:
-        acc = [to_kind(1, backend)] + [zero] * (size - 1)
+        acc = [to_kind(1, backend)] + [to_kind(0, backend)] * (size - 1)
+    acc, q = _scaled(acc, backend)
     for m in lengths:
         # c cycles cover at least c points, so every nonzero t^d u^c has
-        # c <= d: the u-power never carries into the next t, and an index
-        # past the end is exactly a t-degree past n.
+        # c <= d: the u-power never carries into the next t, and the last
+        # cycle count n // m lands at index size - 1 at the latest.
         step = m * (n + 1) + 1 if marked else m
-        fac = _factor_coeffs(fweights, m, n // m, backend)
-        new = [zero] * size
-        for j, aj in enumerate(acc):
-            # untouched slots still hold zero itself, which the identity test skips cheaply
-            if aj is zero or aj == 0:
-                continue
-            for k, fk in enumerate(fac):
-                pos = j + step * k
-                if pos >= size:
-                    break
-                new[pos] += aj * fk
-        acc = new
-    return acc
+        fac, den = _scaled(_factor_coeffs(fweights, m, n // m, backend), backend)
+        new = np.zeros_like(acc)
+        # descending k adds each slot's terms in ascending order of their
+        # acc index, a fixed order that keeps the double results' bits
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(len(fac) - 1, -1, -1):
+                new[step * k:] += fac[k] * acc[:size - step * k]
+        acc, q = new, q * den
+        if backend == EXACT:
+            div = math.gcd(q, *acc)
+            acc, q = acc // div, q // div
+    return [Fraction(v, q) for v in acc] if backend == EXACT else acc.tolist()
 
 
 def generalized_normalization(fweights: GeneralizedWeights, n_max: int,

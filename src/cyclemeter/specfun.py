@@ -9,7 +9,7 @@ Only what the estimators actually use, implemented directly:
                         value the coefficient asymptotics actually need.
 * riemann_zeta       -- zeta(s) and its tails sum_{k >= start} k^{-s},
                         Euler-Maclaurin with four Bernoulli corrections
-                        for real s > 1.
+                        for real s > 1, which may be given as 1 + p.
 * poisson_log_pmf / poisson_pmf / normal_cdf -- reference laws.
 """
 
@@ -73,21 +73,24 @@ _BERNOULLI = (
 _ZETA_CUTOFF = 30
 
 
-def riemann_zeta(s: float, start: int = 1) -> float:
+def riemann_zeta(s: float, start: int = 1, s_minus_1=None) -> float:
     """sum_{k >= start} k^{-s} for real s > 1 (zeta(s) at start = 1), by
     Euler-Maclaurin at cutoff M = start + 29.
 
     The first omitted correction is of order M^{-s-9}, below 1e-13 of the
-    sum throughout s > 1.
+    sum throughout s > 1.  Near s = 1 the sum is about 1/(s - 1), so pass
+    s_minus_1 = p with s = 1 + p: rounding 1 + p first would cost up to
+    1e-16/p relative.
     """
     s = float(s)
-    if not s > 1.0:
+    p = s - 1.0 if s_minus_1 is None else float(s_minus_1)
+    if not p > 0.0:
         raise UsageError(f"riemann_zeta needs real s > 1, got {s}")
     if not (isinstance(start, int) and start >= 1):
         raise UsageError(f"riemann_zeta needs an integer start >= 1, got {start!r}")
     m_cut = start + _ZETA_CUTOFF - 1
     total = sum(k ** (-s) for k in range(start, m_cut))
-    total += m_cut ** (1.0 - s) / (s - 1.0)
+    total += m_cut ** (-p) / p
     total += 0.5 * m_cut ** (-s)
     for order, bern in _BERNOULLI:
         # (s)(s+1)...(s+order-2) / order!  *  B_order * M^{-s-order+1}
@@ -95,6 +98,8 @@ def riemann_zeta(s: float, start: int = 1) -> float:
         for i in range(order - 1):
             rising *= s + i
         total += bern / math.factorial(order) * rising * m_cut ** (-s - order + 1.0)
+    if not math.isfinite(total):
+        raise UsageError(f"zeta(1 + {p}) overflows a double")
     return total
 
 

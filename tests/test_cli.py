@@ -25,6 +25,7 @@ from cyclemeter.errors import ResourceError
 from cyclemeter.generalized import (exp_polynomial_weights,
                                     generalized_joint_cycle_pmf)
 from cyclemeter.measure import joint_cycle_pmf, normalization_constants
+from cyclemeter.partitions import brute_force_normalization
 
 
 def run_cli(capsys, *argv):
@@ -396,6 +397,30 @@ def test_exp_weight_overflow_is_no_traceback(capsys):
     code, _, _ = run_cli(capsys, "hn", "--family", "exp-weight", "--c", "1",
                          "--theta-exp", "1", "--n", "1000")
     assert code != 1
+
+
+def test_hn_prints_h_when_only_the_asymptotic_overflows(capsys):
+    # K is about 1e13, so e^K overflows the estimate, not h_5.
+    argv = ("hn", "--family", "exp-weight", "--c=30", "--theta-exp=-0.01", "--n-grid", "1,5")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [(row["asymptotic"], row["ratio"]) for row in rows] == [(None, None)] * 2
+    weights = build_family("exp-weight", {"c": "30", "theta_exp": "-0.01"}).weights
+    assert rows[1]["h"] == pytest.approx(brute_force_normalization(weights, 5, "double"),
+                                         rel=1e-12)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert [line.split(",")[2:] for line in out.split()[1:]] == [["", ""]] * 2
+
+
+def test_huge_poisson_reference_is_refused_at_once(capsys):
+    # K = zeta(1 + 1e-10) = 1e10 makes the reference Poisson(1e10 + ...).
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "report", "--family", "theta-shift", "--theta", "1",
+                             "--power", "1e-10", "--kind", "poisson-k", "--n-grid", "10,20")
+    assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+    assert time.monotonic() - start < 1.0
 
 
 def test_slow_perturbation_decay_is_refused_at_once(capsys):

@@ -161,9 +161,9 @@ def test_generalized_laws_match_oracle_for_weights_in_m_and_k(data):
     # F_m(k) drawn per (m, k), so no reduction to theta_m^k or to one
     # F for every m holds; K = n exercises the last slot of the marked
     # lattice, and the joint law's h_n continues its tail product.
-    n = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 12))
     b = data.draw(st.integers(1, min(3, n)))
-    ratio = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    ratio = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
     table = {(m, k): data.draw(ratio) for m in range(1, n + 1) for k in range(1, n // m + 1)}
     fw = GeneralizedWeights(lambda m, k: float(table[m, k]), name="table",
                             exact_fn=lambda m, k: table[m, k])
@@ -178,3 +178,17 @@ def test_generalized_laws_match_oracle_for_weights_in_m_and_k(data):
         projected[key] = projected.get(key, 0) + p
     joint = generalized_joint_cycle_pmf(fw, n, b)
     assert {key: p for key, p in joint.items() if p} == projected
+
+
+@pytest.mark.parametrize("theta, b2", [(1, Fraction(1, 4)), (16, Fraction(-1, 4))])
+def test_double_lattice_matches_exact(theta, b2):
+    # F(k) = He_k(theta sqrt 2) / 2^{k/2} for b2 = -1/4, positive up to
+    # k = 120 only once theta sqrt 2 passes the largest Hermite root (~21).
+    fw = exp_polynomial_weights(theta, {2: b2})
+    exact = generalized_normalization(fw, 120)
+    double = generalized_normalization(fw, 120, "double")
+    assert all(abs(d - float(e)) <= 1e-12 * float(e) for d, e in zip(double, exact))
+    exact_k = generalized_total_cycles_pmf(fw, 120)
+    double_k = generalized_total_cycles_pmf(fw, 120, "double")
+    for k in range(1, 121):
+        assert abs(double_k[k] - float(exact_k[k])) <= 1e-12 * float(exact_k[k])

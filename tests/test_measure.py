@@ -11,14 +11,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from cyclemeter.errors import UsageError
+from cyclemeter.errors import DegenerateMeasureError, UsageError
 from cyclemeter.measure import (WeightSequence, expected_cycle_counts,
                                 joint_cycle_pmf, normalization_constants,
                                 sample_cycle_type, sample_permutation,
                                 total_cycles_pmf, total_cycles_pmf_many)
-from cyclemeter.partitions import (brute_force_cycle_type_pmf,
+from cyclemeter.partitions import (brute_force_cycle_type_pmf, brute_force_k_pmf,
                                    brute_force_normalization, z_of)
 from cyclemeter.pmf import Pmf
 
@@ -151,6 +153,53 @@ def test_total_cycles_grid_consistent_with_single():
     grid = total_cycles_pmf_many(theta, [4, 9])
     assert dict(grid[9].items()) == dict(total_cycles_pmf(theta, 9).items())
     assert dict(grid[4].items()) == dict(total_cycles_pmf(theta, 4).items())
+
+
+def rising(theta, n):
+    out = Fraction(1)
+    for i in range(n):
+        out *= theta + i
+    return out
+
+
+def test_ewens_half_closed_forms_beyond_the_oracle():
+    # h_n = theta^(n)/n! and P(K_n = k) = |s(n, k)| theta^k / theta^(n).
+    half = Fraction(1, 2)
+    theta = WeightSequence.constant(half)
+    assert normalization_constants(theta, 200)[200] == rising(half, 200) / math.factorial(200)
+    law = total_cycles_pmf(theta, 120)
+    row = stirling_cycle_row(120)
+    norm = rising(half, 120)
+    assert dict(law.items()) == {k: row[k] * half**k / norm for k in range(1, 121)}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_exact_kernels_match_oracle_for_random_rational_weights(data):
+    # theta_m = a/b with a in 0..12, so sparse weights and theta_1 = 0
+    # occur; a measure whose h_n vanishes must be refused by both sides.
+    n = data.draw(st.integers(1, 12))
+    ratio = st.builds(Fraction, st.integers(0, 12), st.integers(1, 12))
+    table = [data.draw(ratio) for _ in range(n)]
+    theta = WeightSequence(lambda m: float(table[m - 1]), name="table",
+                           exact_fn=lambda m: table[m - 1])
+    hn = brute_force_normalization(theta, n)
+    assert normalization_constants(theta, n)[n] == hn
+    if hn == 0:
+        for law in (lambda: total_cycles_pmf(theta, n), lambda: brute_force_k_pmf(theta, n)):
+            with pytest.raises(DegenerateMeasureError):
+                law()
+        return
+    assert dict(total_cycles_pmf(theta, n).items()) == dict(brute_force_k_pmf(theta, n).items())
+    b = min(2, n)
+    type_pmf, _ = brute_force_cycle_type_pmf(theta, n)
+    projected = {}
+    for lam, p in type_pmf.items():
+        counts = lam.cycle_counts()
+        key = tuple(counts.get(m, 0) for m in range(1, b + 1))
+        projected[key] = projected.get(key, 0) + p
+    joint = joint_cycle_pmf(theta, n, b)
+    assert {k: p for k, p in joint.items() if p} == {k: p for k, p in projected.items() if p}
 
 
 # -- expected cycle counts ---------------------------------------------------

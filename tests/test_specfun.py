@@ -12,6 +12,7 @@ import pytest
 from scipy import special
 
 from cyclemeter.errors import GammaPoleError, UsageError
+from cyclemeter.asymptotics import polylog_family, theta_shift_family
 from cyclemeter.specfun import (complex_gamma, normal_cdf, poisson_pmf,
                                 reciprocal_gamma, riemann_zeta)
 
@@ -101,6 +102,27 @@ def test_zeta_tail_from_start():
 def test_zeta_requires_s_above_one():
     with pytest.raises(UsageError):
         riemann_zeta(1.0)
+
+
+# zeta(1 + p) for the double p, from mpmath.zeta at 50 digits.
+@pytest.mark.parametrize("p, ref", [
+    (1e-10, 10000000000.57721530058684),
+    (1e-6, 1000000.577215737762625387),
+    (1e-3, 1000.577288475901471915362),
+    (0.05, 20.58084430203700148031842),
+])
+def test_zeta_one_plus_small_p(p, ref):
+    # Rounding 1 + p first would cost up to 1e-16/p relative (8e-8 at
+    # p = 1e-10); both classes whose K is zeta(1 + p) pass p itself.
+    assert riemann_zeta(1 + p, s_minus_1=p) == pytest.approx(ref, rel=1e-14, abs=0)
+    assert theta_shift_family(1, 1, p).cls.K == pytest.approx(ref, rel=1e-14, abs=0)
+    assert polylog_family(p).cls.K == pytest.approx(ref, rel=1e-14, abs=0)
+
+
+def test_zeta_one_plus_refuses_overflow():
+    for p in (5e-324, 0.0):
+        with pytest.raises(UsageError):
+            riemann_zeta(1 + p, s_minus_1=p)
 
 
 def test_poisson_pmf_normalizes():
