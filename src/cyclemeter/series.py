@@ -5,8 +5,10 @@ a series is its coefficient vector (a_0, ..., a_N) and every operation
 discards terms of order > N.  Two scalar kinds are supported:
 
 * ``"exact"``  -- fractions.Fraction coefficients, no rounding anywhere;
-* ``"double"`` -- float coefficients with numpy-backed recurrences, so
-  orders up to a few thousand stay fast.
+* ``"double"`` -- float coefficients with numpy-backed recurrences that
+  read forward slices and, in bv_exp_wg, only the live w-band: the leading
+  columns nonzero in some earlier row.  K_n concentrates near theta log n,
+  so past the double range the band is narrow and a row costs O(n * k_live).
 
 Binary operations require equal order and equal kind; callers pick the
 backend explicitly and keep it.  This module is also the one place that
@@ -45,8 +47,8 @@ DOUBLE = "double"
 _KINDS = (EXACT, DOUBLE)
 
 # The default backend is exact only up to this order: exact numerators and
-# denominators grow with n, so exact K_n laws cost about 130x the double
-# ones at n = 200 and 670x at n = 400 (Ewens 1/2).
+# denominators grow with n, so exact K_n laws cost about 170x the double
+# ones at n = 200 and 1200x at n = 400 (Ewens 1/2).
 _AUTO_EXACT_MAX_N = 200
 
 Scalar = Union[Fraction, float]
@@ -158,11 +160,11 @@ def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
     n_max = g.order
     if g.kind == DOUBLE:
         kg = np.arange(n_max + 1, dtype=float) * np.asarray(g.coeffs)
-        h = np.zeros(n_max + 1)
-        h[0] = 1.0
+        hr = np.zeros(n_max + 1)  # hr[N - j] = h_j: h_{n-1}..h_0 is hr[N-n+1:]
+        hr[n_max] = 1.0
         for n in range(1, n_max + 1):
-            h[n] = kg[1 : n + 1].dot(h[n - 1 :: -1]) / n
-        return TruncatedSeries(h.tolist(), DOUBLE)
+            hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
+        return TruncatedSeries(hr[::-1].tolist(), DOUBLE)
     return TruncatedSeries([Fraction(nums[0], q) for nums, q in _exact_rows(g, 0)], EXACT)
 
 
@@ -172,12 +174,12 @@ def ts_log(h: TruncatedSeries) -> TruncatedSeries:
     _require(h.coeffs[0] == 1, "ts_log needs constant term exactly 1")
     n_max = h.order
     if h.kind == DOUBLE:
-        hv = np.asarray(h.coeffs)
+        hr = np.asarray(h.coeffs[::-1])  # hr[N - j] = h_j, as in ts_exp
         g = np.zeros(n_max + 1)
         kg = np.zeros(n_max + 1)
         for n in range(1, n_max + 1):
-            conv = kg[1:n].dot(hv[n - 1 : 0 : -1]) if n > 1 else 0.0
-            g[n] = hv[n] - conv / n
+            conv = kg[1:n].dot(hr[n_max - n + 1 : n_max])
+            g[n] = hr[n_max - n] - conv / n
             kg[n] = n * g[n]
         return TruncatedSeries(g.tolist(), DOUBLE)
     g = [Fraction(0)] * (n_max + 1)
@@ -206,10 +208,12 @@ def bv_exp_wg(g: TruncatedSeries):
         kg = np.arange(n_max + 1, dtype=float) * np.asarray(g.coeffs)
         arr = np.zeros((n_max + 1, n_max + 1))
         arr[0, 0] = 1.0
+        width = 1  # columns >= width are exact zeros in rows 0..n-1
         for n in range(1, n_max + 1):
-            # S[k] = sum_j kg[j] * arr[n-j, k]; rows 0..n-1 only reach w-degree n-1
-            s = kg[n:0:-1].dot(arr[0:n, 0:n])
-            arr[n, 1 : n + 1] = s / n
+            s = kg[n:0:-1].dot(arr[0:n, 0:width])  # S[k] = sum_j kg[j] * arr[n-j, k]
+            arr[n, 1 : width + 1] = s / n
+            if arr[n, width] != 0:  # row n can open only column width
+                width += 1
         return arr
     return [tuple(Fraction(v, q) for v in nums) for nums, q in _exact_rows(g, 1)]
 

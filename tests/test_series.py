@@ -1,12 +1,14 @@
 """Truncated power series arithmetic.
 
 Oracles: closed-form coefficient sequences (geometric series, exp of a
-logarithm) and round-trip identities that pair ts_exp with ts_log and
-ts_mul with hand convolution.
+logarithm), round-trip identities that pair ts_exp with ts_log and
+ts_mul with hand convolution, and the dense full-triangle loop that the
+double bv_exp_wg must reproduce while reading only its live w-band.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclemeter.errors import UsageError
@@ -123,3 +125,61 @@ def test_bivariate_double_matches_exact():
         for k in range(n + 1):
             ref = float(be[n][k])
             assert abs(bd[n][k] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def weight_series(theta, order):
+    # g(t) = sum_m theta_m t^m / m for a weight rule theta(m), as doubles.
+    return TruncatedSeries.double([0.0] + [theta(m) / m for m in range(1, order + 1)])
+
+
+def dense_bv_exp_wg(g):
+    # The full-triangle recurrence: every row reads all n earlier columns.
+    n_max = g.order
+    kg = np.arange(n_max + 1) * np.asarray(g.coeffs)
+    arr = np.zeros((n_max + 1, n_max + 1))
+    arr[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        arr[n, 1 : n + 1] = kg[n:0:-1].dot(arr[0:n, 0:n]) / n
+    return arr
+
+
+@pytest.mark.parametrize("theta", [
+    lambda m: 0.5, lambda m: 1.0, lambda m: 2.0,
+    lambda m: 1.0 + 1.0 / m**2,
+    lambda m: float(m % 2 == 0),  # odd rows vanish whole
+], ids=["ewens-1/2", "ewens-1", "ewens-2", "theta-shift", "even-only"])
+def test_bivariate_double_band_matches_dense(theta):
+    # bv_exp_wg reads only the w-columns that are nonzero so far; past the
+    # double range the top columns underflow to 0, so that band is narrow.
+    g = weight_series(theta, 600)
+    ref = dense_bv_exp_wg(g)
+    got = bv_exp_wg(g)
+    assert got.shape == ref.shape
+    assert np.all(got[ref == 0] == 0)
+    err = np.abs(got - ref)
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert np.all(err[normal] <= 1e-13 * np.abs(ref[normal]))
+    assert np.all(err[~normal] <= 1e-300)
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+def test_exp_double_matches_ewens_product(theta):
+    # exp(theta log(1/(1-t))) has h_n = h_{n-1} (n - 1 + theta) / n; the
+    # product's own rounding is at most n * eps relative.
+    n_max = 20000
+    h = ts_exp(weight_series(lambda m: theta, n_max)).coeffs
+    prod = 1.0
+    for n in range(1, n_max + 1):
+        prod *= (n - 1 + theta) / n
+        assert abs(h[n] - prod) <= 1e-11 * prod
+    assert h[0] == 1.0
+
+
+@pytest.mark.parametrize("theta", [1 / 3, 0.5], ids=["1/3", "1/2"])
+def test_log_exp_round_trip_double(theta):
+    # For theta <= 1/2, h_n decays and the log recurrence barely cancels.
+    g = weight_series(lambda m: theta, 5000)
+    back = ts_log(ts_exp(g)).coeffs
+    assert back[0] == 0.0
+    for a, b in zip(back[1:], g.coeffs[1:]):
+        assert abs(a - b) <= 1e-13 * b
