@@ -6,8 +6,8 @@ from .asymptotics import (LargeDeviationEstimate, LindelofResult,
                           hwang_estimate, large_deviation_estimate,
                           lindelof_eval, mod_poisson_limit, polylog_family,
                           theta_shift_constant, theta_shift_family)
-from .catalog import (GeneralizedFamily, build_family, family_from_request,
-                      load_config, parse_number, parse_number_list)
+from .catalog import (build_family, family_from_request, load_config,
+                      parse_number, parse_number_list)
 from .diagnostics import (ComparisonReport, clt_report, d_K, d_loc,
                           dumps_deterministic, large_deviation_table,
                           mod_poisson_report, poisson_k_approx_report,

@@ -74,7 +74,8 @@ class SingularityClass:
 
 @dataclass
 class WeightFamily:
-    """A weight sequence together with its classification."""
+    """Weights with their classification: a weight sequence, or, for
+    exp-poly, the per-multiplicity GeneralizedWeights."""
 
     weights: WeightSequence
     cls: Optional[SingularityClass]

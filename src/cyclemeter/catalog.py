@@ -28,28 +28,16 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .asymptotics import (SingularityClass, WeightFamily, alpha_exp_family,
                           ewens_family, exp_weight_family, polylog_family,
                           theta_shift_family)
 from .errors import UsageError
-from .generalized import (GeneralizedWeights, SpatialModel,
-                          exp_polynomial_weights, spatial_class_params,
-                          spatial_effective_weights)
-
-
-@dataclass
-class GeneralizedFamily:
-    """Catalog handle for a family given by per-multiplicity weights."""
-
-    fweights: GeneralizedWeights
-    cls: Optional[SingularityClass]
-
-
-FamilyHandle = Union[WeightFamily, GeneralizedFamily]
+from .generalized import (SpatialModel, exp_polynomial_weights,
+                          spatial_class_params, spatial_effective_weights)
+from .specfun import riemann_zeta
 
 
 def _as_double(text: str) -> float:
@@ -118,9 +106,13 @@ def _build_spatial(alpha: float = 0.0, eps: Optional[list] = None,
                         "spatial")
 
 
-def _build_exp_poly(theta: Fraction, **higher: Fraction) -> GeneralizedFamily:
-    fweights = exp_polynomial_weights(theta, {int(k[1:]): b for k, b in higher.items()})
-    return GeneralizedFamily(fweights, fweights.singularity)
+def _build_exp_poly(theta: Fraction, **higher: Fraction) -> WeightFamily:
+    """Class F(1, theta) with K = sum_j b_j zeta(j); the weights are the
+    per-multiplicity GeneralizedWeights."""
+    higher = {int(k[1:]): b for k, b in higher.items()}
+    weights = exp_polynomial_weights(theta, higher)
+    K = sum(float(b) * riemann_zeta(float(j)) for j, b in higher.items())
+    return WeightFamily(weights, SingularityClass("F", 1.0, float(theta), K), "exp-poly")
 
 
 _THETA = "weight parameter"
@@ -168,7 +160,7 @@ def family_flags() -> dict:
     return {name: f"{text} ({', '.join(kinds)})" for name, (text, kinds) in flags.items()}
 
 
-def build_family(kind: str, params: dict) -> FamilyHandle:
+def build_family(kind: str, params: dict) -> WeightFamily:
     """Construct a catalog family; params values are strings or numbers.
     Absent optional parameters take the constructor's defaults."""
     if kind not in FAMILIES:
@@ -207,7 +199,7 @@ def load_config(path: str) -> dict:
 
 
 def family_from_request(name: str, flag_params: dict,
-                        config_path: Optional[str] = None) -> FamilyHandle:
+                        config_path: Optional[str] = None) -> WeightFamily:
     """Resolve --family: a config section name first, a builtin kind second.
     Flags override the keys of a config section."""
     if config_path is not None:

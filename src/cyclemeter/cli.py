@@ -24,16 +24,15 @@ import sys
 
 import numpy as np
 
-from .asymptotics import asymptotic_hn
-from .catalog import (KINDS, FamilyHandle, GeneralizedFamily, family_flags,
-                      family_from_request)
-from .diagnostics import (clt_report, dumps_deterministic, format_scalar,
+from .asymptotics import WeightFamily, asymptotic_hn
+from .catalog import KINDS, family_flags, family_from_request
+from .diagnostics import (clt_report, dumps_csv, dumps_deterministic,
                           large_deviation_table, mod_poisson_report,
                           poisson_k_approx_report, poisson_vector_report,
-                          reports_to_csv)
+                          report_rows)
 from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
                      ResourceError, UnsupportedClassError, UsageError)
-from .generalized import (generalized_joint_cycle_pmf,
+from .generalized import (GeneralizedWeights, generalized_joint_cycle_pmf,
                           generalized_normalization,
                           generalized_total_cycles_pmf)
 from .measure import (joint_cycle_pmf, normalization_constants,
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_family(args) -> FamilyHandle:
+def _resolve_family(args) -> WeightFamily:
     flags = {k: getattr(args, k) for k in family_flags() if getattr(args, k) is not None}
     return family_from_request(args.family, flags, args.config)
 
@@ -133,12 +132,12 @@ def _parse_grid(args) -> list:
     return values
 
 
-def _measure(handle: FamilyHandle) -> tuple:
+def _measure(handle: WeightFamily) -> tuple:
     """(weights, normalization, K law, joint law, K oracle, type oracle) of
     a family.  The functions are read from this module at call time, so a
     wrapper installed on a module attribute takes effect."""
-    if isinstance(handle, GeneralizedFamily):
-        return (handle.fweights, generalized_normalization, generalized_total_cycles_pmf,
+    if isinstance(handle.weights, GeneralizedWeights):
+        return (handle.weights, generalized_normalization, generalized_total_cycles_pmf,
                 generalized_joint_cycle_pmf, brute_force_generalized_k_pmf,
                 brute_force_generalized_cycle_type_pmf)
     return (handle.weights, normalization_constants, total_cycles_pmf, joint_cycle_pmf,
@@ -160,9 +159,10 @@ def _pmf_out(pmf, backend: str) -> tuple:
 
 
 # -- subcommand implementations ---------------------------------------------
+# Each runner returns (JSON document, CSV rows); main renders one of them.
 
 
-def _run_hn(args) -> str:
+def _run_hn(args) -> tuple:
     handle = _resolve_family(args)
     ns = _parse_grid(args)
     n_max = max(ns)
@@ -181,16 +181,8 @@ def _run_hn(args) -> str:
             ratio = float(h[n]) / asym if asym else None
         rows.append({"n": n, "h": _scalar_out(h[n], backend),
                      "asymptotic": asym, "ratio": ratio})
-    if args.format == "csv":
-        lines = ["n,h,asymptotic,ratio"]
-        for row in rows:
-            asym = "" if row["asymptotic"] is None else format_scalar(row["asymptotic"])
-            ratio = "" if row["ratio"] is None else format_scalar(row["ratio"])
-            h_text = row["h"] if isinstance(row["h"], str) else format_scalar(row["h"])
-            lines.append(f"{row['n']},{h_text},{asym},{ratio}")
-        return "\n".join(lines) + "\n"
     doc = {"command": "hn", "family": args.family, "backend": backend, "rows": rows}
-    return dumps_deterministic(doc) + "\n"
+    return doc, [["n", "h", "asymptotic", "ratio"]] + [list(row.values()) for row in rows]
 
 
 def _project_cycle_counts(type_pmf, b: int) -> dict:
@@ -216,7 +208,7 @@ def _oracle_check(pmf, measure: tuple, args, backend: str) -> None:
             raise DegenerateMeasureError(f"oracle mismatch at {key!r}: {value} vs {ref}")
 
 
-def _run_dist(args) -> str:
+def _run_dist(args) -> tuple:
     handle = _resolve_family(args)
     measure = _measure(handle)
     weights, _, k_law, joint_law, *_ = measure
@@ -230,22 +222,15 @@ def _run_dist(args) -> str:
         _oracle_check(pmf, measure, args, backend)
         oracle = "match"
     support, mass = _pmf_out(pmf, backend)
-    if args.format == "csv":
-        lines = ["support,mass"]
-        for key, value in zip(support, mass):
-            key_text = " ".join(str(c) for c in key) if isinstance(key, list) else str(key)
-            value_text = value if isinstance(value, str) else format_scalar(value)
-            lines.append(f"{key_text},{value_text}")
-        return "\n".join(lines) + "\n"
     doc = {"command": "dist", "family": args.family, "target": args.target,
            "n": args.n, "b": args.b if args.target == "cycles" else None,
            "backend": backend, "oracle": oracle, "support": support, "mass": mass}
-    return dumps_deterministic(doc) + "\n"
+    return doc, [["support", "mass"]] + [list(pair) for pair in zip(support, mass)]
 
 
-def _run_sample(args) -> str:
+def _run_sample(args) -> tuple:
     handle = _resolve_family(args)
-    if isinstance(handle, GeneralizedFamily):
+    if isinstance(handle.weights, GeneralizedWeights):
         raise UsageError("sampling is defined for weighted families only")
     if args.count < 1:
         raise UsageError("--count must be >= 1")
@@ -259,12 +244,9 @@ def _run_sample(args) -> str:
                                    count=args.count)
         samples = [list(d) for d in draws]
         kind = "permutation"
-    if args.format == "csv":
-        lines = [",".join(str(x) for x in row) for row in samples]
-        return "\n".join(lines) + "\n"
     doc = {"command": "sample", "family": args.family, "n": args.n,
            "seed": args.seed, "count": args.count, "kind": kind, "samples": samples}
-    return dumps_deterministic(doc) + "\n"
+    return doc, samples
 
 
 def _parse_k_spec(text: str):
@@ -277,9 +259,9 @@ def _parse_k_spec(text: str):
         raise UsageError(f"--k must be an integer or auto+<c>sigma, got {text!r}") from exc
 
 
-def _run_report(args) -> str:
+def _run_report(args) -> tuple:
     handle = _resolve_family(args)
-    if isinstance(handle, GeneralizedFamily):
+    if isinstance(handle.weights, GeneralizedWeights):
         raise UsageError("reports need a weighted family (generalized handles "
                          "support hn and dist)")
     if handle.cls is None:
@@ -298,11 +280,8 @@ def _run_report(args) -> str:
         if args.assert_trends and table["rel_error"] > 0.25:
             raise _TrendFailure(
                 f"large-deviation estimate off by {table['rel_error']:.3g} (> 0.25)")
-        if args.format == "csv":
-            lines = ["key,value"] + [f"{k},{format_scalar(v)}" for k, v in table.items()]
-            return "\n".join(lines) + "\n"
-        return dumps_deterministic({"command": "report", "kind": args.kind,
-                                    "family": args.family, "table": table}) + "\n"
+        doc = {"command": "report", "kind": args.kind, "family": args.family, "table": table}
+        return doc, [["key", "value"]] + [list(item) for item in table.items()]
 
     ns = _parse_grid(args)
     if args.kind == "poisson-vector":
@@ -324,11 +303,9 @@ def _run_report(args) -> str:
                 raise _TrendFailure(
                     f"{report.metric_label()} rose from {report.values[0]:.3g} "
                     f"to {report.values[-1]:.3g} over the n grid")
-    if args.format == "csv":
-        return reports_to_csv(reports)
     doc = {"command": "report", "kind": args.kind, "family": args.family,
            "reports": [r.to_dict() for r in reports]}
-    return dumps_deterministic(doc) + "\n"
+    return doc, report_rows(reports)
 
 
 _RUNNERS = {"hn": _run_hn, "dist": _run_dist, "sample": _run_sample,
@@ -348,7 +325,8 @@ def main(argv=None) -> int:
         # every non-finite value is refused before it is printed, so numpy's
         # overflow warnings would only add noise ahead of the error line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            text = _RUNNERS[args.command](args)
+            doc, rows = _RUNNERS[args.command](args)
+        text = dumps_csv(rows) if args.format == "csv" else dumps_deterministic(doc) + "\n"
     except (UsageError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -382,11 +382,28 @@ def reports_to_json(reports: Sequence[ComparisonReport]) -> str:
     return dumps_deterministic({"reports": [r.to_dict() for r in reports]})
 
 
+def _csv_cell(cell) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, list):
+        return " ".join(str(c) for c in cell)
+    return format_scalar(cell)
+
+
+def dumps_csv(rows) -> str:
+    """One CSV line per row: None is empty, a str is kept, a list is
+    space-joined, and any other cell is a scalar rendered by format_scalar."""
+    return "\n".join(",".join(_csv_cell(cell) for cell in row) for row in rows) + "\n"
+
+
+def report_rows(reports: Sequence[ComparisonReport]) -> list:
+    """A header and one row per (report, n) for dumps_csv."""
+    return [["n", "metric", "value", "reference_rate_value"]] + [
+        [n, report.metric_label(), float(value), float(ref)] for report in reports
+        for n, value, ref in zip(report.n_values, report.values, report.reference_values)]
+
+
 def reports_to_csv(reports: Sequence[ComparisonReport]) -> str:
-    lines = ["n,metric,value,reference_rate_value"]
-    for report in reports:
-        metric = report.metric_label()
-        for n, value, ref in zip(report.n_values, report.values, report.reference_values):
-            lines.append(f"{n},{metric},{format_scalar(float(value))},"
-                         f"{format_scalar(float(ref))}")
-    return "\n".join(lines) + "\n"
+    return dumps_csv(report_rows(reports))

@@ -41,22 +41,19 @@ from .asymptotics import SingularityClass
 from .errors import UsageError
 from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _to_fraction
 from .pmf import Pmf
-from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_kind, ts_exp
-from .specfun import riemann_zeta
+from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_kind
 
 
 class GeneralizedWeights:
     """Per-multiplicity weights F_m(k) > 0 with F_m(0) = 1."""
 
     def __init__(self, eval_fn: Callable[[int, int], float], name: str = "custom",
-                 exact_fn: Optional[Callable[[int, int], Fraction]] = None,
-                 singularity=None):
+                 exact_fn: Optional[Callable[[int, int], Fraction]] = None):
         if not callable(eval_fn):
             raise UsageError("eval_fn must be callable")
         self._eval = eval_fn
         self._exact = exact_fn
         self.name = name
-        self.singularity = singularity
 
     @classmethod
     def from_theta(cls, theta: WeightSequence) -> "GeneralizedWeights":
@@ -214,33 +211,12 @@ def generalized_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
 # -- exponential-polynomial family ------------------------------------------
 
 
-class _ExpPolynomialTable:
-    """Lazily extended exact weights k! [x^k] exp(P(x)) for rational P."""
-
-    def __init__(self, poly: dict):
-        self.poly = dict(poly)
-        self._weights: Optional[list] = None
-        self._order = -1
-
-    def weight(self, k: int) -> Fraction:
-        if k > self._order:
-            order = max(16, 2 * k)
-            coeffs = [Fraction(0)] * (order + 1)
-            for j, c in self.poly.items():
-                if j <= order:
-                    coeffs[j] = c
-            exp_coeffs = ts_exp(TruncatedSeries(coeffs, EXACT)).coeffs
-            self._weights = [c * math.factorial(i) for i, c in enumerate(exp_coeffs)]
-            self._order = order
-        return self._weights[k]
-
-
 def exp_polynomial_weights(theta, higher: dict) -> GeneralizedWeights:
     """F_m(k) = k! [x^k] exp(theta x + sum_{j>=2} b_j x^j), independent of m.
 
-    higher maps degree j >= 2 to b_j.  The attached singularity class is
-    F(1, theta) with K = sum_j b_j zeta(j); see
-    exp_polynomial_log_series for the matching direct route.
+    higher maps degree j >= 2 to b_j.  y = exp(P) solves y' = P'y, so
+    F(i+1) = sum_j j b_j i!/(i+1-j)! F(i+1-j), extended on demand.  See
+    exp_polynomial_log_series for the matching direct route to h_n.
     """
     theta_f = _to_fraction(theta)
     if theta_f <= 0:
@@ -250,18 +226,19 @@ def exp_polynomial_weights(theta, higher: dict) -> GeneralizedWeights:
         if not isinstance(j, int) or j < 2:
             raise UsageError(f"polynomial degrees must be integers >= 2, got {j!r}")
         poly[j] = _to_fraction(b)
-    table = _ExpPolynomialTable(poly)
-
-    def eval_fn(m: int, k: int) -> float:
-        return float(table.weight(k))
+    terms = [(j - 1, j * b) for j, b in poly.items()]
+    table = [Fraction(1)]
 
     def exact_fn(m: int, k: int) -> Fraction:
-        return table.weight(k)
+        for i in range(len(table) - 1, k):
+            table.append(sum(jb * math.perm(i, d) * table[i - d] for d, jb in terms if d <= i))
+        return table[k]
 
-    K = sum(float(b) * riemann_zeta(float(j)) for j, b in poly.items() if j >= 2)
-    cls = SingularityClass("F", 1.0, float(theta_f), K)
+    def eval_fn(m: int, k: int) -> float:
+        return float(exact_fn(m, k))
+
     name = "exp-poly(" + ",".join(f"{j}:{c}" for j, c in sorted(poly.items())) + ")"
-    return GeneralizedWeights(eval_fn, name=name, exact_fn=exact_fn, singularity=cls)
+    return GeneralizedWeights(eval_fn, name=name, exact_fn=exact_fn)
 
 
 def exp_polynomial_log_series(theta, higher: dict, order: int,

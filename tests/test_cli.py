@@ -536,3 +536,27 @@ def test_sub_double_ratio_is_refused(capsys):
         assert code == EXIT_USAGE and out == ""
         assert "outside the double range" in err
     assert parse_number("0/7") == 0 and parse_number("-3/7") == Fraction(-3, 7)
+
+
+_GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(_GOLDEN))
+def test_stdout_bytes_are_pinned(capsys, command):
+    # Full stdout of each subcommand in both formats, recorded before the
+    # runners shared one renderer: exact and double values, null cells,
+    # list keys, headerless sample rows and both report layouts.
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert out == _GOLDEN[command]
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("poisson-vector", ("--n-grid", "20,40")), ("mod-poisson", ("--n-grid", "20,40")),
+    ("clt", ("--n-grid", "20,40")), ("poisson-k", ("--n-grid", "20,40")),
+    ("large-dev", ("--n", "40"))])
+def test_report_refuses_generalized_family(capsys, kind, grid):
+    code, out, err = run_cli(capsys, "report", "--family", "exp-poly", "--theta", "1",
+                             "--kind", kind, *grid)
+    assert code == EXIT_USAGE and out == ""
+    assert "reports need a weighted family" in err

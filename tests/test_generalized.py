@@ -27,7 +27,7 @@ from cyclemeter.measure import (WeightSequence, joint_cycle_pmf,
 from cyclemeter.partitions import (brute_force_generalized_cycle_type_pmf,
                                    brute_force_generalized_k_pmf,
                                    brute_force_generalized_normalization)
-from cyclemeter.series import ts_exp
+from cyclemeter.series import TruncatedSeries, ts_exp
 
 
 def test_theta_reduction_normalization():
@@ -61,6 +61,24 @@ def test_exp_polynomial_factor_values():
     assert fw.value_exact(4, 0) == 1
     assert fw.value_exact(4, 1) == Fraction(3, 2)
     assert fw.value_exact(4, 2) == Fraction(3, 2) ** 2 + 2
+
+
+@pytest.mark.parametrize("theta, higher", [
+    (Fraction(4), {2: Fraction(-1, 200)}),
+    (Fraction(1, 3), {2: Fraction(1, 2), 5: Fraction(1, 7)}),
+    (Fraction(2), {3: Fraction(5, 3)}),
+])
+def test_exp_polynomial_recurrence_matches_series_exp(theta, higher):
+    # The weights come from the recurrence of y' = P'y; the reference is
+    # k! [x^k] of an exact ts_exp of P itself.
+    order = 200
+    coeffs = [Fraction(0)] * (order + 1)
+    for j, b in {1: theta, **higher}.items():
+        coeffs[j] = b
+    series = ts_exp(TruncatedSeries(coeffs, "exact")).coeffs
+    fw = exp_polynomial_weights(theta, higher)
+    assert [fw.value_exact(3, k) for k in range(order + 1)] == [
+        c * math.factorial(k) for k, c in enumerate(series)]
 
 
 def test_exp_polynomial_two_path_identity():

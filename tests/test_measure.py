@@ -21,7 +21,7 @@ from cyclemeter.measure import (WeightSequence, expected_cycle_counts,
                                 sample_cycle_type, sample_permutation,
                                 total_cycles_pmf, total_cycles_pmf_many)
 from cyclemeter.partitions import (brute_force_cycle_type_pmf, brute_force_k_pmf,
-                                   brute_force_normalization, z_of)
+                                   brute_force_normalization)
 from cyclemeter.pmf import Pmf
 
 
