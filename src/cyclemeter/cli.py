@@ -21,8 +21,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-
-import numpy as np
+import warnings
 
 from .asymptotics import WeightFamily, asymptotic_hn
 from .catalog import KINDS, family_flags, family_from_request
@@ -324,7 +323,8 @@ def main(argv=None) -> int:
     try:
         # every non-finite value is refused before it is printed, so numpy's
         # overflow warnings would only add noise ahead of the error line
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             doc, rows = _RUNNERS[args.command](args)
         text = dumps_csv(rows) if args.format == "csv" else dumps_deterministic(doc) + "\n"
     except (UsageError, ResourceError) as exc:

@@ -22,9 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .asymptotics import WeightFamily, mod_poisson_limit
+from .asymptotics import WeightFamily, large_deviation_estimate, mod_poisson_limit
 from .errors import ResourceError, UsageError
 from .measure import joint_cycle_pmf, total_cycles_pmf_many
 from .pmf import Pmf
@@ -123,6 +121,7 @@ def _fit_slope(n_values: Sequence[int], values: Sequence[float]) -> Optional[flo
     """Log-log slope of values against n; None without two distinct n."""
     if len(set(n_values)) < 2 or any(v <= 0 for v in values):
         return None
+    import numpy as np
     slope = np.polyfit(np.log(np.asarray(n_values, float)),
                        np.log(np.asarray(values, float)), 1)[0]
     return float(slope)
@@ -197,6 +196,7 @@ def mod_poisson_report(family: WeightFamily, n_values: Sequence[int],
         raise UsageError("s_grid must be nonempty")
     if not all(map(math.isfinite, ss)):
         raise UsageError(f"s_grid values must be finite, got {ss}")
+    import numpy as np
     pmfs = total_cycles_pmf_many(family.weights, ns, backend="double")
     values_primary = []
     values_bare = []
@@ -301,8 +301,6 @@ def large_deviation_table(family: WeightFamily, n: int, k: Optional[int] = None,
     k defaults to round(E[K_n] + sigmas * sd), a point out in the upper
     tail; pass k explicitly to pin the evaluation spot instead.
     """
-    from .asymptotics import large_deviation_estimate
-
     cls = family.require_class()
     if cls.theta <= 0:
         raise UsageError("large-deviation estimate needs theta > 0")

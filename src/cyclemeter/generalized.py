@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .asymptotics import SingularityClass
 from .errors import UsageError
 from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _to_fraction
@@ -130,6 +128,7 @@ def _factor_coeffs(fweights: GeneralizedWeights, m: int, kmax: int, backend: str
 def _scaled(values, backend: str) -> tuple:
     """values as one numpy array over a denominator: Python ints over the
     lcm of their denominators (exact), or float64 over 1 (double)."""
+    import numpy as np
     if backend != EXACT:
         return np.asarray(values, dtype=float), 1
     den = math.lcm(*[v.denominator for v in values])
@@ -144,6 +143,7 @@ def _eg_product(fweights: GeneralizedWeights, lengths, n: int, backend: str,
     steps by m*(n+1) + 1 per cycle.  One slice-update loop serves both
     kinds, on the arrays of _scaled; an exact product is reduced by one gcd
     pass per factor, and Fractions are built only at the end."""
+    import numpy as np
     size = (n + 1) ** 2 if marked else n + 1
     if acc is None:
         acc = [to_kind(1, backend)] + [to_kind(0, backend)] * (size - 1)

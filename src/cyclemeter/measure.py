@@ -30,11 +30,10 @@ runs with the same seed are reproducible byte for byte.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .partitions import Partition
@@ -115,7 +114,7 @@ def _to_fraction(value) -> Fraction:
 
 
 def _check_index(m) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not (isinstance(m, int) or isinstance(m, numbers.Integral)) or m < 1:
         raise UsageError(f"cycle length index must be an integer >= 1, got {m!r}")
 
 
@@ -236,7 +235,7 @@ def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
     out = {}
     for n in ns:
         row = rows[n][: n + 1]
-        hn = _h_or_degenerate(sum(row) if backend == EXACT else float(np.sum(row)), n)
+        hn = _h_or_degenerate(sum(row) if backend == EXACT else float(row.sum()), n)
         mass = {k: row[k] / hn for k in range(1, n + 1)}
         out[n] = Pmf(mass, tol=pmf_tol(backend))
     return out
@@ -285,8 +284,9 @@ def _length_drawer(theta: WeightSequence, n: int) -> Callable:
     return draw
 
 
-def _permutation_of_type(lengths: list, rng: np.random.Generator) -> tuple:
+def _permutation_of_type(lengths: list, rng) -> tuple:
     """One shuffle of 1..n cut into cycles of the given lengths, as an image."""
+    import numpy as np
     order = rng.permutation(sum(lengths))
     ends = np.cumsum(lengths)
     succ = np.arange(1, len(order) + 1)  # each label maps to the next in its block
@@ -305,6 +305,7 @@ def _sample(theta: WeightSequence, n: int, seed: int, count: Optional[int], make
     draws = 1 if count is None else count
     if not isinstance(draws, int) or draws < 1:
         raise UsageError(f"count must be a positive integer, got {count!r}")
+    import numpy as np
     rng = np.random.Generator(np.random.Philox(key=seed))
     batches = iter(lambda: rng.random(4096).tolist(), None)  # endless: a list is not None
     uniform = chain.from_iterable(batches).__next__

@@ -11,13 +11,18 @@ cycle type with c_m cycles of length m, and
     z_lambda = prod_m m^{c_m} * c_m!
 
 so that n!/z_lambda permutations share the type.  A class of cycle type
-lambda has total mass weigh(lambda) / z_lambda before normalization, and
-both measures share one walk over the classes and one projection onto
-the cycle count; they differ only in weigh:
+lambda has total mass prod_m F_m(c_m) / z_lambda before normalization,
+with F_m(c) = theta_m^c (weighted) or F_m(c) as given (generalized); both
+measures share one walk over the classes.
 
-* weighted:    weigh(lambda) = prod_i theta_{lambda_i};
-* generalized: weigh(lambda) = prod_m F_m(c_m), which is the weighted
-  case again for F_m(k) = theta_m^k.
+The exact walk runs on Python ints.  Write F_m(c) = a_{m,c} / B^e with
+B clearing every theta_m and e = c (weighted) or every F_m(c) and e = 1
+(generalized); with E the sum of e over a class,
+
+    n! B^n prod_m F_m(c_m) / z_lambda = (n!/z_lambda) prod_m a_{m,c_m} B^{n-E},
+
+an integer.  Classes of equal E are summed before one scaling by B^{n-E},
+and a law builds one Fraction per atom.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import lru_cache
 from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .pmf import Pmf
 # Only the scalar-kind helpers: the oracle shares no kernel with the engine.
-from .series import check_kind, pmf_tol, to_kind
+from .series import EXACT, check_kind, pmf_tol, to_kind
 
 # Enumerating all partitions beyond this size is refused; p(80) ~ 1.5e7
 # would already be painful and nothing in the package needs it.
@@ -92,77 +97,91 @@ def z_of(partition) -> int:
 
 @lru_cache(maxsize=None)
 def _partition_table(n: int) -> tuple:
-    """Cached (parts, z_lambda) pairs for partitions of n."""
-    return tuple((p.parts, z_of(p)) for p in enumerate_partitions(n))
+    """Cached (parts, z_lambda, ((m, c_m), ...)) for partitions of n."""
+    return tuple((p.parts, z_of(p), tuple(Counter(p.parts).items()))
+                 for p in enumerate_partitions(n))
 
 
-def _weighted(theta, n: int, backend: str):
-    """weigh(parts) = prod_i theta_{lambda_i}; theta_1..theta_n are read once."""
+def _weighted(theta, n: int, backend: str) -> tuple:
+    """(F, e = c): F_m(c) = theta_m^c as a product, which overflows a double
+    to inf rather than raising; theta_1..theta_n are read once."""
     vals = [None] + [theta.at(m, backend) for m in range(1, n + 1)]
-    one = to_kind(1, backend)
-    return lambda parts: math.prod((vals[p] for p in parts[1:]),
-                                   start=vals[parts[0]] if parts else one)
+    return (lambda m, c: math.prod([vals[m]] * c)), True
 
 
-def _generalized(fweights, n: int, backend: str):
-    """weigh(parts) = prod_m F_m(c_m) over the multiplicities c_m of the parts."""
-    one = to_kind(1, backend)
-    return lambda parts: math.prod((fweights.at(m, c, backend)
-                                    for m, c in Counter(parts).items()), start=one)
+def _generalized(fweights, n: int, backend: str) -> tuple:
+    """(F, e = 1) for generalized weights."""
+    return (lambda m, c: fweights.at(m, c, backend)), False
 
 
-def _classes(builder, weights, n: int, backend: str):
-    """(parts, weigh(parts) / z_lambda) for every partition of n, streamed;
-    weigh = builder(weights, n, backend)."""
+def _classes(builder, weights, n: int, backend: str, key) -> tuple:
+    """(mass, total, d): the class masses summed by key(parts) are mass / d
+    and sum to total / d; builder(weights, n, backend) gives F and whether
+    e = c.  Doubles have d = 1; exact sums are the integers of the module
+    docstring, keyed by (key(parts), n - E) until the scaling by B^{n-E}."""
     check_kind(backend)
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    weigh = builder(weights, n, backend)
-    return ((parts, weigh(parts) / z) for parts, z in _partition_table(n))
-
-
-def _type_pmf(classes, n: int, backend: str):
-    """(law of the cycle type, normalization) from the class weights."""
-    weights = {Partition(parts): w for parts, w in classes}
-    norm = sum(weights.values())
-    if norm == 0:
-        raise DegenerateMeasureError(f"normalization vanishes at n={n}")
-    return Pmf({lam: w / norm for lam, w in weights.items()}, tol=pmf_tol(backend)), norm
-
-
-def _k_pmf(type_pmf: Pmf, backend: str) -> Pmf:
-    """The law of the number of cycles, projected from a cycle-type law."""
+    weigh, per_cycle = builder(weights, n, backend)
+    f = {(m, c): weigh(m, c) for m in range(1, n + 1) for c in range(1, n // m + 1)}
+    sums: dict = {}
+    if backend == EXACT:
+        # B clears every theta_m = F_m(1) (weighted) or every F_m(c)
+        big = math.lcm(*[v.denominator for (_, c), v in f.items() if c == 1 or not per_cycle])
+        powers = [big**k for k in range(n + 1)]
+        f = {(m, c): v.numerator * (powers[c if per_cycle else 1] // v.denominator)
+             for (m, c), v in f.items()}
+        fact = math.factorial(n)
+        for parts, z, mc in _partition_table(n):
+            k = (key(parts), n - len(parts if per_cycle else mc))
+            sums[k] = sums.get(k, 0) + fact // z * math.prod(map(f.__getitem__, mc))
+        d = fact * powers[n]
+    else:
+        for parts, z, mc in _partition_table(n):
+            k = (key(parts), 0)
+            sums[k] = sums.get(k, 0) + math.prod(map(f.__getitem__, mc), start=1.0) / z
+        powers, d = [1.0], 1
     mass: dict = {}
-    for lam, p in type_pmf.items():
-        mass[lam.length] = mass.get(lam.length, 0) + p
-    return Pmf(mass, tol=pmf_tol(backend))
+    for (k, power), w in sums.items():
+        mass[k] = mass.get(k, 0) + w * powers[power]
+    return mass, to_kind(sum(mass.values()), backend), d
+
+
+def _law(builder, weights, n: int, backend: str, key) -> tuple:
+    """(law of key(parts), normalization)."""
+    mass, total, d = _classes(builder, weights, n, backend, key)
+    if total == 0:
+        raise DegenerateMeasureError(f"normalization vanishes at n={n}")
+    return Pmf({k: w / total for k, w in mass.items()}, tol=pmf_tol(backend)), total / d
 
 
 def brute_force_normalization(theta, n: int, backend: str = "exact"):
     """Partition sum h_n = sum_lambda prod_i theta_{lambda_i} / z_lambda."""
-    return sum(w for _, w in _classes(_weighted, theta, n, backend))
+    _, total, d = _classes(_weighted, theta, n, backend, len)
+    return total / d
 
 
 def brute_force_cycle_type_pmf(theta, n: int, backend: str = "exact"):
     """Exact law of the cycle type; returns (pmf over Partition, normalization)."""
-    return _type_pmf(_classes(_weighted, theta, n, backend), n, backend)
+    return _law(_weighted, theta, n, backend, Partition)
 
 
 def brute_force_k_pmf(theta, n: int, backend: str = "exact") -> Pmf:
     """Exact law of the total number of cycles, by partition length."""
-    return _k_pmf(brute_force_cycle_type_pmf(theta, n, backend)[0], backend)
+    return _law(_weighted, theta, n, backend, len)[0]
 
 
 def brute_force_generalized_normalization(fweights, n: int, backend: str = "exact"):
     """Partition sum h_n(F) = sum_lambda prod_m F_m(c_m) / z_lambda."""
-    return sum(w for _, w in _classes(_generalized, fweights, n, backend))
+    _, total, d = _classes(_generalized, fweights, n, backend, len)
+    return total / d
 
 
 def brute_force_generalized_cycle_type_pmf(fweights, n: int, backend: str = "exact"):
     """Cycle-type law of the generalized measure; returns (pmf, normalization)."""
-    return _type_pmf(_classes(_generalized, fweights, n, backend), n, backend)
+    return _law(_generalized, fweights, n, backend, Partition)
 
 
 def brute_force_generalized_k_pmf(fweights, n: int, backend: str = "exact") -> Pmf:
     """Law of the total number of cycles under the generalized measure."""
-    return _k_pmf(brute_force_generalized_cycle_type_pmf(fweights, n, backend)[0], backend)
+    return _law(_generalized, fweights, n, backend, len)[0]

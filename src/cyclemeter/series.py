@@ -38,8 +38,6 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import UsageError
 
 EXACT = "exact"
@@ -137,6 +135,7 @@ def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     _check_pair(a, b)
     n = a.order
     if a.kind == DOUBLE:
+        import numpy as np
         prod = np.convolve(np.asarray(a.coeffs), np.asarray(b.coeffs))[: n + 1]
         return TruncatedSeries(prod.tolist(), DOUBLE)
     out = [Fraction(0)] * (n + 1)
@@ -159,6 +158,7 @@ def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
     _require(g.coeffs[0] == 0, "ts_exp needs a vanishing constant term")
     n_max = g.order
     if g.kind == DOUBLE:
+        import numpy as np
         kg = np.arange(n_max + 1, dtype=float) * np.asarray(g.coeffs)
         hr = np.zeros(n_max + 1)  # hr[N - j] = h_j: h_{n-1}..h_0 is hr[N-n+1:]
         hr[n_max] = 1.0
@@ -174,6 +174,7 @@ def ts_log(h: TruncatedSeries) -> TruncatedSeries:
     _require(h.coeffs[0] == 1, "ts_log needs constant term exactly 1")
     n_max = h.order
     if h.kind == DOUBLE:
+        import numpy as np
         hr = np.asarray(h.coeffs[::-1])  # hr[N - j] = h_j, as in ts_exp
         g = np.zeros(n_max + 1)
         kg = np.zeros(n_max + 1)
@@ -205,6 +206,7 @@ def bv_exp_wg(g: TruncatedSeries):
     _require(g.coeffs[0] == 0, "bv_exp_wg needs a vanishing constant term")
     n_max = g.order
     if g.kind == DOUBLE:
+        import numpy as np
         kg = np.arange(n_max + 1, dtype=float) * np.asarray(g.coeffs)
         arr = np.zeros((n_max + 1, n_max + 1))
         arr[0, 0] = 1.0

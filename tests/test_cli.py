@@ -8,7 +8,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -21,10 +24,11 @@ from hypothesis import strategies as st
 from cyclemeter.asymptotics import ewens_family, theta_shift_family
 from cyclemeter.catalog import FAMILIES, KINDS, build_family, parse_number
 from cyclemeter.cli import (EXIT_MATH, EXIT_OK, EXIT_TREND, EXIT_USAGE, main)
-from cyclemeter.errors import ResourceError
+from cyclemeter.errors import DegenerateMeasureError, ResourceError
 from cyclemeter.generalized import (exp_polynomial_weights,
                                     generalized_joint_cycle_pmf)
-from cyclemeter.measure import joint_cycle_pmf, normalization_constants
+from cyclemeter.measure import (joint_cycle_pmf, normalization_constants,
+                                total_cycles_pmf)
 from cyclemeter.partitions import brute_force_normalization
 
 
@@ -463,6 +467,29 @@ def test_double_overflow_leaks_no_numpy_warning(capsys):
                                  "--n", "5", "--backend", "double")
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    ("dist --family ewens --theta 100000 --n 100 --backend double", EXIT_MATH,
+     "error: normalization h_100 = inf is not finite\n"),
+    ("hn --family exp-weight --c 1 --theta-exp 1 --n 1000", EXIT_USAGE,
+     "error: theta_710 = inf is not a finite nonnegative weight\n"),
+])
+def test_overflow_prints_only_the_error_line(argv, code, err):
+    # A fresh interpreter with the default warning filters, as a user runs it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "cyclemeter.cli", *argv.split()],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout, res.stderr) == (code, "", err)
+
+
+def test_overflow_command_does_overflow_in_numpy():
+    # Keeps the first case above from passing without a warning to hide.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DegenerateMeasureError):
+            total_cycles_pmf(ewens_family(100000).weights, 100, "double")
 
 
 def test_exact_output_beyond_str_digit_limit(capsys):
