@@ -36,8 +36,8 @@ from .generalized import (GeneralizedWeights, generalized_joint_cycle_pmf,
                           generalized_total_cycles_pmf)
 from .measure import (joint_cycle_pmf, normalization_constants,
                       sample_cycle_type, sample_permutation, total_cycles_pmf)
-from .partitions import (brute_force_cycle_type_pmf,
-                         brute_force_generalized_cycle_type_pmf,
+from .partitions import (brute_force_cycle_counts_pmf,
+                         brute_force_generalized_cycle_counts_pmf,
                          brute_force_generalized_k_pmf, brute_force_k_pmf)
 from .series import EXACT, auto_kind, pmf_tol, to_kind
 
@@ -132,15 +132,15 @@ def _parse_grid(args) -> list:
 
 
 def _measure(handle: WeightFamily) -> tuple:
-    """(weights, normalization, K law, joint law, K oracle, type oracle) of
+    """(weights, normalization, K law, joint law, K oracle, counts oracle) of
     a family.  The functions are read from this module at call time, so a
     wrapper installed on a module attribute takes effect."""
     if isinstance(handle.weights, GeneralizedWeights):
         return (handle.weights, generalized_normalization, generalized_total_cycles_pmf,
                 generalized_joint_cycle_pmf, brute_force_generalized_k_pmf,
-                brute_force_generalized_cycle_type_pmf)
+                brute_force_generalized_cycle_counts_pmf)
     return (handle.weights, normalization_constants, total_cycles_pmf, joint_cycle_pmf,
-            brute_force_k_pmf, brute_force_cycle_type_pmf)
+            brute_force_k_pmf, brute_force_cycle_counts_pmf)
 
 
 def _scalar_out(value, backend: str):
@@ -184,26 +184,13 @@ def _run_hn(args) -> tuple:
     return doc, [["n", "h", "asymptotic", "ratio"]] + [list(row.values()) for row in rows]
 
 
-def _project_cycle_counts(type_pmf, b: int) -> dict:
-    mass: dict = {}
-    for lam, p in type_pmf.items():
-        counts = lam.cycle_counts()
-        key = tuple(counts.get(m, 0) for m in range(1, b + 1))
-        mass[key] = mass.get(key, 0) + p
-    return mass
-
-
 def _oracle_check(pmf, measure: tuple, args, backend: str) -> None:
-    weights, *_, k_oracle, type_oracle = measure
-    if args.target == "k":
-        ref_mass = dict(k_oracle(weights, args.n, backend).items())
-    else:
-        type_pmf, _ = type_oracle(weights, args.n, backend)
-        ref_mass = _project_cycle_counts(type_pmf, args.b)
-    tol = pmf_tol(backend)
+    weights, *_, k_oracle, counts_oracle = measure
+    ref_law = (k_oracle(weights, args.n, backend) if args.target == "k"
+               else counts_oracle(weights, args.n, args.b, backend))
     for key, value in pmf.items():
-        ref = ref_mass.get(key, 0)
-        if abs(value - ref) > tol * max(1, abs(ref)):
+        ref = ref_law[key]
+        if abs(value - ref) > pmf_tol(backend) * max(1, abs(ref)):
             raise DegenerateMeasureError(f"oracle mismatch at {key!r}: {value} vs {ref}")
 
 

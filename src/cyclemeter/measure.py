@@ -13,7 +13,8 @@ same quantities independently for testing.
 Laws provided exactly (rational or double backend):
 
 * normalization_constants  -- h_0..h_N;
-* joint_cycle_pmf          -- law of (C_1, ..., C_b);
+* joint_cycle_pmf          -- law of (C_1, ..., C_b), tuples in lexicographic order;
+* joint_cycle_columns      -- its double law as numpy columns (sum left to right);
 * total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
 * expected_cycle_counts    -- E[C_m] = (theta_m/m) h_{n-m}/h_n.
 
@@ -152,23 +153,27 @@ def joint_cycle_pmf(theta: WeightSequence, n: int, b: int, backend: str = EXACT)
     Support: every tuple with sum_m m*c_m <= n, including zero-mass ones.
     """
     check_kind(backend)
+    return _joint_pmf(n, b, backend, lambda: _joint_tables(theta, n, b, backend))
 
-    def tables():
-        hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
-        zero, one = to_kind(0, backend), to_kind(1, backend)
-        tail_coeffs = [zero] * (b + 1) + [theta.at(m, backend) / m
-                                          for m in range(b + 1, n + 1)]
-        tail = ts_exp(TruncatedSeries(tail_coeffs, backend)).coeffs
-        factors = []
-        for m in range(1, b + 1):
-            ratio = theta.at(m, backend) / m
-            table = [one]
-            for count in range(1, n // m + 1):
-                table.append(table[-1] * ratio / count)
-            factors.append(table)
-        return factors, tail, hn
 
-    return _joint_pmf(n, b, backend, tables)
+def joint_cycle_columns(theta: WeightSequence, n: int, b: int) -> tuple:
+    """The double joint_cycle_pmf as the columns of _joint_columns."""
+    return _joint_columns(n, b, lambda: _joint_tables(theta, n, b, DOUBLE))
+
+
+def _joint_tables(theta: WeightSequence, n: int, b: int, backend: str) -> tuple:
+    hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
+    zero, one = to_kind(0, backend), to_kind(1, backend)
+    tail_coeffs = [zero] * (b + 1) + [theta.at(m, backend) / m for m in range(b + 1, n + 1)]
+    tail = ts_exp(TruncatedSeries(tail_coeffs, backend)).coeffs
+    factors = []
+    for m in range(1, b + 1):
+        ratio = theta.at(m, backend) / m
+        table = [one]
+        for count in range(1, n // m + 1):
+            table.append(table[-1] * ratio / count)
+        factors.append(table)
+    return factors, tail, hn
 
 
 def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
@@ -176,17 +181,17 @@ def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
 
     tables() returns (factors, tail, hn): factors[m-1][c] weighs c cycles
     of length m, tail[s] weighs the s points left to cycles longer than
-    b, and hn normalizes, so that
+    b, and hn normalizes, so that, multiplied left to right,
 
         P[c] = prod_{m<=b} factors[m-1][c_m] * tail[n - sum m c_m] / hn.
 
-    It is called only once n and b are valid and the support fits under
-    the cap, so an oversized request is refused before any table is built.
+    Exact laws are filled one Fraction per tuple, with no numpy; doubles
+    are the columns of _joint_columns.  Keys are lexicographic, and sums
+    run left to right because the references pin their rounding.
     """
-    if not isinstance(n, int) or n < 1:
-        raise UsageError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(b, int) or not 1 <= b <= n:
-        raise UsageError(f"b must satisfy 1 <= b <= n, got {b!r}")
+    if kind != EXACT:
+        counts, mass = _joint_columns(n, b, tables)
+        return Pmf(dict(zip(map(tuple, counts.tolist()), mass.tolist())), tol=pmf_tol(kind))
     _guard_joint_support(n, b)
     factors, tail, hn = tables()
     mass: dict = {}
@@ -203,7 +208,32 @@ def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
     return Pmf(mass, tol=pmf_tol(kind))
 
 
+def _joint_columns(n: int, b: int, tables: Callable) -> tuple:
+    """(counts, mass): the double law of _joint_pmf, row i of counts its i-th
+    tuple.  Per m, a row with budget points left repeats budget//m + 1 times
+    and takes factors[m-1][c_m], so each mass has fill's product and bits."""
+    _guard_joint_support(n, b)
+    import numpy as np
+    factors, tail, hn = tables()
+    counts, budget, weight = np.zeros((1, 0), dtype=np.int64), np.array([n]), np.ones(1)
+    for m in range(1, b + 1):
+        reps = budget // m + 1
+        row = np.repeat(np.arange(budget.size), reps)
+        c = np.arange(row.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack([counts[row], c])
+        budget = budget[row] - m * c
+        weight = weight[row] * np.asarray(factors[m - 1], dtype=float)[c]
+    mass = weight * np.asarray(tail, dtype=float)[budget] / hn
+    if not (np.all((mass >= 0) & (mass < math.inf)) and abs(mass.sum() - 1) <= pmf_tol(DOUBLE)):
+        raise UsageError(f"joint masses must be finite, >= 0 and sum to 1: {mass.sum()}")
+    return counts, mass
+
+
 def _guard_joint_support(n: int, b: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise UsageError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(b, int) or not 1 <= b <= n:
+        raise UsageError(f"b must satisfy 1 <= b <= n, got {b!r}")
     size = 1.0
     for m in range(1, b + 1):
         size *= n / m + 1

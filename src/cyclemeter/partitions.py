@@ -166,6 +166,15 @@ def brute_force_cycle_type_pmf(theta, n: int, backend: str = "exact"):
     return _law(_weighted, theta, n, backend, Partition)
 
 
+def _counts_key(b: int):
+    return lambda parts: tuple(map(parts.count, range(1, b + 1)))
+
+
+def brute_force_cycle_counts_pmf(theta, n: int, b: int, backend: str = "exact") -> Pmf:
+    """Law of (C_1, ..., C_b), one atom per tuple the classes reach."""
+    return _law(_weighted, theta, n, backend, _counts_key(b))[0]
+
+
 def brute_force_k_pmf(theta, n: int, backend: str = "exact") -> Pmf:
     """Exact law of the total number of cycles, by partition length."""
     return _law(_weighted, theta, n, backend, len)[0]
@@ -180,6 +189,11 @@ def brute_force_generalized_normalization(fweights, n: int, backend: str = "exac
 def brute_force_generalized_cycle_type_pmf(fweights, n: int, backend: str = "exact"):
     """Cycle-type law of the generalized measure; returns (pmf, normalization)."""
     return _law(_generalized, fweights, n, backend, Partition)
+
+
+def brute_force_generalized_cycle_counts_pmf(fweights, n: int, b: int, backend="exact") -> Pmf:
+    """Law of (C_1, ..., C_b) under the generalized measure."""
+    return _law(_generalized, fweights, n, backend, _counts_key(b))[0]
 
 
 def brute_force_generalized_k_pmf(fweights, n: int, backend: str = "exact") -> Pmf:

@@ -533,18 +533,15 @@ def test_readme_family_table_matches_registry():
 
 
 @pytest.mark.parametrize("family", ["ewens", "exp-poly"])
-@pytest.mark.parametrize("target, oracle", [("k", "k"), ("cycles", "cycle_type")])
+@pytest.mark.parametrize("target, oracle", [("k", "k"), ("cycles", "cycle_counts")])
 def test_oracle_tripwire_per_measure_and_target(monkeypatch, capsys, family, target, oracle):
     # The law lookup runs per call, so a patched oracle of either measure
     # and either target is the one --oracle consults.
     import cyclemeter.cli as cli_mod
-    from cyclemeter.partitions import Partition
     from cyclemeter.pmf import Pmf
 
-    def wrong_oracle(weights, n, backend="exact"):
-        if oracle == "k":
-            return Pmf({1: Fraction(1)})
-        return Pmf({Partition((n,)): Fraction(1)}), Fraction(1)
+    def wrong_oracle(weights, n, *b_and_backend):
+        return Pmf({1 if oracle == "k" else (n,): Fraction(1)})
 
     generalized = "generalized_" if family == "exp-poly" else ""
     monkeypatch.setattr(cli_mod, f"brute_force_{generalized}{oracle}_pmf", wrong_oracle)

@@ -11,11 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclemeter.asymptotics import theta_shift_family
 from cyclemeter.diagnostics import (ComparisonReport, d_K, d_loc,
                                     dumps_deterministic, format_scalar,
-                                    reports_to_csv, reports_to_json,
-                                    truncated_poisson, tv_distance)
+                                    poisson_vector_report, reports_to_csv,
+                                    reports_to_json, truncated_poisson,
+                                    tv_distance)
 from cyclemeter.errors import UsageError
+from cyclemeter.measure import joint_cycle_pmf
+from cyclemeter.specfun import poisson_pmf
 from cyclemeter.pmf import Pmf
 
 
@@ -120,3 +124,30 @@ def test_report_to_dict_keys():
     d = sample_report().to_dict()
     assert set(d) == {"metric", "label", "n_values", "values",
                       "reference_rate", "reference_values", "fitted_slope"}
+
+
+def reference_poisson_vector(family, b, n):
+    """(tv, d_loc) of the double joint law against the product Poisson
+    limit, one tuple at a time with sequential float sums."""
+    cls = family.require_class()
+    lams = [family.weights.theta(m) * cls.r**m / m for m in range(1, b + 1)]
+    acc_abs = acc_q = best = 0.0
+    for key, p_mass in joint_cycle_pmf(family.weights, n, b, "double").items():
+        q_mass = 1.0
+        for m, c in enumerate(key, 1):
+            q_mass *= poisson_pmf(lams[m - 1], c)
+        acc_abs += abs(p_mass - q_mass)
+        acc_q += q_mass
+        best = max(best, abs(p_mass - q_mass))
+    outside = max(0.0, 1.0 - acc_q)
+    return 0.5 * acc_abs + 0.5 * outside, max(best, outside)
+
+
+def test_poisson_vector_report_matches_sequential_reference_bitwise():
+    # The references pin these values to the last bit: the column sums
+    # must add left to right in lexicographic order, as this loop does.
+    family, ns = theta_shift_family(1), [30, 60]
+    tv, loc = poisson_vector_report(family, 3, ns)
+    expected = [reference_poisson_vector(family, 3, n) for n in ns]
+    assert tv.values == [e[0] for e in expected]
+    assert loc.values == [e[1] for e in expected]

@@ -95,7 +95,9 @@ EWENS = ("--family", "ewens", "--theta", "1/2")
     _cli("dist", *EWENS, "--n", "20"),
     _cli("dist", *EWENS, "--n", "12", "--oracle"),
     _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "12"),
-], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles"])
+    _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "10", "--oracle"),
+], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles",
+        "dist-cycles-oracle"])
 def test_exact_paths_do_not_load_numpy(code):
     res = _loads_numpy(code)
     assert res.returncode == 0, res.stderr

@@ -15,9 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cyclemeter import measure
+from cyclemeter.asymptotics import polylog_family, theta_shift_family
 from cyclemeter.errors import DegenerateMeasureError, UsageError
+from cyclemeter.generalized import (_eg_product, _factor_coeffs, exp_polynomial_weights,
+                                    generalized_joint_cycle_pmf)
 from cyclemeter.measure import (WeightSequence, expected_cycle_counts,
-                                joint_cycle_pmf, normalization_constants,
+                                joint_cycle_columns, joint_cycle_pmf,
+                                normalization_constants,
                                 sample_cycle_type, sample_permutation,
                                 total_cycles_pmf, total_cycles_pmf_many)
 from cyclemeter.partitions import (brute_force_cycle_type_pmf, brute_force_k_pmf,
@@ -122,6 +127,55 @@ def test_joint_validates_b():
         joint_cycle_pmf(theta, 4, 0)
     with pytest.raises(UsageError):
         joint_cycle_pmf(theta, 4, 5)
+
+
+def per_atom_joint(n, b, factors, tail, hn):
+    """The double joint law one tuple at a time, in lexicographic order:
+    weight 1.0 times factors[m-1][c_m] for m = 1..b, then * tail / hn."""
+    keys, masses = [], []
+    for key in itertools.product(*[range(n // m + 1) for m in range(1, b + 1)]):
+        budget = n - sum(m * c for m, c in enumerate(key, 1))
+        if budget < 0:
+            continue
+        weight = 1.0
+        for m, c in enumerate(key, 1):
+            weight = weight * factors[m - 1][c]
+        keys.append(key)
+        masses.append(weight * tail[budget] / hn)
+    return keys, masses
+
+
+JOINT_WEIGHTS = {"constant": WeightSequence.constant(2),
+                 "theta-shift": theta_shift_family(1).weights,
+                 "polylog": polylog_family(-0.5).weights}
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", list(JOINT_WEIGHTS))
+def test_double_joint_columns_match_per_atom_masses_bitwise(family, b):
+    # The column builder keeps every rounding of the per-tuple products,
+    # so supports and masses compare with ==, not a tolerance.
+    theta, n = JOINT_WEIGHTS[family], 24
+    keys, masses = per_atom_joint(n, b, *measure._joint_tables(theta, n, b, "double"))
+    pmf = joint_cycle_pmf(theta, n, b, "double")
+    assert list(pmf.support()) == keys
+    assert [pmf[key] for key in keys] == masses
+    counts, mass = joint_cycle_columns(theta, n, b)
+    assert list(map(tuple, counts.tolist())) == keys
+    assert mass.tolist() == masses
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_double_generalized_joint_matches_per_atom_masses_bitwise(b):
+    # F(k) = He_k(16 sqrt 2) / 2^{k/2} for b2 = -1/4: positive, not a power.
+    fw, n = exp_polynomial_weights(16, {2: Fraction(-1, 4)}), 20
+    tail = _eg_product(fw, range(b + 1, n + 1), n, "double")
+    hn = _eg_product(fw, range(1, b + 1), n, "double", acc=tail)[n]
+    factors = [_factor_coeffs(fw, m, n // m, "double") for m in range(1, b + 1)]
+    keys, masses = per_atom_joint(n, b, factors, tail, hn)
+    pmf = generalized_joint_cycle_pmf(fw, n, b, "double")
+    assert list(pmf.support()) == keys
+    assert [pmf[key] for key in keys] == masses
 
 
 # -- total number of cycles --------------------------------------------------
