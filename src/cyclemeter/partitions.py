@@ -191,7 +191,7 @@ def brute_force_generalized_cycle_type_pmf(fweights, n: int, backend: str = "exa
     return _law(_generalized, fweights, n, backend, Partition)
 
 
-def brute_force_generalized_cycle_counts_pmf(fweights, n: int, b: int, backend="exact") -> Pmf:
+def brute_force_generalized_cycle_counts_pmf(fweights, n: int, b: int, backend: str = "exact"):
     """Law of (C_1, ..., C_b) under the generalized measure."""
     return _law(_generalized, fweights, n, backend, _counts_key(b))[0]
 

@@ -104,6 +104,24 @@ def test_k_pmf_from_types():
     assert pmf[3] == Fraction(1, 6)
 
 
+@pytest.mark.parametrize("b", [1, 3])
+def test_counts_oracle_equals_projected_type_law(b):
+    # Summing class weights by (C_1..C_b) before one division gives the
+    # same Fractions as adding the normalized cycle-type law per tuple.
+    theta = WeightSequence(lambda m: 0.5 * m, exact_fn=lambda m: Fraction(m, 2))
+    fw = generalized.exp_polynomial_weights(Fraction(1, 3), {2: Fraction(1, 5)})
+    for counts, types in [
+            (partitions.brute_force_cycle_counts_pmf(theta, 9, b),
+             brute_force_cycle_type_pmf(theta, 9)[0]),
+            (partitions.brute_force_generalized_cycle_counts_pmf(fw, 9, b),
+             partitions.brute_force_generalized_cycle_type_pmf(fw, 9)[0])]:
+        projected = {}
+        for lam, p in types.items():
+            key = tuple(lam.parts.count(m) for m in range(1, b + 1))
+            projected[key] = projected.get(key, 0) + p
+        assert dict(counts.items()) == projected
+
+
 def test_normalization_double_matches_exact():
     theta = WeightSequence.constant(Fraction(5, 2))
     exact = brute_force_normalization(theta, 9)
