@@ -34,8 +34,8 @@ from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
 from .generalized import (GeneralizedWeights, generalized_joint_cycle_pmf,
                           generalized_normalization,
                           generalized_total_cycles_pmf)
-from .measure import (joint_cycle_pmf, normalization_constants,
-                      sample_cycle_type, sample_permutation, total_cycles_pmf)
+from .measure import (joint_cycle_pmf, normalization_constants, sample_cycle_type_parts,
+                      sample_permutation, total_cycles_pmf)
 from .partitions import (brute_force_cycle_counts_pmf,
                          brute_force_generalized_cycle_counts_pmf,
                          brute_force_generalized_k_pmf, brute_force_k_pmf)
@@ -220,16 +220,9 @@ def _run_sample(args) -> tuple:
         raise UsageError("sampling is defined for weighted families only")
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    if args.cycle_type_only:
-        draws = sample_cycle_type(handle.weights, args.n, seed=args.seed,
-                                  count=args.count)
-        samples = [list(d.parts) for d in draws]
-        kind = "cycle-type"
-    else:
-        draws = sample_permutation(handle.weights, args.n, seed=args.seed,
-                                   count=args.count)
-        samples = [list(d) for d in draws]
-        kind = "permutation"
+    draw, kind = ((sample_cycle_type_parts, "cycle-type") if args.cycle_type_only
+                  else (sample_permutation, "permutation"))
+    samples = draw(handle.weights, args.n, seed=args.seed, count=args.count)
     doc = {"command": "sample", "family": args.family, "n": args.n,
            "seed": args.seed, "count": args.count, "kind": kind, "samples": samples}
     return doc, samples

@@ -344,6 +344,12 @@ def _sample(theta: WeightSequence, n: int, seed: int, count: Optional[int], make
     return result[0] if count is None else result
 
 
+def sample_cycle_type_parts(theta: WeightSequence, n: int, seed: int = 0,
+                            count: Optional[int] = None):
+    """sample_cycle_type's draws as nonincreasing lists, with no Partition built."""
+    return _sample(theta, n, seed, count, lambda lengths, rng: sorted(lengths, reverse=True))
+
+
 def sample_cycle_type(theta: WeightSequence, n: int, seed: int = 0,
                       count: Optional[int] = None):
     """Cycle type(s) of weighted random permutations of size n.

@@ -71,22 +71,35 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def _descending_partitions(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending_partitions(n - first, first):
-            yield (first,) + rest
-
-
-def enumerate_partitions(n: int, cap: int = PARTITION_CAP) -> list:
-    """All partitions of n in descending lexicographic order."""
+def _partition_rows(n: int, cap: int = PARTITION_CAP):
+    """(parts, z_lambda, ((m, c_m), ...)) of each partition of n in descending
+    lexicographic order, m decreasing within a class: a step spreads one part
+    m of the last pair above 1, and the 1s, over parts m - 1 and a remainder."""
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
     if n > cap:
         raise ResourceError(f"partition enumeration capped at n <= {cap}, got {n}")
-    return [Partition(parts) for parts in _descending_partitions(n, n)]
+    stack = [((), 1, ())]  # the row of every prefix of the pairs
+
+    def push(m, c):  # m = 0 or c = 0 adds no pair
+        if m * c:
+            parts, z, mc = stack[-1]
+            stack.append((parts + (m,) * c, z * m**c * math.factorial(c), mc + ((m, c),)))
+
+    push(n, 1)
+    yield stack[-1]
+    while len(stack[-1][0]) < n:  # until n parts of 1
+        ones = stack.pop()[2][-1][1] if stack[-1][2][-1][0] == 1 else 0  # drop the 1s
+        m, c = stack.pop()[2][-1]
+        push(m, c - 1)
+        push(m - 1, (m + ones) // (m - 1))
+        push((m + ones) % (m - 1), 1)
+        yield stack[-1]
+
+
+def enumerate_partitions(n: int, cap: int = PARTITION_CAP) -> list:
+    """All partitions of n in descending lexicographic order."""
+    return [Partition(parts) for parts, _, _ in _partition_rows(n, cap)]
 
 
 def z_of(partition) -> int:
@@ -97,9 +110,7 @@ def z_of(partition) -> int:
 
 @lru_cache(maxsize=None)
 def _partition_table(n: int) -> tuple:
-    """Cached (parts, z_lambda, ((m, c_m), ...)) for partitions of n."""
-    return tuple((p.parts, z_of(p), tuple(Counter(p.parts).items()))
-                 for p in enumerate_partitions(n))
+    return tuple(_partition_rows(n))
 
 
 def _weighted(theta, n: int, backend: str) -> tuple:

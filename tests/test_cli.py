@@ -28,7 +28,7 @@ from cyclemeter.errors import DegenerateMeasureError, ResourceError
 from cyclemeter.generalized import (exp_polynomial_weights,
                                     generalized_joint_cycle_pmf)
 from cyclemeter.measure import (joint_cycle_pmf, normalization_constants,
-                                total_cycles_pmf)
+                                sample_cycle_type, total_cycles_pmf)
 from cyclemeter.partitions import brute_force_normalization
 
 
@@ -244,6 +244,20 @@ def test_sample_single_point_identity(capsys):
                            "1", "--n", "1", "--count", "3")
     assert code == EXIT_OK
     assert json.loads(out)["samples"] == [[1], [1], [1]]
+
+
+@pytest.mark.parametrize("kind, params, n, count", [
+    ("ewens", {"theta": "2"}, 8, 2000),
+    ("theta-shift", {"theta": "1"}, 50, 200),
+    ("polylog", {"delta": "-1/2"}, 30, 50)])
+def test_cycle_type_rows_are_the_library_draws(capsys, kind, params, n, count):
+    code, out, _ = run_cli(capsys, "sample", "--family", kind,
+                           *[f"--{key}={value}" for key, value in params.items()],
+                           "--n", str(n), "--count", str(count), "--seed", "11",
+                           "--cycle-type-only")
+    assert code == EXIT_OK
+    draws = sample_cycle_type(build_family(kind, params).weights, n, seed=11, count=count)
+    assert json.loads(out)["samples"] == [list(p.parts) for p in draws]
 
 
 def test_large_dev_k_spec_forms(capsys):

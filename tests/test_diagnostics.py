@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclemeter.asymptotics import theta_shift_family
-from cyclemeter.diagnostics import (ComparisonReport, d_K, d_loc,
+from cyclemeter.diagnostics import (ComparisonReport, d_K, d_loc, dumps_csv,
                                     dumps_deterministic, format_scalar,
                                     poisson_vector_report, reports_to_csv,
                                     reports_to_json, truncated_poisson,
@@ -101,6 +103,68 @@ def test_dumps_deterministic_shape():
     text = dumps_deterministic(doc)
     assert text == '{"b": [1.5, null, true], "a": {"x": 2}}'
     assert dumps_deterministic(doc) == text
+
+
+def reference_json(obj) -> str:
+    """The one-call-per-value serializer that dumps_deterministic replaced."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, (bool, int, float)):
+        return format_scalar(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        parts = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise UsageError("JSON object keys must be strings")
+            parts.append(reference_json(key) + ": " + reference_json(value))
+        return "{" + ", ".join(parts) + "}"
+    raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def reference_csv(rows) -> str:
+    def cell(c):
+        if c is None:
+            return ""
+        if isinstance(c, str):
+            return c
+        if isinstance(c, list):
+            return " ".join(str(x) for x in c)
+        return format_scalar(c)
+    return "\n".join(",".join(cell(c) for c in row) for row in rows) + "\n"
+
+
+_INTS = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200),
+                  st.integers(max_value=-1))
+_TEXT = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\n\té\u2028\U0001f600a'))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(_INTS, st.booleans(), st.none(), _TEXT, _FLOATS)
+_ROWS = st.lists(st.one_of(st.lists(_INTS, max_size=5), st.lists(_INTS, max_size=5).map(tuple),
+                           st.lists(st.one_of(_INTS, _FLOATS), max_size=3),
+                           st.lists(_SCALARS, max_size=3)), max_size=6)
+_DOCS = st.recursive(st.one_of(_SCALARS, _ROWS), lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, inner, max_size=4)), max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(doc=_DOCS, rows=_ROWS)
+def test_serializers_equal_one_call_per_value_reference(doc, rows):
+    # int rows take a one-call path; every byte must stay what it was
+    assert dumps_deterministic(doc) == reference_json(doc)
+    assert dumps_csv(rows) == reference_csv(rows)
+
+
+@pytest.mark.parametrize("doc", [
+    [[1, 2], [3, math.inf]], [[1], [math.nan]], {1: [[1, 2]]}, {"a": 1, 2: 3},
+    [[1, np.int64(2)]], [np.int64(2)], {"rows": {1, 2}}, [[1], {1}]])
+def test_serializer_refusals_are_kept(doc):
+    for serialize in (dumps_deterministic, reference_json):
+        with pytest.raises(UsageError):
+            serialize(doc)
 
 
 def sample_report():

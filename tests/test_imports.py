@@ -6,7 +6,8 @@ that function's body.  __init__.py is skipped: its imports are the
 package's re-exports.  numpy is imported inside the functions that do
 double arithmetic, sample or run the generalized lattice, so the package,
 the CLI module and exact commands of weighted families never load it;
-each of those runs in a fresh interpreter.
+each of those runs in a fresh interpreter.  json is imported only by the
+serializer's int-row branch, so the CLI module starts without it.
 """
 
 import ast
@@ -70,13 +71,13 @@ def test_unused_import_in_a_function_is_found():
     assert unused_imports(source) == [(3, "np")]
 
 
-def _loads_numpy(code: str) -> subprocess.CompletedProcess:
+def _loads(code: str, module: str = "numpy") -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter; its last stderr line says whether
-    numpy was loaded."""
+    module was loaded."""
     src = str(Path(cyclemeter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = f"import sys\n{code}\nprint('numpy' in sys.modules, file=sys.stderr)\n"
+    probe = f"import sys\n{code}\nprint({module!r} in sys.modules, file=sys.stderr)\n"
     return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
 
@@ -99,15 +100,21 @@ EWENS = ("--family", "ewens", "--theta", "1/2")
 ], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles",
         "dist-cycles-oracle"])
 def test_exact_paths_do_not_load_numpy(code):
-    res = _loads_numpy(code)
+    res = _loads(code)
     assert res.returncode == 0, res.stderr
     assert res.stderr.splitlines()[-1] == "False"
     if "main" in code:
         assert '"backend": "exact"' in res.stdout
 
 
+def test_cli_import_leaves_json_unloaded():
+    res = _loads("import cyclemeter.cli", "json")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines()[-1] == "False"
+
+
 def test_double_command_loads_numpy():
-    res = _loads_numpy(_cli("hn", *EWENS, "--n", "10", "--backend", "double"))
+    res = _loads(_cli("hn", *EWENS, "--n", "10", "--backend", "double"))
     assert res.returncode == 0, res.stderr
     assert '"backend": "double"' in res.stdout
     assert res.stderr.splitlines()[-1] == "True"

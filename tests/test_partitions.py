@@ -5,6 +5,7 @@ the identity sum over partitions of n of 1/z_lambda = 1 (conjugacy
 classes of S_n partition the group).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,26 @@ def test_descending_lex_order():
     parts = [lam.parts for lam in enumerate_partitions(5)]
     assert parts == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
                      (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+
+
+def recursive_table(n, below, row, out):
+    """Append (parts, z, ((m, c_m), ...)) for each partition of n into parts
+    < below, after the row's parts: m^c first, with c from high to low, then
+    the rest in parts < m, which is descending lexicographic order."""
+    parts, z, mc = row
+    if n == 0:
+        out.append(row)
+    for m in range(min(n, below - 1), 0, -1):
+        for c in range(n // m, 0 if m > 1 else n - 1, -1):  # 1s must fill the rest
+            recursive_table(n - m * c, m, (parts + (m,) * c, z * m**c * math.factorial(c),
+                                           mc + ((m, c),)), out)
+    return out
+
+
+def test_partition_table_equals_recursive_reference():
+    # same rows in the same order: the order fixes the double oracle's sums
+    for n in range(41):
+        assert partitions._partition_table(n) == tuple(recursive_table(n, n + 1, ((), 1, ()), []))
 
 
 def test_z_values_s3():
