@@ -347,30 +347,26 @@ def format_scalar(x) -> str:
     raise UsageError(f"cannot serialize {x!r}")
 
 
-def _json_sequence(obj) -> str:
-    if obj and set(map(type, obj)) <= {list, tuple} and set(
-            map(type, chain.from_iterable(obj))) <= {int}:  # exact ints: no bool
-        import json  # its C encoder writes int rows in the bytes of the join below
-        return json.dumps(obj)
-    return "[" + ", ".join(map(_json_value, obj)) + "]"
-
-
-def _json_item(item) -> str:
-    if not isinstance(item[0], str):
-        raise UsageError("JSON object keys must be strings")
-    return _json_value(item[0]) + ": " + _json_value(item[1])
-
-
-_JSON_WRITERS = {type(None): lambda obj: "null", bool: format_scalar, int: format_scalar,
-                 float: format_scalar, list: _json_sequence, tuple: _json_sequence,
-                 str: lambda obj: '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"',
-                 dict: lambda obj: "{" + ", ".join(map(_json_item, obj.items())) + "}"}
-
-
 def _json_value(obj) -> str:
-    for kind in type(obj).__mro__:  # a subclass (numpy.float64) is written as its base
-        if kind in _JSON_WRITERS:
-            return _JSON_WRITERS[kind](obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, (bool, int, float)):
+        return format_scalar(obj)
+    if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) <= {list, tuple} and set(
+                map(type, chain.from_iterable(obj))) <= {int}:  # exact ints: no bool
+            import json  # its C encoder writes int rows in the bytes of the join below
+            return json.dumps(obj)
+        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        parts = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise UsageError("JSON object keys must be strings")
+            parts.append(_json_value(key) + ": " + _json_value(value))
+        return "{" + ", ".join(parts) + "}"
     raise UsageError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
@@ -396,8 +392,7 @@ def _csv_cell(cell) -> str:
 def dumps_csv(rows) -> str:
     """One CSV line per row: None is empty, a str is kept, a list is
     space-joined, and any other cell is a scalar rendered by format_scalar."""
-    return "\n".join(",".join(map(str, row)) if set(map(type, row)) <= {int}
-                     else ",".join(map(_csv_cell, row)) for row in rows) + "\n"
+    return "\n".join(",".join(_csv_cell(cell) for cell in row) for row in rows) + "\n"
 
 
 def report_rows(reports: Sequence[ComparisonReport]) -> list:

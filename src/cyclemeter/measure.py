@@ -357,8 +357,8 @@ def sample_cycle_type(theta: WeightSequence, n: int, seed: int = 0,
     Returns one Partition, or a list of them when count is given.
     Fixed (theta, n, seed, count) gives identical output on every run.
     """
-    return _sample(theta, n, seed, count,
-                   lambda lengths, rng: Partition(tuple(sorted(lengths, reverse=True))))
+    rows = sample_cycle_type_parts(theta, n, seed, count)
+    return Partition(tuple(rows)) if count is None else [Partition(tuple(r)) for r in rows]
 
 
 def sample_permutation(theta: WeightSequence, n: int, seed: int = 0,
