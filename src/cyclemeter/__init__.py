@@ -11,8 +11,7 @@ from .catalog import (build_family, family_from_request, load_config,
 from .diagnostics import (ComparisonReport, clt_report, d_K, d_loc,
                           dumps_deterministic, large_deviation_table,
                           mod_poisson_report, poisson_k_approx_report,
-                          poisson_vector_report, reports_to_csv,
-                          reports_to_json, truncated_poisson, tv_distance)
+                          poisson_vector_report, truncated_poisson, tv_distance)
 from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
                      ResourceError, UnsupportedClassError, UsageError)
 from .generalized import (GeneralizedWeights, SpatialModel, eg_series,
@@ -29,8 +28,7 @@ from .partitions import (Partition, brute_force_cycle_type_pmf,
                          brute_force_generalized_cycle_type_pmf,
                          brute_force_generalized_k_pmf,
                          brute_force_generalized_normalization,
-                         brute_force_k_pmf, brute_force_normalization,
-                         enumerate_partitions, z_of)
+                         brute_force_k_pmf, brute_force_normalization)
 from .pmf import Pmf
 from .series import TruncatedSeries, bv_exp_wg, ts_exp, ts_log, ts_mul
 from .specfun import (complex_gamma, normal_cdf, poisson_pmf,

@@ -35,7 +35,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ConvergenceError, UnsupportedClassError, UsageError
-from .measure import WeightSequence, _to_fraction
+from .measure import WeightSequence
+from .series import to_fraction
 from .specfun import complex_gamma, reciprocal_gamma, riemann_zeta
 
 STATUS_OK = "ok"
@@ -95,7 +96,7 @@ class WeightFamily:
 
 def ewens_family(theta) -> WeightFamily:
     """Constant weights theta_m = theta > 0: class F(1, theta), K = 0."""
-    frac = _to_fraction(theta)
+    frac = to_fraction(theta)
     if frac <= 0:
         raise UsageError(f"constant weight must be > 0, got {theta}")
     weights = WeightSequence.constant(frac, name=f"ewens({theta})")
@@ -108,8 +109,8 @@ def theta_shift_family(theta, amp=1, power=2) -> WeightFamily:
 
     K = sum_m (theta_m - theta)/m = amp * zeta(power + 1).
     """
-    theta_f = _to_fraction(theta)
-    amp_f = _to_fraction(amp)
+    theta_f = to_fraction(theta)
+    amp_f = to_fraction(amp)
     power_f = float(power)
     if theta_f <= 0:
         raise UsageError(f"limit weight must be > 0, got {theta}")
@@ -405,20 +406,25 @@ def large_deviation_estimate(theta: float, K: float, n, k: int) -> LargeDeviatio
 # -- Lindelof integral continuation ----------------------------------------
 
 
+# The trapezoid grid of lindelof_eval: z = 1/2 + iy, |y| <= height, spacing step
+# (height a multiple of step).
+_LINDELOF_HEIGHT = 24.0
+_LINDELOF_STEP = 0.0625
+
+
 @dataclass(frozen=True)
 class LindelofResult:
     value: complex
     error_estimate: float
 
 
-def lindelof_eval(phi: Callable[[complex], complex], t,
-                  half_height: float = 24.0, step: float = 0.0625) -> LindelofResult:
+def lindelof_eval(phi: Callable[[complex], complex], t) -> LindelofResult:
     """Analytic continuation of g(t) = sum_k phi(k) (-t)^k by the integral
 
         g(t) = -(1/2 pi i) * int_{1/2 - i inf}^{1/2 + i inf}
                    phi(z) t^z pi/sin(pi z) dz,
 
-    evaluated by the trapezoid rule on z = 1/2 + iy, |y| <= half_height.
+    evaluated by the trapezoid rule on z = 1/2 + iy, |y| <= 24, step 1/16.
     Valid while phi grows slower than e^{pi |z|} against the kernel decay
     2 pi e^{-pi |y|} weighted by e^{|arg t| |y|}; a non-decaying integrand
     raises ConvergenceError.  Returns the value and a truncation +
@@ -432,12 +438,10 @@ def lindelof_eval(phi: Callable[[complex], complex], t,
         raise UsageError("t must be nonzero")
     if t.real < 0 and t.imag == 0:
         raise UsageError("t on the negative real axis is outside |arg t| < pi")
-    if not (half_height > 0 and step > 0):
-        raise UsageError("half_height and step must be > 0")
 
     log_t = cmath.log(t)
-    n_steps = int(math.ceil(half_height / step))
-    height = n_steps * step
+    height, step = _LINDELOF_HEIGHT, _LINDELOF_STEP
+    n_steps = round(height / step)
 
     def integrand(y: float) -> complex:
         z = complex(0.5, y)
@@ -449,8 +453,7 @@ def lindelof_eval(phi: Callable[[complex], complex], t,
     end_lo, end_hi = mags[0], mags[-1]
     if peak > 0 and max(end_lo, end_hi) > 1e-6 * peak:
         raise ConvergenceError(
-            "integrand has not decayed at the truncation height; "
-            "increase half_height or reduce |arg t|")
+            "integrand has not decayed at the truncation height; reduce |arg t|")
 
     def trapezoid(vals, h):
         return h * (sum(vals[1:-1]) + 0.5 * (vals[0] + vals[-1]))

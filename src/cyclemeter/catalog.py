@@ -97,7 +97,7 @@ class Param(NamedTuple):
 def _build_spatial(alpha: float = 0.0, eps: Optional[list] = None,
                    decays: Optional[list] = None) -> WeightFamily:
     if decays is not None:
-        model = SpatialModel.from_decays(decays, alpha=alpha)
+        model = SpatialModel(decays, alpha)
     elif eps is not None:
         model = SpatialModel.from_energies(eps, alpha=alpha)
     else:

@@ -218,8 +218,6 @@ def _run_sample(args) -> tuple:
     handle = _resolve_family(args)
     if isinstance(handle.weights, GeneralizedWeights):
         raise UsageError("sampling is defined for weighted families only")
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
     draw, kind = ((sample_cycle_type_parts, "cycle-type") if args.cycle_type_only
                   else (sample_permutation, "permutation"))
     samples = draw(handle.weights, args.n, seed=args.seed, count=args.count)
@@ -247,14 +245,11 @@ def _run_report(args) -> tuple:
         raise UsageError(f"family {args.family} has no usable singularity class "
                          f"for reports: {handle.note or handle.status}")
     if args.kind == "large-dev":
-        n = args.n
-        if n is None:
-            grid = _parse_grid(args)
-            if len(grid) != 1:
-                raise UsageError("large-dev takes a single --n")
-            n = grid[0]
+        grid = _parse_grid(args)
+        if len(grid) != 1:
+            raise UsageError("large-dev takes a single n: --n or a one-value --n-grid")
         k, sigmas = _parse_k_spec(args.k)
-        table = large_deviation_table(handle, n, k,
+        table = large_deviation_table(handle, grid[0], k,
                                       sigmas=3.0 if sigmas is None else sigmas)
         if args.assert_trends and table["rel_error"] > 0.25:
             raise _TrendFailure(

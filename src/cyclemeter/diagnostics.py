@@ -33,8 +33,8 @@ POISSON_TAIL = 1e-15
 _POISSON_LAM_MAX = 1e7  # about lam atoms are tabulated, some 10 s at this size
 
 
-def truncated_poisson(lam: float, tail: float = POISSON_TAIL) -> Pmf:
-    """Poisson(lam) truncated once cumulative mass reaches 1 - tail."""
+def truncated_poisson(lam: float) -> Pmf:
+    """Poisson(lam) truncated once cumulative mass reaches 1 - POISSON_TAIL."""
     if lam <= 0:
         raise UsageError(f"Poisson intensity must be > 0, got {lam}")
     if lam > _POISSON_LAM_MAX:
@@ -43,7 +43,7 @@ def truncated_poisson(lam: float, tail: float = POISSON_TAIL) -> Pmf:
     cumulative = 0.0
     k = 0
     cap = int(lam + 40.0 * math.sqrt(lam) + 60.0)
-    while cumulative < 1.0 - tail and k <= cap:
+    while cumulative < 1.0 - POISSON_TAIL and k <= cap:
         p = poisson_pmf(lam, k)
         mass[k] = p
         cumulative += p
@@ -375,10 +375,6 @@ def dumps_deterministic(obj) -> str:
     return _json_value(obj)
 
 
-def reports_to_json(reports: Sequence[ComparisonReport]) -> str:
-    return dumps_deterministic({"reports": [r.to_dict() for r in reports]})
-
-
 def _csv_cell(cell) -> str:
     if cell is None:
         return ""
@@ -400,7 +396,3 @@ def report_rows(reports: Sequence[ComparisonReport]) -> list:
     return [["n", "metric", "value", "reference_rate_value"]] + [
         [n, report.metric_label(), float(value), float(ref)] for report in reports
         for n, value, ref in zip(report.n_values, report.values, report.reference_values)]
-
-
-def reports_to_csv(reports: Sequence[ComparisonReport]) -> str:
-    return dumps_csv(report_rows(reports))

@@ -37,9 +37,9 @@ from typing import Callable, Optional, Sequence
 
 from .asymptotics import SingularityClass
 from .errors import UsageError
-from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _to_fraction
+from .measure import WeightSequence, _h_or_degenerate, _joint_pmf
 from .pmf import Pmf
-from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_kind
+from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_fraction, to_kind
 
 
 class GeneralizedWeights:
@@ -83,7 +83,7 @@ class GeneralizedWeights:
             return Fraction(1)
         if self._exact is None:
             return Fraction(self.value(m, k))
-        v = _to_fraction(self._exact(m, k))
+        v = to_fraction(self._exact(m, k))
         if v <= 0:
             raise UsageError(f"F_{m}({k}) = {v} must be > 0")
         return v
@@ -218,14 +218,14 @@ def exp_polynomial_weights(theta, higher: dict) -> GeneralizedWeights:
     F(i+1) = sum_j j b_j i!/(i+1-j)! F(i+1-j), extended on demand.  See
     exp_polynomial_log_series for the matching direct route to h_n.
     """
-    theta_f = _to_fraction(theta)
+    theta_f = to_fraction(theta)
     if theta_f <= 0:
         raise UsageError(f"theta must be > 0, got {theta}")
     poly: dict = {1: theta_f}
     for j, b in higher.items():
         if not isinstance(j, int) or j < 2:
             raise UsageError(f"polynomial degrees must be integers >= 2, got {j!r}")
-        poly[j] = _to_fraction(b)
+        poly[j] = to_fraction(b)
     terms = [(j - 1, j * b) for j, b in poly.items()]
     table = [Fraction(1)]
 
@@ -251,12 +251,12 @@ def exp_polynomial_log_series(theta, higher: dict, order: int,
     ts_exp of this must reproduce generalized_normalization exactly.
     """
     check_kind(backend)
-    theta_f = _to_fraction(theta)
+    theta_f = to_fraction(theta)
     coeffs = [to_kind(0, backend)] * (order + 1)
     for m in range(1, order + 1):
         coeffs[m] += to_kind(theta_f / m, backend)
     for j, b in higher.items():
-        b_f = _to_fraction(b)
+        b_f = to_fraction(b)
         for i in range(1, order // j + 1):
             coeffs[i * j] += to_kind(b_f / Fraction(i) ** j, backend)
     return TruncatedSeries(coeffs, backend)
@@ -279,7 +279,7 @@ class SpatialModel:
     alpha: float = 0.0
 
     def __post_init__(self):
-        decays = tuple(_to_fraction(d) for d in self.decays)
+        decays = tuple(to_fraction(d) for d in self.decays)
         if not decays:
             raise UsageError("a spatial model needs at least one mode")
         # e^{-eps} underflows to 0 for large energies
@@ -287,10 +287,6 @@ class SpatialModel:
             raise UsageError("decay factors must lie in (0, 1] and not underflow a double")
         object.__setattr__(self, "decays", decays)
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    @classmethod
-    def from_decays(cls, decays: Sequence, alpha=0.0) -> "SpatialModel":
-        return cls(decays, alpha=alpha)
 
     @classmethod
     def from_energies(cls, eps: Sequence, alpha=0.0) -> "SpatialModel":

@@ -40,7 +40,7 @@ from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .partitions import Partition
 from .pmf import Pmf
 from .series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, check_kind,
-                     pmf_tol, to_kind, ts_exp)
+                     pmf_tol, to_fraction, to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
 
@@ -65,7 +65,7 @@ class WeightSequence:
 
     @classmethod
     def constant(cls, value, name: Optional[str] = None) -> "WeightSequence":
-        frac = _to_fraction(value)
+        frac = to_fraction(value)
         if frac < 0:
             raise UsageError(f"weights must be >= 0, got {value}")
         label = name if name is not None else f"constant({value})"
@@ -85,7 +85,7 @@ class WeightSequence:
         _check_index(m)
         if self._exact is None:
             return Fraction(self.theta(m))
-        value = _to_fraction(self._exact(m))
+        value = to_fraction(self._exact(m))
         if value < 0:
             raise UsageError(f"theta_{m} = {value} is negative")
         return value
@@ -102,16 +102,6 @@ class WeightSequence:
 
     def __repr__(self) -> str:
         return f"WeightSequence({self.name})"
-
-
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise UsageError(f"cannot interpret {value!r} as an exact rational")
 
 
 def _check_index(m) -> None:

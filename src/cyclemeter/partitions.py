@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,29 +55,18 @@ class Partition:
         if parts and parts[-1] < 1:
             raise UsageError(f"partition parts must be >= 1, got {parts[-1]}")
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def cycle_counts(self) -> dict:
-        return dict(Counter(self.parts))
-
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
 
 
-def _partition_rows(n: int, cap: int = PARTITION_CAP):
+def _partition_rows(n: int):
     """(parts, z_lambda, ((m, c_m), ...)) of each partition of n in descending
     lexicographic order, m decreasing within a class: a step spreads one part
     m of the last pair above 1, and the 1s, over parts m - 1 and a remainder."""
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    if n > cap:
-        raise ResourceError(f"partition enumeration capped at n <= {cap}, got {n}")
+    if n > PARTITION_CAP:
+        raise ResourceError(f"partition enumeration capped at n <= {PARTITION_CAP}, got {n}")
     stack = [((), 1, ())]  # the row of every prefix of the pairs
 
     def push(m, c):  # m = 0 or c = 0 adds no pair
@@ -95,17 +83,6 @@ def _partition_rows(n: int, cap: int = PARTITION_CAP):
         push(m - 1, (m + ones) // (m - 1))
         push((m + ones) % (m - 1), 1)
         yield stack[-1]
-
-
-def enumerate_partitions(n: int, cap: int = PARTITION_CAP) -> list:
-    """All partitions of n in descending lexicographic order."""
-    return [Partition(parts) for parts, _, _ in _partition_rows(n, cap)]
-
-
-def z_of(partition) -> int:
-    """Conjugacy class index z_lambda = prod m^{c_m} c_m!."""
-    parts = partition.parts if isinstance(partition, Partition) else tuple(partition)
-    return math.prod(m**c * math.factorial(c) for m, c in Counter(parts).items())
 
 
 @lru_cache(maxsize=None)

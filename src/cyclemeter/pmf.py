@@ -41,9 +41,7 @@ class Pmf:
     def __getitem__(self, key):
         return self._mass.get(key, 0)
 
-    def get(self, key, default=0):
-        return self._mass.get(key, default)
-
+    # without it, `in` would scan __getitem__ (0 off the support) forever
     def __contains__(self, key) -> bool:
         return key in self._mass
 
@@ -60,9 +58,6 @@ class Pmf:
 
     def items(self):
         return self._mass.items()
-
-    def total(self):
-        return sum(self._mass.values())
 
     def mean(self):
         """First moment; integer-keyed pmfs only."""

@@ -13,8 +13,9 @@ discards terms of order > N.  Two scalar kinds are supported:
 Binary operations require equal order and equal kind; callers pick the
 backend explicitly and keep it.  This module is also the one place that
 knows the kinds: check_kind validates a name, to_kind converts a value
-(to_kind(0, kind) is the zero of a kind), pmf_tol is the mass tolerance
-of a law in that kind, and auto_kind makes the default choice.
+(to_kind(0, kind) is the zero of a kind; to_fraction is its exact case),
+pmf_tol is the mass tolerance of a law in that kind, and auto_kind makes
+the default choice.
 
 The exponential and logarithm use the standard coefficient recurrences
 obtained by differentiating H = exp(G):
@@ -35,6 +36,7 @@ reduced denominator, and Fractions are built only from the finished rows.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -57,8 +59,14 @@ def _require(cond: bool, msg: str) -> None:
         raise UsageError(msg)
 
 
-def _as_exact(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def to_fraction(value) -> Fraction:
+    """value as an exact rational: a rational, a float (its exact binary
+    value) or a numeric string; anything else is a UsageError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (numbers.Rational, float, str)):
+        return Fraction(value)
+    raise UsageError(f"cannot interpret {value!r} as an exact rational")
 
 
 def check_kind(kind: str) -> None:
@@ -68,7 +76,7 @@ def check_kind(kind: str) -> None:
 
 def to_kind(value, kind: str) -> Scalar:
     """value as a scalar of the given kind: Fraction (exact) or float."""
-    return _as_exact(value) if kind == EXACT else float(value)
+    return to_fraction(value) if kind == EXACT else float(value)
 
 
 def pmf_tol(kind: str):
@@ -91,26 +99,14 @@ class TruncatedSeries:
         check_kind(kind)
         _require(len(coeffs) >= 1, "need at least the order-0 coefficient")
         if kind == EXACT:
-            self.coeffs = tuple(_as_exact(c) for c in coeffs)
+            self.coeffs = tuple(to_fraction(c) for c in coeffs)
         else:
             self.coeffs = tuple(float(c) for c in coeffs)
         self.kind = kind
 
-    @classmethod
-    def exact(cls, coeffs: Sequence) -> "TruncatedSeries":
-        return cls(coeffs, EXACT)
-
-    @classmethod
-    def double(cls, coeffs: Sequence) -> "TruncatedSeries":
-        return cls(coeffs, DOUBLE)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Scalar:
-        _require(0 <= n <= self.order, f"coefficient index {n} outside 0..{self.order}")
-        return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

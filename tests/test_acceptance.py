@@ -49,7 +49,7 @@ def unit_weight_k_laws():
 
 
 def spatial_two_point():
-    return SpatialModel.from_decays([1, Fraction(1, 2)])
+    return SpatialModel([1, Fraction(1, 2)])
 
 
 def acceptance_families():
@@ -83,8 +83,7 @@ def test_criterion_02_distributions_match_brute_force_exactly():
     def project(type_pmf, b):
         out = {}
         for lam, p in type_pmf.items():
-            counts = lam.cycle_counts()
-            key = tuple(counts.get(m, 0) for m in range(1, b + 1))
+            key = tuple(lam.parts.count(m) for m in range(1, b + 1))
             out[key] = out.get(key, 0) + p
         return out
 
@@ -194,7 +193,7 @@ def test_criterion_08_poisson_approximation_rates(unit_weight_k_laws):
     scaled_kol = []
     for n in GRID_N:
         law = unit_weight_k_laws[n]
-        target = truncated_poisson(math.log(n), 1e-15)
+        target = truncated_poisson(math.log(n))
         scaled_loc.append(d_loc(law, target) * math.log(n))
         scaled_kol.append(d_K(law, target) * math.sqrt(math.log(n)))
     assert max(scaled_loc) <= 0.30

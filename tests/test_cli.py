@@ -190,6 +190,14 @@ def test_sample_generalized_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_sample_zero_count_is_usage_error(capsys):
+    for flags in ((), ("--cycle-type-only",)):
+        code, out, err = run_cli(capsys, "sample", "--family", "ewens", "--theta", "1",
+                                 "--n", "5", "--count", "0", *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert "count must be a positive integer" in err
+
+
 def test_report_without_class_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "report", "--family", "polylog",
                            "--delta=-1/2", "--kind", "clt",
@@ -211,6 +219,14 @@ def test_trend_assertion_passes_on_ascending_grid(capsys):
                          "2", "--kind", "poisson-vector", "--b", "2",
                          "--n-grid", "25,100", "--assert-trends")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("grid", [("--n", "10", "--n-grid", "5"), ("--n-grid", "10,20")])
+def test_large_dev_refuses_more_than_one_n(capsys, grid):
+    code, out, err = run_cli(capsys, "report", "--family", "ewens", "--theta", "1",
+                             "--kind", "large-dev", *grid)
+    assert code == EXIT_USAGE and out == ""
+    assert "large-dev takes a single n" in err
 
 
 def test_large_dev_report(capsys):

@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemeter.asymptotics import theta_shift_family
-from cyclemeter.diagnostics import (ComparisonReport, d_K, d_loc,
+from cyclemeter.diagnostics import (ComparisonReport, d_K, d_loc, dumps_csv,
                                     dumps_deterministic, format_scalar,
-                                    poisson_vector_report, reports_to_csv,
-                                    reports_to_json, truncated_poisson,
-                                    tv_distance)
+                                    poisson_vector_report, report_rows,
+                                    truncated_poisson, tv_distance)
 from cyclemeter.errors import UsageError
 from cyclemeter.measure import joint_cycle_pmf
 from cyclemeter.specfun import poisson_pmf
@@ -71,20 +70,24 @@ def test_kolmogorov_needs_integer_support():
 
 def test_truncated_poisson_atoms():
     lam = 2.5
-    p = truncated_poisson(lam, 1e-15)
+    p = truncated_poisson(lam)
     for k in (0, 1, 5, 11):
         ref = math.exp(-lam) * lam**k / math.factorial(k)
         assert p[k] == pytest.approx(ref, rel=1e-13)
     assert p.tail_bound <= 1e-14
-    assert p.total() + p.tail_bound == pytest.approx(1.0, abs=1e-12)
+    assert sum(v for _, v in p.items()) + p.tail_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncated_poisson_tail_counts_in_distances():
     # Distances between a law and its own truncation stay below the
     # retained tail mass.
     lam = 4.0
-    fine = truncated_poisson(lam, 1e-15)
-    coarse = truncated_poisson(lam, 1e-6)
+    fine = truncated_poisson(lam)
+    mass, k = {}, 0
+    while sum(mass.values()) < 1 - 1e-6:
+        mass[k] = poisson_pmf(lam, k)
+        k += 1
+    coarse = Pmf(mass, tol=1e-9, tail_bound=1 - sum(mass.values()))
     assert tv_distance(fine, coarse) <= 2e-6
     assert d_K(fine, coarse) <= 2e-6
 
@@ -165,8 +168,9 @@ def sample_report():
 
 def test_report_serialization_deterministic():
     reports = [sample_report()]
-    assert reports_to_json(reports) == reports_to_json(reports)
-    csv_text = reports_to_csv(reports)
+    doc = {"reports": [r.to_dict() for r in reports]}
+    assert dumps_deterministic(doc) == dumps_deterministic(doc)
+    csv_text = dumps_csv(report_rows(reports))
     lines = csv_text.strip().split("\n")
     assert lines[0] == "n,metric,value,reference_rate_value"
     assert lines[1].startswith("10,tv(demo),0.25")

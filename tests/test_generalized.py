@@ -109,14 +109,14 @@ def test_generalized_weight_validation():
 
 
 def test_spatial_effective_weights_exact():
-    model = SpatialModel.from_decays([1, Fraction(1, 2)])
+    model = SpatialModel([1, Fraction(1, 2)])
     eff = spatial_effective_weights(model)
     for m in (1, 2, 5):
         assert eff.theta_exact(m) == 1 + Fraction(1, 2) ** m
 
 
 def test_spatial_reduction_matches_brute_force():
-    model = SpatialModel.from_decays([1, Fraction(1, 2)])
+    model = SpatialModel([1, Fraction(1, 2)])
     eff = spatial_effective_weights(model)
     h = normalization_constants(eff, 12)
     fw = spatial_F(model)
@@ -128,7 +128,7 @@ def test_spatial_reduction_matches_brute_force():
 def test_spatial_class_single_minimal_mode():
     # Decays {1, 1/2}: one minimal mode, alpha = 0; the non-minimal
     # mode contributes -log(1 - 1/2) = log 2 to K.
-    model = SpatialModel.from_decays([1, Fraction(1, 2)])
+    model = SpatialModel([1, Fraction(1, 2)])
     cls = spatial_class_params(model)
     assert cls.r == pytest.approx(1.0, abs=0)
     assert cls.theta == pytest.approx(1.0, abs=0)
@@ -137,7 +137,7 @@ def test_spatial_class_single_minimal_mode():
 
 def test_spatial_class_two_equal_modes():
     # Two equal modes double theta and leave K at zero.
-    model = SpatialModel.from_decays([1, 1])
+    model = SpatialModel([1, 1])
     cls = spatial_class_params(model)
     assert cls.theta == pytest.approx(2.0, abs=0)
     assert cls.K == pytest.approx(0.0, abs=1e-15)
@@ -145,9 +145,9 @@ def test_spatial_class_two_equal_modes():
 
 def test_spatial_model_validation():
     with pytest.raises(UsageError):
-        SpatialModel.from_decays([])
+        SpatialModel([])
     with pytest.raises(UsageError):
-        SpatialModel.from_decays([Fraction(3, 2)])
+        SpatialModel([Fraction(3, 2)])
 
 
 def test_exp_polynomial_double_past_k_170():
@@ -191,8 +191,7 @@ def test_generalized_laws_match_oracle_for_weights_in_m_and_k(data):
     type_pmf, _ = brute_force_generalized_cycle_type_pmf(fw, n)
     projected = {}
     for lam, p in type_pmf.items():
-        counts = lam.cycle_counts()
-        key = tuple(counts.get(m, 0) for m in range(1, b + 1))
+        key = tuple(lam.parts.count(m) for m in range(1, b + 1))
         projected[key] = projected.get(key, 0) + p
     joint = generalized_joint_cycle_pmf(fw, n, b)
     assert {key: p for key, p in joint.items() if p} == projected

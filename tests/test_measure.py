@@ -104,8 +104,7 @@ def test_joint_matches_partition_projection():
     type_pmf, _ = brute_force_cycle_type_pmf(theta, n)
     projected = {}
     for lam, p in type_pmf.items():
-        counts = lam.cycle_counts()
-        key = tuple(counts.get(m, 0) for m in range(1, b + 1))
+        key = tuple(lam.parts.count(m) for m in range(1, b + 1))
         projected[key] = projected.get(key, 0) + p
     for key in pmf.support():
         assert pmf[key] == projected.get(key, 0)
@@ -249,8 +248,7 @@ def test_exact_kernels_match_oracle_for_random_rational_weights(data):
     type_pmf, _ = brute_force_cycle_type_pmf(theta, n)
     projected = {}
     for lam, p in type_pmf.items():
-        counts = lam.cycle_counts()
-        key = tuple(counts.get(m, 0) for m in range(1, b + 1))
+        key = tuple(lam.parts.count(m) for m in range(1, b + 1))
         projected[key] = projected.get(key, 0) + p
     joint = joint_cycle_pmf(theta, n, b)
     assert {k: p for k, p in joint.items() if p} == {k: p for k, p in projected.items() if p}
@@ -273,7 +271,7 @@ def test_expected_counts_match_brute_force():
     counts = expected_cycle_counts(theta, n)
     type_pmf, _ = brute_force_cycle_type_pmf(theta, n)
     for m in (1, 2, 5):
-        mean = sum(p * lam.cycle_counts().get(m, 0) for lam, p in type_pmf.items())
+        mean = sum(p * lam.parts.count(m) for lam, p in type_pmf.items())
         assert counts[m - 1] == mean
 
 

@@ -15,8 +15,7 @@ from cyclemeter.errors import DegenerateMeasureError, ResourceError, UsageError
 from cyclemeter.measure import WeightSequence
 from cyclemeter.partitions import (Partition, brute_force_cycle_type_pmf,
                                    brute_force_k_pmf,
-                                   brute_force_normalization,
-                                   enumerate_partitions, z_of)
+                                   brute_force_normalization)
 
 
 def pentagonal_partition_counts(n_max):
@@ -44,15 +43,15 @@ def pentagonal_partition_counts(n_max):
 def test_partition_counts_match_pentagonal_recurrence():
     counts = pentagonal_partition_counts(45)
     for n in (0, 1, 2, 5, 10, 20, 35, 45):
-        assert len(enumerate_partitions(n)) == counts[n]
+        assert len(partitions._partition_table(n)) == counts[n]
 
 
 def test_p_of_ten():
-    assert len(enumerate_partitions(10)) == 42
+    assert len(partitions._partition_table(10)) == 42
 
 
 def test_descending_lex_order():
-    parts = [lam.parts for lam in enumerate_partitions(5)]
+    parts = [row[0] for row in partitions._partition_table(5)]
     assert parts == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
                      (2, 1, 1, 1), (1, 1, 1, 1, 1)]
 
@@ -78,14 +77,13 @@ def test_partition_table_equals_recursive_reference():
 
 
 def test_z_values_s3():
-    assert z_of(Partition((3,))) == 3
-    assert z_of(Partition((2, 1))) == 2
-    assert z_of(Partition((1, 1, 1))) == 6
+    z = {parts: z for parts, z, _ in partitions._partition_table(3)}
+    assert z == {(3,): 3, (2, 1): 2, (1, 1, 1): 6}
 
 
 def test_class_sizes_cover_group():
     for n in range(1, 13):
-        total = sum(Fraction(1, z_of(lam)) for lam in enumerate_partitions(n))
+        total = sum(Fraction(1, z) for _, z, _ in partitions._partition_table(n))
         assert total == 1
 
 
@@ -96,16 +94,9 @@ def test_partition_validation():
         Partition((2, 0))
 
 
-def test_cycle_counts():
-    lam = Partition((3, 2, 2, 1))
-    assert lam.cycle_counts() == {3: 1, 2: 2, 1: 1}
-    assert lam.size == 8
-    assert lam.length == 4
-
-
 def test_enumeration_cap():
     with pytest.raises(ResourceError):
-        enumerate_partitions(81)
+        partitions._partition_table(81)
 
 
 def test_uniform_measure_class_probabilities():
