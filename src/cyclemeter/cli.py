@@ -31,9 +31,8 @@ from .diagnostics import (clt_report, dumps_csv, dumps_deterministic,
                           report_rows)
 from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
                      ResourceError, UnsupportedClassError, UsageError)
-from .generalized import (GeneralizedWeights, generalized_joint_cycle_pmf,
-                          generalized_normalization,
-                          generalized_total_cycles_pmf)
+from .generalized import (GeneralizedWeights, exp_polynomial_joint_cycle_pmf,
+                          exp_polynomial_normalization, exp_polynomial_total_cycles_pmf)
 from .measure import (joint_cycle_pmf, normalization_constants, sample_cycle_type_parts,
                       sample_permutation, total_cycles_pmf)
 from .partitions import (brute_force_cycle_counts_pmf,
@@ -132,12 +131,12 @@ def _parse_grid(args) -> list:
 
 
 def _measure(handle: WeightFamily) -> tuple:
-    """(weights, normalization, K law, joint law, K oracle, counts oracle) of
-    a family.  The functions are read from this module at call time, so a
-    wrapper installed on a module attribute takes effect."""
+    """(weights, normalization, K law, joint law, K oracle, counts oracle) of a
+    family; the catalog's one generalized family is exp-poly.  The functions are
+    read from this module at call time, so a wrapper installed there takes effect."""
     if isinstance(handle.weights, GeneralizedWeights):
-        return (handle.weights, generalized_normalization, generalized_total_cycles_pmf,
-                generalized_joint_cycle_pmf, brute_force_generalized_k_pmf,
+        return (handle.weights, exp_polynomial_normalization, exp_polynomial_total_cycles_pmf,
+                exp_polynomial_joint_cycle_pmf, brute_force_generalized_k_pmf,
                 brute_force_generalized_cycle_counts_pmf)
     return (handle.weights, normalization_constants, total_cycles_pmf, joint_cycle_pmf,
             brute_force_k_pmf, brute_force_cycle_counts_pmf)

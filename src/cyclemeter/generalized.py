@@ -16,11 +16,11 @@ measure, which the tests exploit as an exact reduction identity.
 
 Two concrete constructions:
 
-* exp_polynomial_weights: F_m(k) = k! [x^k] exp(theta x + sum b_j x^j),
-  the same A for every m.  Then EG(F_m, x) = exp(P(x)) identically, so
-  sum h_n t^n = exp(-theta log(1-t) + sum_j b_j Li_j(t^j)); the package
-  exposes that second route as exp_polynomial_log_series for a two-path
-  identity check.  Class F(1, theta) with K = sum_j b_j zeta(j).
+* exp_polynomial_weights: F_m(k) = k! [x^k] exp(theta x + sum b_j x^j)
+  for every m, so prod_m EG(F_m, w t^m/m) = exp(sum_j b_j w^j sum_i
+  t^{ij}/i^j), w marking cycles.  The exp_polynomial_* laws the CLI runs
+  are ts_exp and bv_exp_wg of that log-series (exp_polynomial_log_series
+  at w = 1), not the lattice.  Class F(1, theta) with K = sum_j b_j zeta(j).
 * spatial models: a cycle of length m carries e^{-alpha} times a sum
   of mode factors e^{-eps_k m}, multiplicatively over cycles.  That is
   again a plain weighted measure with effective weights
@@ -37,33 +37,29 @@ from typing import Callable, Optional, Sequence
 
 from .asymptotics import SingularityClass
 from .errors import UsageError
-from .measure import WeightSequence, _h_or_degenerate, _joint_pmf
+from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _k_pmf
 from .pmf import Pmf
-from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_fraction, to_kind
+from .series import EXACT, TruncatedSeries, bv_exp_wg, check_kind, to_fraction, to_kind, ts_exp
 
 
 class GeneralizedWeights:
-    """Per-multiplicity weights F_m(k) > 0 with F_m(0) = 1."""
+    """Weights F_m(k) > 0 per multiplicity, F_m(0) = 1; exp_polynomial_weights sets poly."""
 
     def __init__(self, eval_fn: Callable[[int, int], float], name: str = "custom",
-                 exact_fn: Optional[Callable[[int, int], Fraction]] = None):
+                 exact_fn: Optional[Callable[[int, int], Fraction]] = None,
+                 poly: Optional[dict] = None):
         if not callable(eval_fn):
             raise UsageError("eval_fn must be callable")
         self._eval = eval_fn
         self._exact = exact_fn
         self.name = name
+        self.poly = poly
 
     @classmethod
     def from_theta(cls, theta: WeightSequence) -> "GeneralizedWeights":
         """The reduction F_m(k) = theta_m^k (requires theta_m > 0)."""
-
-        def eval_fn(m: int, k: int) -> float:
-            return theta.theta(m) ** k
-
-        def exact_fn(m: int, k: int) -> Fraction:
-            return theta.theta_exact(m) ** k
-
-        return cls(eval_fn, name=f"power({theta.name})", exact_fn=exact_fn)
+        return cls(lambda m, k: theta.theta(m) ** k, name=f"power({theta.name})",
+                   exact_fn=lambda m, k: theta.theta_exact(m) ** k)
 
     def value(self, m: int, k: int) -> float:
         self._check(m, k)
@@ -84,8 +80,8 @@ class GeneralizedWeights:
         if self._exact is None:
             return Fraction(self.value(m, k))
         v = to_fraction(self._exact(m, k))
-        if v <= 0:
-            raise UsageError(f"F_{m}({k}) = {v} must be > 0")
+        if v <= 0:  # not printed: an exact F(k) can have thousands of digits
+            raise UsageError(f"F_{m}({k}) is {'0' if v == 0 else 'negative'}; it must be > 0")
         return v
 
     def at(self, m: int, k: int, kind: str):
@@ -203,9 +199,7 @@ def generalized_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
     final = _eg_product(fweights, range(1, n + 1), n, backend, marked=True)[n * (n + 1):]
-    hn = _h_or_degenerate(sum(final), n)
-    mass = {k: final[k] / hn for k in range(1, n + 1)}
-    return Pmf(mass, tol=pmf_tol(backend))
+    return _k_pmf(final, n, backend)
 
 
 # -- exponential-polynomial family ------------------------------------------
@@ -234,32 +228,70 @@ def exp_polynomial_weights(theta, higher: dict) -> GeneralizedWeights:
             table.append(sum(jb * math.perm(i, d) * table[i - d] for d, jb in terms if d <= i))
         return table[k]
 
-    def eval_fn(m: int, k: int) -> float:
-        return float(exact_fn(m, k))
-
     name = "exp-poly(" + ",".join(f"{j}:{c}" for j, c in sorted(poly.items())) + ")"
-    return GeneralizedWeights(eval_fn, name=name, exact_fn=exact_fn)
+    return GeneralizedWeights(lambda m, k: float(exact_fn(m, k)), name=name,
+                              exact_fn=exact_fn, poly=poly)
 
 
 def exp_polynomial_log_series(theta, higher: dict, order: int,
                               backend: str = EXACT) -> TruncatedSeries:
-    """log of the normalization generating function of the exp-polynomial
-    family, assembled directly:
-
-        theta * sum_m t^m/m  +  sum_j b_j sum_i t^{ij} / i^j.
-
-    ts_exp of this must reproduce generalized_normalization exactly.
-    """
+    """log of the exp-polynomial normalization generating function,
+    theta sum_m t^m/m + sum_j b_j sum_i t^{ij}/i^j, whose ts_exp equals
+    generalized_normalization: the engine of exp_polynomial_normalization."""
     check_kind(backend)
-    theta_f = to_fraction(theta)
+    return _poly_series({1: theta, **higher}, order, backend)
+
+
+def _poly_series(poly: dict, order: int, backend: str, above: int = 0) -> TruncatedSeries:
+    """sum_j b_j sum_{i > above} t^{ij} / i^j to t^order, for poly = {j: b_j}."""
     coeffs = [to_kind(0, backend)] * (order + 1)
-    for m in range(1, order + 1):
-        coeffs[m] += to_kind(theta_f / m, backend)
-    for j, b in higher.items():
-        b_f = to_fraction(b)
-        for i in range(1, order // j + 1):
-            coeffs[i * j] += to_kind(b_f / Fraction(i) ** j, backend)
+    for j, b in poly.items():
+        for i in range(above + 1, order // j + 1):
+            coeffs[i * j] += to_kind(to_fraction(b) / Fraction(i) ** j, backend)
     return TruncatedSeries(coeffs, backend)
+
+
+def _checked_poly(fweights: GeneralizedWeights, n: int, least: int = 0) -> dict:
+    """fweights.poly, once F(k) > 0 holds for k <= n on exact rationals."""
+    if fweights.poly is None:
+        raise UsageError(f"{fweights!r} has no exp-polynomial form")
+    if not isinstance(n, int) or n < least:
+        raise UsageError(f"n must be an integer >= {least}, got {n!r}")
+    for k in range(1, n + 1):
+        fweights.value_exact(1, k)
+    return fweights.poly
+
+
+def exp_polynomial_normalization(fweights: GeneralizedWeights, n_max: int,
+                                 backend: str = EXACT) -> list:
+    """generalized_normalization of exp-polynomial weights: ts_exp of the log-series."""
+    check_kind(backend)
+    return list(ts_exp(_poly_series(_checked_poly(fweights, n_max), n_max, backend)).coeffs)
+
+
+def exp_polynomial_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
+                                    backend: str = EXACT) -> Pmf:
+    """generalized_total_cycles_pmf of exp-polynomial weights, by bv_exp_wg."""
+    check_kind(backend)
+    poly = _checked_poly(fweights, n, 1)
+    gs = [_poly_series({j: poly.get(j, 0)}, n, backend) for j in range(1, max(poly) + 1)]
+    return _k_pmf(bv_exp_wg(*gs)[n], n, backend)
+
+
+def exp_polynomial_joint_cycle_pmf(fweights: GeneralizedWeights, n: int, b: int,
+                                   backend: str = EXACT) -> Pmf:
+    """generalized_joint_cycle_pmf of exp-polynomial weights: the factors
+    F(c)/(c! m^c), rounded once, and ts_exp of the log-series past b as tail."""
+    check_kind(backend)
+
+    def tables():
+        poly = _checked_poly(fweights, n)
+        tail, full = (ts_exp(_poly_series(poly, n, backend, above)).coeffs for above in (b, 0))
+        factors = [[to_kind(v, backend) for v in _factor_coeffs(fweights, m, n // m, EXACT)]
+                   for m in range(1, b + 1)]
+        return factors, tail, _h_or_degenerate(full[n], n)
+
+    return _joint_pmf(n, b, backend, tables)
 
 
 # -- spatial models ----------------------------------------------------------

@@ -252,13 +252,14 @@ def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
     n_max = max(ns)
     g = weight_log_series(theta, n_max, backend)
     rows = bv_exp_wg(g)
-    out = {}
-    for n in ns:
-        row = rows[n][: n + 1]
-        hn = _h_or_degenerate(sum(row) if backend == EXACT else float(row.sum()), n)
-        mass = {k: row[k] / hn for k in range(1, n + 1)}
-        out[n] = Pmf(mass, tol=pmf_tol(backend))
-    return out
+    return {n: _k_pmf(rows[n], n, backend) for n in ns}
+
+
+def _k_pmf(row, n: int, backend: str) -> Pmf:
+    """Law of K_n from the w-coefficients of [t^n]; numpy sums a numpy row."""
+    row = row[: n + 1]
+    hn = _h_or_degenerate(float(row.sum()) if hasattr(row, "sum") else sum(row), n)
+    return Pmf({k: row[k] / hn for k in range(1, n + 1)}, tol=pmf_tol(backend))
 
 
 def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -> list:

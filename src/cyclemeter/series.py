@@ -22,8 +22,8 @@ obtained by differentiating H = exp(G):
 
     n * H_n = sum_{k=1}^{n} k * G_k * H_{n-k}        (G_0 = 0, H_0 = 1)
 
-which is also the workhorse for the bivariate exp(w * G(t)) needed for
-cycle-count generating functions: the coefficient of t^n there is a
+which is also the workhorse for the bivariate exp(sum_j w^j G_j(t)), G_j
+vanishing below t^j, of cycle-count generating functions: its [t^n] is a
 polynomial in w of degree at most n, and bv_exp_wg returns one row of
 w-coefficients per t-order: tuples of length n + 1 (exact) or the rows
 of one square array, zero past degree n (double).
@@ -161,7 +161,7 @@ def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
         for n in range(1, n_max + 1):
             hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
         return TruncatedSeries(hr[::-1].tolist(), DOUBLE)
-    return TruncatedSeries([Fraction(nums[0], q) for nums, q in _exact_rows(g, 0)], EXACT)
+    return TruncatedSeries([Fraction(nums[0], q) for nums, q in _exact_rows((g,), 0)], EXACT)
 
 
 def ts_log(h: TruncatedSeries) -> TruncatedSeries:
@@ -189,50 +189,58 @@ def ts_log(h: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(g, EXACT)
 
 
-def bv_exp_wg(g: TruncatedSeries):
-    """exp(w * g(t)) truncated at t-order N, exact in w.
+def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries):
+    """exp(w * g(t) + w^2 * higher[0](t) + ...) truncated at t-order N, exact
+    in w; the w^j series must vanish below t^j.  Row n holds the
+    w-coefficients of [t^n], in the shape the module docstring gives, by the
+    recurrence of ts_exp with the w^j terms shifting earlier rows by j:
 
-    Row n holds the w-coefficients of [t^n], in the shape the module
-    docstring gives.  Same recurrence as ts_exp with every use of g_k
-    carrying one factor of w, so row n is built from shifted earlier rows:
-
-        n * H_n(w) = sum_k k*g_k * w * H_{n-k}(w)
+        n * H_n(w) = sum_j sum_k k*g_{j,k} * w^j * H_{n-k}(w)
     """
-    _require(isinstance(g, TruncatedSeries), "operand must be a TruncatedSeries")
-    _require(g.coeffs[0] == 0, "bv_exp_wg needs a vanishing constant term")
+    gs = (g, *higher)
+    for j, s in enumerate(gs, 1):
+        _check_pair(g, s)
+        _require(not any(s.coeffs[:j]), f"the w^{j} series must vanish below t^{j}")
     n_max = g.order
     if g.kind == DOUBLE:
         import numpy as np
-        kg = np.arange(n_max + 1, dtype=float) * np.asarray(g.coeffs)
+        kgs = [np.arange(n_max + 1, dtype=float) * np.asarray(s.coeffs) for s in gs]
         arr = np.zeros((n_max + 1, n_max + 1))
         arr[0, 0] = 1.0
         width = 1  # columns >= width are exact zeros in rows 0..n-1
         for n in range(1, n_max + 1):
-            s = kg[n:0:-1].dot(arr[0:n, 0:width])  # S[k] = sum_j kg[j] * arr[n-j, k]
-            arr[n, 1 : width + 1] = s / n
-            if arr[n, width] != 0:  # row n can open only column width
-                width += 1
+            # S[k] = sum_i kg[i] * arr[n-i, k]: one dot per row for w * g
+            arr[n, 1 : width + 1] = kgs[0][n:0:-1].dot(arr[0:n, 0:width]) / n
+            for j, kg in enumerate(kgs[1:n], 2):  # w^j, j <= n: rows 0..n-j reach column n-j
+                w = min(width, n - j + 1)
+                arr[n, j : j + w] += kg[n : j - 1 : -1].dot(arr[0 : n - j + 1, 0:w]) / n
+            top = min(width + len(kgs) - 1, n)  # row n can open only columns width..top
+            while top >= width and arr[n, top] == 0:
+                top -= 1
+            width = top + 1
         return arr
-    return [tuple(Fraction(v, q) for v in nums) for nums, q in _exact_rows(g, 1)]
+    return [tuple(Fraction(v, q) for v in nums) for nums, q in _exact_rows(gs, 1)]
 
 
-def _exact_rows(g: TruncatedSeries, shift: int) -> list:
-    """Rows n = 0..N of exp(w^shift * g) as (numerators, q), Python ints
-    with [t^n] = sum_i numerators[i] w^i / q.  With k*g_k = a_k/d_k, row n
-    lies over L = lcm_k d_k*q_{n-k}; one gcd pass divides out what n*L
-    shares with its numerators."""
-    # keep only nonzero terms of g; tails of sparse polynomials stay cheap
-    terms = [(k, (k * gk).numerator, (k * gk).denominator)
-             for k, gk in enumerate(g.coeffs) if k and gk]
-    rows = [([1], 1)]
-    for n in range(1, len(g.coeffs)):
-        live = [(a, d, rows[n - k]) for k, a, d in terms if k <= n]
-        big = math.lcm(*[d * q for _, d, (_, q) in live])
+def _exact_rows(gs: tuple, shift: int) -> list:
+    """Rows n = 0..N of exp(sum_j w^{shift+j} gs[j]) (shift 0 or 1) as Python
+    ints (numerators, q), [t^n] = sum_i numerators[i] w^i / q.  With k*g_{j,k}
+    = a/d, row n lies over n*e*Q_n, Q_n = lcm(q_0..q_{n-1}) and e the least
+    factor with every d*q_{n-k} | e*Q_n; one gcd pass reduces the row."""
+    # keep only nonzero terms; tails of sparse polynomials stay cheap
+    terms = [(k, j, (k * gk).numerator, (k * gk).denominator)
+             for j, s in enumerate(gs, shift) for k, gk in enumerate(s.coeffs) if k and gk]
+    rows, big_q = [([1], 1)], 1
+    for n in range(1, len(gs[0].coeffs)):
+        big_q = math.lcm(big_q, rows[-1][1])
+        live = [(j, a, d, prev, big_q // q) for k, j, a, d in terms if k <= n
+                for prev, q in [rows[n - k]]]
+        e = math.lcm(*[d // math.gcd(d, r) for _, _, d, _, r in live])
         acc = [0] * (shift * n + 1)
-        for a, d, (prev, q) in live:
-            c = a * (big // (d * q))
-            for i, v in enumerate(prev, shift):
+        for j, a, d, prev, r in live:
+            c = a * (r * e // d)
+            for i, v in enumerate(prev, j):
                 acc[i] += c * v
-        div = math.gcd(n * big, *acc)
-        rows.append(([v // div for v in acc], n * big // div))
+        div = math.gcd(n * e * big_q, *acc)
+        rows.append(([v // div for v in acc], n * e * big_q // div))
     return rows

@@ -302,6 +302,37 @@ def test_exp_poly_dist(capsys):
     assert doc["mass"] == ["1/4", "11/24", "1/4", "1/24"]
 
 
+def test_exp_poly_double_with_F_outside_the_double_range(capsys):
+    # F(679) underflows a double for theta = 1/3, yet its share of h_700 is
+    # negligible; with no b_j, h_n = prod_{k<=n} (k - 1 + theta) / k.
+    code, out, err = run_cli(capsys, "hn", "--family", "exp-poly", "--theta", "1/3",
+                             "--n", "700", "--backend", "double")
+    assert (code, err) == (EXIT_OK, "")
+    exact = math.prod(Fraction(3 * k - 2, 3 * k) for k in range(1, 701))
+    assert abs(json.loads(out)["rows"][0]["h"] - float(exact)) <= 1e-12 * float(exact)
+
+
+def test_exp_poly_config_family_past_F_overflow(tmp_path, capsys):
+    # F(k) grows like sqrt(k!) for b2 = 1/4 and overflows a double at
+    # k = 333; h_400 does not.  A negative b2 makes F(417) < 0.
+    cfg = tmp_path / "families.ini"
+    cfg.write_text("[quad]\nkind = exp-poly\ntheta = 1\nb2 = 1/4\n\n"
+                   "[dip]\nkind = exp-poly\ntheta = 4\nb2 = -1/200\n")
+    code, out, err = run_cli(capsys, "hn", "--family", "quad", "--config", str(cfg),
+                             "--n", "400")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["backend"] == "double"
+    assert abs(doc["rows"][0]["h"] - 1.5067826189071292) <= 1e-12 * 1.5067826189071292
+    code, out, err = run_cli(capsys, "hn", "--family", "dip", "--config", str(cfg),
+                             "--n", "417")
+    assert code == EXIT_USAGE and out == ""
+    assert "F_1(417) is negative" in err
+    code, out, err = run_cli(capsys, "hn", "--family", "dip", "--config", str(cfg),
+                             "--n", "416")
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "hn", "--family", "ewens", "--theta", "1",

@@ -3,7 +3,10 @@ spatial models.
 
 Oracles: the weighted engine (for the F_m(k) = theta^k reduction), the
 generalized partition brute force, and the log-series identity that the
-exponential-polynomial family must satisfy by construction.
+exponential-polynomial family must satisfy by construction.  The
+exponential-polynomial laws run on the series kernels; the lattice
+product of the generalized measure and the partition brute force check
+them.
 """
 
 import math
@@ -15,7 +18,10 @@ from hypothesis import strategies as st
 
 from cyclemeter.errors import DegenerateMeasureError, UsageError
 from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
-                                    eg_series, exp_polynomial_log_series,
+                                    eg_series, exp_polynomial_joint_cycle_pmf,
+                                    exp_polynomial_log_series,
+                                    exp_polynomial_normalization,
+                                    exp_polynomial_total_cycles_pmf,
                                     exp_polynomial_weights,
                                     generalized_joint_cycle_pmf,
                                     generalized_normalization,
@@ -24,7 +30,8 @@ from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
                                     spatial_effective_weights)
 from cyclemeter.measure import (WeightSequence, joint_cycle_pmf,
                                 normalization_constants, total_cycles_pmf)
-from cyclemeter.partitions import (brute_force_generalized_cycle_type_pmf,
+from cyclemeter.partitions import (brute_force_generalized_cycle_counts_pmf,
+                                   brute_force_generalized_cycle_type_pmf,
                                    brute_force_generalized_k_pmf,
                                    brute_force_generalized_normalization)
 from cyclemeter.series import TruncatedSeries, ts_exp
@@ -209,3 +216,75 @@ def test_double_lattice_matches_exact(theta, b2):
     double_k = generalized_total_cycles_pmf(fw, 120, "double")
     for k in range(1, 121):
         assert abs(double_k[k] - float(exact_k[k])) <= 1e-12 * float(exact_k[k])
+
+
+# A negative b2 (F(k) > 0 up to k = 416), a degree-5 term, and a cubic.
+EXP_POLYS = [
+    (Fraction(4), {2: Fraction(-1, 200)}),
+    (Fraction(1, 3), {2: Fraction(1, 2), 5: Fraction(1, 7)}),
+    (Fraction(1), {2: Fraction(1, 4), 3: Fraction(2, 3)}),
+]
+
+
+@pytest.mark.parametrize("theta, higher", EXP_POLYS)
+def test_exp_polynomial_routes_equal_lattice(theta, higher):
+    # ts_exp of the log-series, bv_exp_wg of its w^j parts, and the ts_exp
+    # tail of the joint law give the lattice product's Fractions.
+    fw = exp_polynomial_weights(theta, higher)
+    assert exp_polynomial_normalization(fw, 200) == generalized_normalization(fw, 200)
+    for n in (1, 2, 13, 60):
+        assert exp_polynomial_total_cycles_pmf(fw, n) == generalized_total_cycles_pmf(fw, n)
+    for b in (1, 2, 3):
+        assert exp_polynomial_joint_cycle_pmf(fw, 60, b) == generalized_joint_cycle_pmf(fw, 60, b)
+
+
+@pytest.mark.parametrize("theta, higher", EXP_POLYS)
+def test_exp_polynomial_double_routes_match_exact(theta, higher):
+    fw = exp_polynomial_weights(theta, higher)
+
+    def close(double, exact):
+        return abs(double - float(exact)) <= 1e-12 * float(exact)
+
+    exact = exp_polynomial_normalization(fw, 200)
+    double = exp_polynomial_normalization(fw, 200, "double")
+    assert all(map(close, double, exact))
+    exact_k = exp_polynomial_total_cycles_pmf(fw, 60)
+    double_k = exp_polynomial_total_cycles_pmf(fw, 60, "double")
+    assert all(close(double_k[k], p) for k, p in exact_k.items())
+    for b in (1, 3):
+        exact_j = exp_polynomial_joint_cycle_pmf(fw, 60, b)
+        double_j = exp_polynomial_joint_cycle_pmf(fw, 60, b, "double")
+        assert double_j.support() == exact_j.support()
+        assert all(close(double_j[key], p) for key, p in exact_j.items())
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_exp_polynomial_routes_match_oracle(data):
+    # Random positive rational theta and b_j of random degrees up to 6.
+    n = data.draw(st.integers(1, 12))
+    b = data.draw(st.integers(1, min(3, n)))
+    ratio = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+    degrees = data.draw(st.sets(st.integers(2, 6), max_size=3))
+    fw = exp_polynomial_weights(data.draw(ratio), {j: data.draw(ratio) for j in sorted(degrees)})
+    assert exp_polynomial_normalization(fw, n)[n] == brute_force_generalized_normalization(fw, n)
+    assert exp_polynomial_total_cycles_pmf(fw, n) == brute_force_generalized_k_pmf(fw, n)
+    joint = exp_polynomial_joint_cycle_pmf(fw, n, b)
+    assert ({key: p for key, p in joint.items() if p}
+            == dict(brute_force_generalized_cycle_counts_pmf(fw, n, b).items()))
+
+
+def test_exp_polynomial_routes_check_F_exactly():
+    # F(417) < 0 for theta = 4, b2 = -1/200: every route refuses n = 417
+    # on exact rationals, in either kind, and accepts n = 416.
+    fw = exp_polynomial_weights(4, {2: Fraction(-1, 200)})
+    for backend in ("exact", "double"):
+        with pytest.raises(UsageError, match=r"F_1\(417\) is negative"):
+            exp_polynomial_normalization(fw, 417, backend)
+    with pytest.raises(UsageError, match=r"F_1\(417\)"):
+        exp_polynomial_total_cycles_pmf(fw, 417, "double")
+    with pytest.raises(UsageError, match=r"F_1\(417\)"):
+        exp_polynomial_joint_cycle_pmf(fw, 417, 1, "double")
+    assert exp_polynomial_normalization(fw, 416, "double")[416] > 0
+    with pytest.raises(UsageError, match="no exp-polynomial form"):
+        exp_polynomial_normalization(GeneralizedWeights(lambda m, k: 1.0), 3)

@@ -5,9 +5,9 @@ A module's imports may be read anywhere in its file, a function's only in
 that function's body.  __init__.py is skipped: its imports are the
 package's re-exports.  numpy is imported inside the functions that do
 double arithmetic, sample or run the generalized lattice, so the package,
-the CLI module and exact commands of weighted families never load it;
-each of those runs in a fresh interpreter.  json is imported only by the
-serializer's int-row branch, so the CLI module starts without it.
+the CLI module and exact commands of weighted and exp-poly families never
+load it; each of those runs in a fresh interpreter.  json is imported only
+by the serializer's int-row branch, so the CLI module starts without it.
 """
 
 import ast
@@ -87,6 +87,7 @@ def _cli(*argv) -> str:
 
 
 EWENS = ("--family", "ewens", "--theta", "1/2")
+EXP_POLY = ("--family", "exp-poly", "--theta", "1/2")
 
 
 @pytest.mark.parametrize("code", [
@@ -97,8 +98,13 @@ EWENS = ("--family", "ewens", "--theta", "1/2")
     _cli("dist", *EWENS, "--n", "12", "--oracle"),
     _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "12"),
     _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "10", "--oracle"),
+    _cli("hn", *EXP_POLY, "--n", "30"),
+    _cli("dist", *EXP_POLY, "--n", "20"),
+    _cli("dist", *EXP_POLY, "--n", "12", "--oracle"),
+    _cli("dist", *EXP_POLY, "--target", "cycles", "--b", "2", "--n", "12"),
 ], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles",
-        "dist-cycles-oracle"])
+        "dist-cycles-oracle", "exp-poly-hn", "exp-poly-dist", "exp-poly-dist-oracle",
+        "exp-poly-dist-cycles"])
 def test_exact_paths_do_not_load_numpy(code):
     res = _loads(code)
     assert res.returncode == 0, res.stderr

@@ -6,6 +6,7 @@ ts_mul with hand convolution, and the dense full-triangle loop that the
 double bv_exp_wg must reproduce while reading only its live w-band.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -127,14 +128,17 @@ def weight_series(theta, order):
     return TruncatedSeries([0.0] + [theta(m) / m for m in range(1, order + 1)], DOUBLE)
 
 
-def dense_bv_exp_wg(g):
-    # The full-triangle recurrence: every row reads all n earlier columns.
-    n_max = g.order
-    kg = np.arange(n_max + 1) * np.asarray(g.coeffs)
+def dense_bv_exp_wg(*gs):
+    # The full-triangle recurrence of exp(sum_j w^j gs[j-1]): the w^j term
+    # of every row reads all columns of the rows n-k, k >= j.
+    n_max = gs[0].order
     arr = np.zeros((n_max + 1, n_max + 1))
     arr[0, 0] = 1.0
     for n in range(1, n_max + 1):
-        arr[n, 1 : n + 1] = kg[n:0:-1].dot(arr[0:n, 0:n]) / n
+        for j, g in enumerate(gs, 1):
+            kg = np.arange(n_max + 1) * np.asarray(g.coeffs)
+            if j <= n:
+                arr[n, j : n + 1] += kg[n : j - 1 : -1].dot(arr[0 : n - j + 1, 0 : n - j + 1]) / n
     return arr
 
 
@@ -178,3 +182,45 @@ def test_log_exp_round_trip_double(theta):
     assert back[0] == 0.0
     for a, b in zip(back[1:], g.coeffs[1:]):
         assert abs(a - b) <= 1e-13 * b
+
+
+def poly_part(b, j, order):
+    # b * sum_i t^{ij} / i^j: the w^j part of an exp-polynomial log-series.
+    coeffs = [0.0] * (order + 1)
+    for i in range(1, order // j + 1):
+        coeffs[i * j] = b / i**j
+    return TruncatedSeries(coeffs, DOUBLE)
+
+
+@pytest.mark.parametrize("parts", [
+    {1: 1.0, 2: 0.25}, {1: 0.5, 3: 2.0}, {1: 4.0, 2: -0.005}, {1: 1 / 3, 2: 0.5, 5: 1 / 7},
+], ids=["b2", "b3-gap", "negative-b2", "b2-b5"])
+def test_bivariate_higher_degrees_band_matches_dense(parts):
+    # Each w^j term reads the live band of the rows it reaches, shifted by j.
+    order = 400
+    gs = [poly_part(parts.get(j, 0.0), j, order) for j in range(1, max(parts) + 1)]
+    ref = dense_bv_exp_wg(*gs)
+    got = bv_exp_wg(*gs)
+    assert got.shape == ref.shape
+    assert np.all(got[ref == 0] == 0)
+    normal = np.abs(ref) >= 1e-250
+    err = np.abs(got - ref)
+    assert np.all(err[normal] <= 1e-12 * np.abs(ref[normal]))
+    assert np.all(err[~normal] <= 1e-250)
+
+
+def test_bivariate_higher_degrees_exact_rows():
+    # exp(w t + w^2 t^3/3): row n is sum_c w^{n-c} / ((n-3c)! c! 3^c), by
+    # counting the (w t)-terms and the (w^2 t^3/3)-terms of a product.
+    g1 = TruncatedSeries([0, 1] + [0] * 8, EXACT)
+    g2 = TruncatedSeries([0, 0, 0, Fraction(1, 3)] + [0] * 6, EXACT)
+    rows = bv_exp_wg(g1, g2)
+    for n in range(10):
+        want = [Fraction(0)] * (n + 1)
+        for c in range(n // 3 + 1):
+            want[n - c] += Fraction(1, math.factorial(n - 3 * c) * math.factorial(c) * 3**c)
+        assert rows[n] == tuple(want)
+    with pytest.raises(UsageError, match="w\\^2 series must vanish below t\\^2"):
+        bv_exp_wg(g1, g1)
+    with pytest.raises(UsageError):
+        bv_exp_wg(g1, TruncatedSeries([0, 0, 1], EXACT))
