@@ -13,7 +13,10 @@ Distances:
 Infinite reference laws are truncated once their cumulative mass is
 within 1e-15 of 1; the discarded tail is carried on the Pmf and added to
 every distance as an upper-bound correction, so reported values are
-honest upper estimates.
+honest upper estimates.  The clt, poisson-k and large-dev laws of K_n
+are truncated the same way, at the K_TAIL certified by
+total_cycles_pmf_many; mod-poisson keeps every atom, as its references
+pin that kernel's rounding.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .pmf import Pmf
 from .specfun import normal_cdf, poisson_pmf
 
 POISSON_TAIL = 1e-15
+K_TAIL = 1e-18  # mass a report's K_n law may leave out, far below double resolution
 _POISSON_LAM_MAX = 1e7  # about lam atoms are tabulated, some 10 s at this size
 
 
@@ -234,7 +238,7 @@ def clt_report(family: WeightFamily, n_values: Sequence[int]) -> list:
     if cls.theta <= 0:
         raise UsageError("CLT normalization needs theta > 0")
     ns = _check_grid(n_values)
-    pmfs = total_cycles_pmf_many(family.weights, ns, backend="double")
+    pmfs = total_cycles_pmf_many(family.weights, ns, "double", max_tail=K_TAIL)
     primary = []
     alt = []
     for n in ns:
@@ -272,7 +276,7 @@ def poisson_k_approx_report(family: WeightFamily, n_values: Sequence[int]) -> li
     if cls.theta <= 0:
         raise UsageError("Poisson approximation needs theta > 0")
     ns = _check_grid(n_values)
-    pmfs = total_cycles_pmf_many(family.weights, ns, backend="double")
+    pmfs = total_cycles_pmf_many(family.weights, ns, "double", max_tail=K_TAIL)
     loc_values = []
     kol_values = []
     for n in ns:
@@ -294,18 +298,26 @@ def large_deviation_table(family: WeightFamily, n: int, k: Optional[int] = None,
     """Sharp tail estimate vs the exact P[K_n = k] at one (n, k).
 
     k defaults to round(E[K_n] + sigmas * sd), a point out in the upper
-    tail; pass k explicitly to pin the evaluation spot instead.
+    tail; pass k explicitly to pin the evaluation spot instead.  The law
+    of K_n is truncated at K_TAIL, keeping its atoms through k.
     """
     cls = family.require_class()
     if cls.theta <= 0:
         raise UsageError("large-deviation estimate needs theta > 0")
-    pmf = total_cycles_pmf_many(family.weights, [n], backend="double")[n]
+
+    def law(keep_k: int) -> Pmf:
+        return total_cycles_pmf_many(family.weights, [n], "double", max_tail=K_TAIL,
+                                     keep_k=keep_k)[n]
+
+    pmf = law(k if k is not None and 1 <= k <= n else 0)
     mean = float(pmf.mean())
     sd = math.sqrt(float(pmf.variance()))
     if k is None:
         k = int(round(mean + sigmas * sd))
     if not 1 <= k <= n:
         raise UsageError(f"k = {k} outside support 1..{n}")
+    if k not in pmf:  # a default k past the certified columns
+        pmf = law(k)
     est = large_deviation_estimate(cls.theta, cls.K, n, k)
     exact = float(pmf[k])
     rel = abs(est.estimate - exact) / exact if exact > 0 else math.inf

@@ -16,6 +16,10 @@ Laws provided exactly (rational or double backend):
 * joint_cycle_pmf          -- law of (C_1, ..., C_b), tuples in lexicographic order;
 * joint_cycle_columns      -- its double law as numpy columns (sum left to right);
 * total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
+* total_cycles_pmf_many    -- laws of K_n along a grid of n, in the double
+                              backend optionally cut where a certified
+                              tail bound is reached: w-columns 0..k_max - 1
+                              of exp(w g), not the (n+1)^2 triangle;
 * expected_cycle_counts    -- E[C_m] = (theta_m/m) h_{n-m}/h_n.
 
 Sampling draws cycle lengths one by one: with s points left, the next
@@ -43,6 +47,7 @@ from .series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, check_kind,
                      pmf_tol, to_fraction, to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
+_CHERNOFF_X = (2.0, 4.0, 8.0)  # the points x of _certified_cols' bound
 
 
 class WeightSequence:
@@ -238,28 +243,73 @@ def total_cycles_pmf(theta: WeightSequence, n: int, backend: str = EXACT) -> Pmf
 
 
 def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
-                          backend: str = EXACT) -> dict:
+                          backend: str = EXACT, max_tail: Optional[float] = None,
+                          keep_k: int = 0) -> dict:
     """Laws of K_n for several n from one bivariate computation.
 
     The coefficient rows of exp(w*g(t)) at every t-order up to max(n)
     are produced by a single triangular recurrence, so asking for a grid
     of n values costs the same as asking for the largest one.
+
+    Given max_tail (double only), it keeps the w-columns 0..k_max - 1 and
+    no more, k_max > keep_k the least k with P(K_n >= k) <= max_tail for
+    every n of the grid by the Chernoff bound of _certified_cols.  Each
+    law then holds atoms 1..min(n, k_max - 1), normalized by their own
+    sum, with that bound as its tail_bound: O(n * k_max) work and memory
+    instead of the (n+1)^2 triangle.
     """
     check_kind(backend)
     ns = list(n_values)
     if not ns or any((not isinstance(n, int)) or n < 1 for n in ns):
         raise UsageError(f"n values must be positive integers, got {n_values!r}")
+    if max_tail is not None and not (backend == DOUBLE and 0 < max_tail < 1):
+        raise UsageError(f"a truncated K_n law needs the double backend and "
+                         f"0 < max_tail < 1, got {backend!r} and {max_tail!r}")
     n_max = max(ns)
     g = weight_log_series(theta, n_max, backend)
-    rows = bv_exp_wg(g)
-    return {n: _k_pmf(rows[n], n, backend) for n in ns}
+    if max_tail is None:
+        rows = bv_exp_wg(g)
+        return {n: _k_pmf(rows[n], n, backend) for n in ns}
+    cols, bounds = _certified_cols(g, ns, max_tail, keep_k)
+    rows = bv_exp_wg(g, cols=cols)
+    return {n: _k_pmf(rows[n], n, backend, bounds[n]) for n in ns}
 
 
-def _k_pmf(row, n: int, backend: str) -> Pmf:
-    """Law of K_n from the w-coefficients of [t^n]; numpy sums a numpy row."""
+def _certified_cols(g: TruncatedSeries, ns: list, max_tail: float, keep_k: int) -> tuple:
+    """(cols, {n: tail bound}): the w-columns that leave at most max_tail of
+    each law of K_n out, and the mass each law leaves out.  E[x^K_n] =
+    h_n(x)/h_n(1), h_n(x) = [t^n] exp(x g), so for x > 1
+
+        P(K_n >= k) <= x^-k * h_n(x) / h_n(1),
+
+    minimized over x in _CHERNOFF_X.  All N + 1 columns, and bounds 0,
+    when that k reaches N = max(n) or some h_n has no finite h_n(x)."""
+    import numpy as np
+    n_max = g.order
+    with np.errstate(all="ignore"):  # an overflowing h_n(x) only gives no bound
+        h = {x: ts_exp(TruncatedSeries([x * c for c in g.coeffs], DOUBLE)).coeffs
+             for x in (1.0, *_CHERNOFF_X)}
+    log_ratio = {n: {x: math.log(h[x][n] / h[1.0][n]) for x in _CHERNOFF_X
+                     if 0 < h[1.0][n] < math.inf and 0 < h[x][n] < math.inf}
+                 for n in ns}
+    if not all(log_ratio.values()):
+        return n_max + 1, dict.fromkeys(ns, 0.0)
+    need = max(keep_k + 1, *(min(math.ceil((r - math.log(max_tail)) / math.log(x))
+                                 for x, r in log_ratio[n].items()) for n in ns))
+    if need >= n_max:
+        return n_max + 1, dict.fromkeys(ns, 0.0)
+    return need, {n: 0.0 if need > n else
+                  min(math.exp(r - need * math.log(x)) for x, r in log_ratio[n].items())
+                  for n in ns}
+
+
+def _k_pmf(row, n: int, backend: str, tail_bound: float = 0.0) -> Pmf:
+    """Law of K_n from the w-coefficients of [t^n] (all of them, or the first
+    ones with tail_bound covering the rest); numpy sums a numpy row."""
     row = row[: n + 1]
     hn = _h_or_degenerate(float(row.sum()) if hasattr(row, "sum") else sum(row), n)
-    return Pmf({k: row[k] / hn for k in range(1, n + 1)}, tol=pmf_tol(backend))
+    return Pmf({k: row[k] / hn for k in range(1, len(row))}, tol=pmf_tol(backend),
+               tail_bound=tail_bound)
 
 
 def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -> list:

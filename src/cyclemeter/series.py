@@ -7,8 +7,10 @@ discards terms of order > N.  Two scalar kinds are supported:
 * ``"exact"``  -- fractions.Fraction coefficients, no rounding anywhere;
 * ``"double"`` -- float coefficients with numpy-backed recurrences that
   read forward slices and, in bv_exp_wg, only the live w-band: the leading
-  columns nonzero in some earlier row.  K_n concentrates near theta log n,
-  so past the double range the band is narrow and a row costs O(n * k_live).
+  columns nonzero in some earlier row, and at most a given number of them.
+  K_n concentrates near theta log n, so past the double range the band is
+  narrow and a row costs O(n * k_live); a column limit k_max keeps the
+  whole array at (N + 1) * k_max doubles.
 
 Binary operations require equal order and equal kind; callers pick the
 backend explicitly and keep it.  This module is also the one place that
@@ -26,7 +28,8 @@ which is also the workhorse for the bivariate exp(sum_j w^j G_j(t)), G_j
 vanishing below t^j, of cycle-count generating functions: its [t^n] is a
 polynomial in w of degree at most n, and bv_exp_wg returns one row of
 w-coefficients per t-order: tuples of length n + 1 (exact) or the rows
-of one square array, zero past degree n (double).
+of one (N + 1) x cols array holding degrees 0..cols - 1, zero past
+degree n (double; cols is N + 1 unless a smaller limit is asked for).
 
 The exact recurrences run on Python ints: each row (the scalar h_n, or
 the w-coefficients of [t^n]) is a list of integer numerators over one
@@ -38,9 +41,9 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .errors import UsageError
+from .errors import ResourceError, UsageError
 
 EXACT = "exact"
 DOUBLE = "double"
@@ -50,6 +53,10 @@ _KINDS = (EXACT, DOUBLE)
 # denominators grow with n, so exact K_n laws cost about 170x the double
 # ones at n = 200 and 1200x at n = 400 (Ewens 1/2).
 _AUTO_EXACT_MAX_N = 200
+
+# The double bv_exp_wg refuses an array larger than this, before allocating:
+# the full (N + 1)^2 triangle passes it from N = 11585 on (12.8 GB at 40000).
+BAND_BYTES_MAX = 1 << 30
 
 Scalar = Union[Fraction, float]
 
@@ -189,13 +196,18 @@ def ts_log(h: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(g, EXACT)
 
 
-def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries):
+def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] = None):
     """exp(w * g(t) + w^2 * higher[0](t) + ...) truncated at t-order N, exact
     in w; the w^j series must vanish below t^j.  Row n holds the
     w-coefficients of [t^n], in the shape the module docstring gives, by the
     recurrence of ts_exp with the w^j terms shifting earlier rows by j:
 
         n * H_n(w) = sum_j sum_k k*g_{j,k} * w^j * H_{n-k}(w)
+
+    The double kernel keeps only w-degrees below cols (default N + 1, all
+    of them); no kept coefficient depends on a dropped one.  It raises
+    ResourceError, before allocating, when the array would pass
+    BAND_BYTES_MAX bytes.  The exact kernel always returns every degree.
     """
     gs = (g, *higher)
     for j, s in enumerate(gs, 1):
@@ -203,18 +215,26 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries):
         _require(not any(s.coeffs[:j]), f"the w^{j} series must vanish below t^{j}")
     n_max = g.order
     if g.kind == DOUBLE:
+        cols = n_max + 1 if cols is None else cols
+        _require(isinstance(cols, int) and 1 <= cols <= n_max + 1,
+                 f"cols must be an integer in 1..{n_max + 1}, got {cols!r}")
+        if (n_max + 1) * cols * 8 > BAND_BYTES_MAX:
+            raise ResourceError(f"a {n_max + 1} x {cols} double array passes the "
+                                f"{BAND_BYTES_MAX} byte budget of bv_exp_wg")
         import numpy as np
         kgs = [np.arange(n_max + 1, dtype=float) * np.asarray(s.coeffs) for s in gs]
-        arr = np.zeros((n_max + 1, n_max + 1))
+        arr = np.zeros((n_max + 1, cols))
         arr[0, 0] = 1.0
         width = 1  # columns >= width are exact zeros in rows 0..n-1
         for n in range(1, n_max + 1):
             # S[k] = sum_i kg[i] * arr[n-i, k]: one dot per row for w * g
-            arr[n, 1 : width + 1] = kgs[0][n:0:-1].dot(arr[0:n, 0:width]) / n
-            for j, kg in enumerate(kgs[1:n], 2):  # w^j, j <= n: rows 0..n-j reach column n-j
-                w = min(width, n - j + 1)
+            w = min(width, cols - 1)
+            arr[n, 1 : w + 1] = kgs[0][n:0:-1].dot(arr[0:n, 0:w]) / n
+            # w^j, j <= n and j < cols: rows 0..n-j reach column n-j
+            for j, kg in enumerate(kgs[1 : min(n, cols - 1)], 2):
+                w = min(width, n - j + 1, cols - j)
                 arr[n, j : j + w] += kg[n : j - 1 : -1].dot(arr[0 : n - j + 1, 0:w]) / n
-            top = min(width + len(kgs) - 1, n)  # row n can open only columns width..top
+            top = min(width + len(kgs) - 1, n, cols - 1)  # row n opens only width..top
             while top >= width and arr[n, top] == 0:
                 top -= 1
             width = top + 1

@@ -15,7 +15,7 @@ import pytest
 from cyclemeter.asymptotics import (asymptotic_hn, ewens_family,
                                     large_deviation_estimate, lindelof_eval,
                                     polylog_family, theta_shift_family)
-from cyclemeter.diagnostics import (clt_report, d_K, d_loc,
+from cyclemeter.diagnostics import (K_TAIL, clt_report, d_K, d_loc,
                                     mod_poisson_report, poisson_vector_report,
                                     truncated_poisson)
 from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
@@ -44,8 +44,10 @@ GRID_N = (100, 300, 1000, 3000)
 def unit_weight_k_laws():
     # One bivariate recurrence at n = 3000 serves every row of the grid;
     # shared by the Poisson-approximation and large-deviation criteria.
+    # The laws stop where at most K_TAIL of mass is left, as in the
+    # reports; d_loc and d_K add that bound back.
     fam = ewens_family(1)
-    return total_cycles_pmf_many(fam.weights, list(GRID_N), backend="double")
+    return total_cycles_pmf_many(fam.weights, list(GRID_N), "double", max_tail=K_TAIL)
 
 
 def spatial_two_point():

@@ -289,6 +289,35 @@ def test_large_dev_k_spec_forms(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("spec, k", [("120", 120), ("auto+30sigma", 71)])
+def test_large_dev_k_past_the_certified_columns(capsys, spec, k):
+    # At n = 300 the certified law stops at k = 35; the columns are kept
+    # through a given k, or recomputed through a default one past them, so
+    # exact is the full band's atom there.
+    code, out, _ = run_cli(capsys, "report", "--family", "ewens", "--theta", "1",
+                           "--kind", "large-dev", "--n", "300", "--k", spec)
+    assert code == EXIT_OK
+    table = json.loads(out)["table"]
+    ref = total_cycles_pmf(ewens_family(1).weights, 300, "double")[k]
+    assert table["k"] == k
+    assert 0 < ref and abs(table["exact"] - ref) <= 1e-13 * ref
+
+
+def test_double_k_law_over_memory_budget_is_refused(capsys, monkeypatch):
+    # The (n+1)^2 band at n = 40000 would take 12.8 GB: exit 2 before any
+    # array is allocated.
+    import numpy as np
+
+    def no_alloc(*args, **kwargs):
+        raise RuntimeError("reached np.zeros")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    code, out, err = run_cli(capsys, "dist", "--family", "ewens", "--theta", "1",
+                             "--n", "40000", "--backend", "double")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "byte budget" in err
+
+
 def test_missing_n_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "hn", "--family", "ewens", "--theta", "1")
     assert code == EXIT_USAGE

@@ -1,7 +1,8 @@
 """Finite-n distributions and sampling for weighted permutations.
 
 Oracles: the partition brute force, the unsigned Stirling-number
-recurrence c(n,k) = c(n-1,k-1) + (n-1) c(n-1,k) for unit weights, and
+recurrence c(n,k) = c(n-1,k-1) + (n-1) c(n-1,k) for unit weights,
+exact laws for the mass a truncated double law leaves out, and
 chi-square goodness of fit for the samplers.
 """
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cyclemeter import measure
-from cyclemeter.asymptotics import polylog_family, theta_shift_family
+from cyclemeter.asymptotics import ewens_family, polylog_family, theta_shift_family
+from cyclemeter.diagnostics import K_TAIL
 from cyclemeter.errors import DegenerateMeasureError, UsageError
 from cyclemeter.generalized import (_eg_product, _factor_coeffs, exp_polynomial_weights,
                                     generalized_joint_cycle_pmf)
@@ -206,6 +208,59 @@ def test_total_cycles_grid_consistent_with_single():
     grid = total_cycles_pmf_many(theta, [4, 9])
     assert dict(grid[9].items()) == dict(total_cycles_pmf(theta, 9).items())
     assert dict(grid[4].items()) == dict(total_cycles_pmf(theta, 4).items())
+
+
+@pytest.mark.parametrize("weights", [
+    WeightSequence.constant(0.5), WeightSequence.constant(1), WeightSequence.constant(2),
+    theta_shift_family(1, amp=1, power=2).weights,
+], ids=["ewens-1/2", "ewens-1", "ewens-2", "theta-shift"])
+def test_truncated_k_law_matches_full_law(weights):
+    # The certified columns keep every atom of the full band's law, up to
+    # the normalization by their own sum, and leave out at most K_TAIL.
+    ns = [100, 400, 1000]
+    full = total_cycles_pmf_many(weights, ns, "double")
+    cut = total_cycles_pmf_many(weights, ns, "double", max_tail=K_TAIL)
+    for n in ns:
+        assert 0 <= cut[n].tail_bound <= 1.01 * K_TAIL
+        assert cut[n].support() == tuple(range(1, len(cut[n]) + 1))
+        for k, p in cut[n].items():
+            assert abs(p - full[n][k]) <= 1e-12 * full[n][k]
+    assert len(cut[1000]) < 100 and cut[1000].tail_bound > 0
+
+
+@pytest.mark.parametrize("weights", [
+    WeightSequence.constant(Fraction(1, 2)), WeightSequence.constant(2),
+    theta_shift_family(1, amp=1, power=2).weights,
+], ids=["ewens-1/2", "ewens-2", "theta-shift"])
+def test_truncated_k_law_tail_bound_covers_exact_dropped_mass(weights):
+    ns = [20, 40, 60]
+    cut = total_cycles_pmf_many(weights, ns, "double", max_tail=K_TAIL)
+    for n in ns:
+        exact = total_cycles_pmf(weights, n)
+        kept = len(cut[n])
+        dropped = sum(p for k, p in exact.items() if k > kept)
+        assert dropped <= Fraction(cut[n].tail_bound)
+    assert len(cut[60]) < 60 and 0 < cut[60].tail_bound <= 1.01 * K_TAIL
+
+
+def test_truncated_k_law_falls_back_to_full_width():
+    # theta_m = 2 R^m scales h_n by R^n and leaves the law of K_n that of
+    # Ewens 2.  At R = 2, h_1000 = 1001 R^1000 is finite but h_1000(x) =
+    # C(999 + 2x, 1000) R^1000 overflows for every x, so no column is
+    # certified away; at R = 1.5 the same law is truncated.  A small n
+    # keeps every atom.
+    ewens = total_cycles_pmf(WeightSequence.constant(2), 1000, "double")
+    for r, atoms in ((2.0, 1000), (1.5, None)):
+        law = total_cycles_pmf_many(WeightSequence(lambda m: 2 * r**m), [1000], "double",
+                                    max_tail=K_TAIL)[1000]
+        assert len(law) == atoms if atoms else len(law) < 100
+        assert law.tail_bound == 0 if atoms else law.tail_bound > 0
+        for k, p in law.items():
+            assert abs(p - ewens[k]) <= 1e-12 * ewens[k]
+    small = total_cycles_pmf_many(ewens_family(1).weights, [10], "double", max_tail=K_TAIL)[10]
+    assert small.support() == tuple(range(1, 11)) and small.tail_bound == 0
+    with pytest.raises(UsageError, match="double backend"):
+        total_cycles_pmf_many(WeightSequence.constant(1), [10], max_tail=K_TAIL)
 
 
 def rising(theta, n):

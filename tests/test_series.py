@@ -3,7 +3,8 @@
 Oracles: closed-form coefficient sequences (geometric series, exp of a
 logarithm), round-trip identities that pair ts_exp with ts_log and
 ts_mul with hand convolution, and the dense full-triangle loop that the
-double bv_exp_wg must reproduce while reading only its live w-band.
+double bv_exp_wg must reproduce while reading only its live w-band; its
+full band is in turn the reference for the column-limited band.
 """
 
 import math
@@ -12,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclemeter.errors import UsageError
+from cyclemeter import series
+from cyclemeter.errors import ResourceError, UsageError
 from cyclemeter.series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, ts_exp,
                                ts_log, ts_mul)
 
@@ -161,6 +163,48 @@ def test_bivariate_double_band_matches_dense(theta):
     assert np.all(err[~normal] <= 1e-300)
 
 
+@pytest.mark.parametrize("theta", [
+    lambda m: 0.5, lambda m: 1.0, lambda m: 2.0,
+    lambda m: 1.0 + 1.0 / m**2,
+    lambda m: float(m % 2 == 0),
+], ids=["ewens-1/2", "ewens-1", "ewens-2", "theta-shift", "even-only"])
+def test_bivariate_double_column_limit_matches_full_band(theta):
+    # No w-degree below the limit reads one above it, so the capped array
+    # is the full band's leading columns; 40 is about the width a report
+    # certifies at these n.  Rows 0..600 of the order-1000 band are the
+    # order-600 band.
+    full = bv_exp_wg(weight_series(theta, 1000))
+    for n_max in (600, 1000):
+        g = weight_series(theta, n_max)
+        for cols in (1, 2, 40):
+            got = bv_exp_wg(g, cols=cols)
+            assert got.shape == (n_max + 1, cols)
+            ref = full[: n_max + 1, :cols]
+            assert np.all(got[ref == 0] == 0)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_bivariate_double_refuses_an_array_over_budget(monkeypatch):
+    # The full (N + 1)^2 array at N = 40000 is 12.8 GB; it is refused
+    # before anything is allocated, while a 40-column band passes.
+    g = weight_series(lambda m: 1.0, 40000)
+
+    def no_alloc(*args, **kwargs):
+        raise RuntimeError("reached np.zeros")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    with pytest.raises(ResourceError, match="byte budget"):
+        bv_exp_wg(g)
+    side = math.isqrt(series.BAND_BYTES_MAX // 8)
+    with pytest.raises(ResourceError):
+        bv_exp_wg(weight_series(lambda m: 1.0, side))
+    for h, cols in ((g, 40), (weight_series(lambda m: 1.0, side - 1), None)):
+        with pytest.raises(RuntimeError, match="reached np.zeros"):
+            bv_exp_wg(h, cols=cols)
+    with pytest.raises(UsageError, match="cols must be"):
+        bv_exp_wg(g, cols=0)
+
+
 @pytest.mark.parametrize("theta", [0.5, 2.0])
 def test_exp_double_matches_ewens_product(theta):
     # exp(theta log(1/(1-t))) has h_n = h_{n-1} (n - 1 + theta) / n; the
@@ -207,6 +251,9 @@ def test_bivariate_higher_degrees_band_matches_dense(parts):
     err = np.abs(got - ref)
     assert np.all(err[normal] <= 1e-12 * np.abs(ref[normal]))
     assert np.all(err[~normal] <= 1e-250)
+    for cols in (2, 7):  # a w^j term past the limit is skipped, a shorter one clipped
+        capped = bv_exp_wg(*gs, cols=cols)
+        assert np.all(np.abs(capped - got[:, :cols]) <= 1e-13 * np.abs(got[:, :cols]))
 
 
 def test_bivariate_higher_degrees_exact_rows():
