@@ -16,10 +16,8 @@ Laws provided exactly (rational or double backend):
 * joint_cycle_pmf          -- law of (C_1, ..., C_b), tuples in lexicographic order;
 * joint_cycle_columns      -- its double law as numpy columns (sum left to right);
 * total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
-* total_cycles_pmf_many    -- laws of K_n along a grid of n, in the double
-                              backend optionally cut where a certified
-                              tail bound is reached: w-columns 0..k_max - 1
-                              of exp(w g), not the (n+1)^2 triangle;
+* total_cycles_pmf_many    -- laws of K_n along a grid of n; double ones may
+                              stop at a certified tail bound (k_max columns);
 * expected_cycle_counts    -- E[C_m] = (theta_m/m) h_{n-m}/h_n.
 
 Sampling draws cycle lengths one by one: with s points left, the next
@@ -267,10 +265,8 @@ def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
                          f"0 < max_tail < 1, got {backend!r} and {max_tail!r}")
     n_max = max(ns)
     g = weight_log_series(theta, n_max, backend)
-    if max_tail is None:
-        rows = bv_exp_wg(g)
-        return {n: _k_pmf(rows[n], n, backend) for n in ns}
-    cols, bounds = _certified_cols(g, ns, max_tail, keep_k)
+    cols, bounds = ((None, dict.fromkeys(ns, 0.0)) if max_tail is None
+                    else _certified_cols(g, ns, max_tail, keep_k))
     rows = bv_exp_wg(g, cols=cols)
     return {n: _k_pmf(rows[n], n, backend, bounds[n]) for n in ns}
 
