@@ -75,8 +75,8 @@ class SingularityClass:
 
 @dataclass
 class WeightFamily:
-    """Weights with their classification: a weight sequence, or, for
-    exp-poly, the per-multiplicity GeneralizedWeights."""
+    """Weights with their classification: a weight sequence or, for exp-poly,
+    the per-multiplicity GeneralizedWeights (measure's laws take either)."""
 
     weights: WeightSequence
     cls: Optional[SingularityClass]

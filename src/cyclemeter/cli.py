@@ -31,8 +31,7 @@ from .diagnostics import (clt_report, dumps_csv, dumps_deterministic,
                           report_rows)
 from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
                      ResourceError, UnsupportedClassError, UsageError)
-from .generalized import (GeneralizedWeights, exp_polynomial_joint_cycle_pmf,
-                          exp_polynomial_normalization, exp_polynomial_total_cycles_pmf)
+from .generalized import GeneralizedWeights
 from .measure import (joint_cycle_pmf, normalization_constants, sample_cycle_type_parts,
                       sample_permutation, total_cycles_pmf)
 from .partitions import (brute_force_cycle_counts_pmf,
@@ -130,18 +129,6 @@ def _parse_grid(args) -> list:
     return values
 
 
-def _measure(handle: WeightFamily) -> tuple:
-    """(weights, normalization, K law, joint law, K oracle, counts oracle) of a
-    family; the catalog's one generalized family is exp-poly.  The functions are
-    read from this module at call time, so a wrapper installed there takes effect."""
-    if isinstance(handle.weights, GeneralizedWeights):
-        return (handle.weights, exp_polynomial_normalization, exp_polynomial_total_cycles_pmf,
-                exp_polynomial_joint_cycle_pmf, brute_force_generalized_k_pmf,
-                brute_force_generalized_cycle_counts_pmf)
-    return (handle.weights, normalization_constants, total_cycles_pmf, joint_cycle_pmf,
-            brute_force_k_pmf, brute_force_cycle_counts_pmf)
-
-
 def _scalar_out(value, backend: str):
     value = to_kind(value, backend)
     return str(value) if backend == EXACT else value
@@ -164,9 +151,8 @@ def _run_hn(args) -> tuple:
     handle = _resolve_family(args)
     ns = _parse_grid(args)
     n_max = max(ns)
-    weights, normalization, *_ = _measure(handle)
-    backend = _resolve_backend(args, weights, n_max)
-    h = normalization(weights, n_max, backend)
+    backend = _resolve_backend(args, handle.weights, n_max)
+    h = normalization_constants(handle.weights, n_max, backend)
     cls = handle.cls
     rows = []
     for n in ns:
@@ -183,8 +169,12 @@ def _run_hn(args) -> tuple:
     return doc, [["n", "h", "asymptotic", "ratio"]] + [list(row.values()) for row in rows]
 
 
-def _oracle_check(pmf, measure: tuple, args, backend: str) -> None:
-    weights, *_, k_oracle, counts_oracle = measure
+def _oracle_check(pmf, weights, args, backend: str) -> None:
+    # the oracles are read from this module per call, so a wrapper installed here is used
+    k_oracle, counts_oracle = ((brute_force_generalized_k_pmf,
+                                brute_force_generalized_cycle_counts_pmf)
+                               if isinstance(weights, GeneralizedWeights)
+                               else (brute_force_k_pmf, brute_force_cycle_counts_pmf))
     ref_law = (k_oracle(weights, args.n, backend) if args.target == "k"
                else counts_oracle(weights, args.n, args.b, backend))
     for key, value in pmf.items():
@@ -194,17 +184,15 @@ def _oracle_check(pmf, measure: tuple, args, backend: str) -> None:
 
 
 def _run_dist(args) -> tuple:
-    handle = _resolve_family(args)
-    measure = _measure(handle)
-    weights, _, k_law, joint_law, *_ = measure
+    weights = _resolve_family(args).weights
     backend = _resolve_backend(args, weights, args.n)
     if args.target == "k":
-        pmf = k_law(weights, args.n, backend)
+        pmf = total_cycles_pmf(weights, args.n, backend)
     else:
-        pmf = joint_law(weights, args.n, args.b, backend)
+        pmf = joint_cycle_pmf(weights, args.n, args.b, backend)
     oracle = None
     if args.oracle:
-        _oracle_check(pmf, measure, args, backend)
+        _oracle_check(pmf, weights, args, backend)
         oracle = "match"
     support, mass = _pmf_out(pmf, backend)
     doc = {"command": "dist", "family": args.family, "target": args.target,
@@ -215,8 +203,6 @@ def _run_dist(args) -> tuple:
 
 def _run_sample(args) -> tuple:
     handle = _resolve_family(args)
-    if isinstance(handle.weights, GeneralizedWeights):
-        raise UsageError("sampling is defined for weighted families only")
     draw, kind = ((sample_cycle_type_parts, "cycle-type") if args.cycle_type_only
                   else (sample_permutation, "permutation"))
     samples = draw(handle.weights, args.n, seed=args.seed, count=args.count)

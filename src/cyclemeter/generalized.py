@@ -18,9 +18,10 @@ Two concrete constructions:
 
 * exp_polynomial_weights: F_m(k) = k! [x^k] exp(theta x + sum b_j x^j)
   for every m, so prod_m EG(F_m, w t^m/m) = exp(sum_j b_j w^j sum_i
-  t^{ij}/i^j), w marking cycles.  The exp_polynomial_* laws the CLI runs
-  are ts_exp and bv_exp_wg of that log-series (exp_polynomial_log_series
-  at w = 1), not the lattice.  Class F(1, theta) with K = sum_j b_j zeta(j).
+  t^{ij}/i^j), w marking cycles.  Its handle gives those w^j parts
+  (log_series) and the factors F(c)/(c! m^c) (cycle_factors), so the laws
+  of measure.py run it on ts_exp and bv_exp_wg, as the CLI does, not on
+  the lattice.  Class F(1, theta) with K = sum_j b_j zeta(j).
 * spatial models: a cycle of length m carries e^{-alpha} times a sum
   of mode factors e^{-eps_k m}, multiplicatively over cycles.  That is
   again a plain weighted measure with effective weights
@@ -39,7 +40,7 @@ from .asymptotics import SingularityClass
 from .errors import UsageError
 from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _k_pmf
 from .pmf import Pmf
-from .series import EXACT, TruncatedSeries, bv_exp_wg, check_kind, to_fraction, to_kind, ts_exp
+from .series import EXACT, TruncatedSeries, check_kind, to_fraction, to_kind
 
 
 class GeneralizedWeights:
@@ -87,6 +88,22 @@ class GeneralizedWeights:
     def at(self, m: int, k: int, kind: str):
         """F_m(k) in the given scalar kind."""
         return self.value_exact(m, k) if kind == EXACT else self.value(m, k)
+
+    def log_series(self, order: int, kind: str, above: int = 0) -> tuple:
+        """The w^j parts b_j sum_{i > above} t^{ij} / i^j, j = 1..deg P, once
+        F(k) > 0 holds for k <= order on exact rationals (exp-poly only)."""
+        if self.poly is None:
+            raise UsageError(f"{self!r} has no exp-polynomial form")
+        if not isinstance(order, int) or order < 0:
+            raise UsageError(f"order must be an integer >= 0, got {order!r}")
+        for k in range(1, order + 1):
+            self.value_exact(1, k)
+        return tuple(_poly_series({j: self.poly.get(j, 0)}, order, kind, above)
+                     for j in range(1, max(self.poly) + 1))
+
+    def cycle_factors(self, m: int, cmax: int, kind: str) -> list:
+        """F_m(c) / (c! m^c) for c = 0..cmax, each exact rational rounded once."""
+        return [to_kind(v, kind) for v in _factor_coeffs(self, m, cmax, EXACT)]
 
     @property
     def has_exact_rule(self) -> bool:
@@ -237,7 +254,8 @@ def exp_polynomial_log_series(theta, higher: dict, order: int,
                               backend: str = EXACT) -> TruncatedSeries:
     """log of the exp-polynomial normalization generating function,
     theta sum_m t^m/m + sum_j b_j sum_i t^{ij}/i^j, whose ts_exp equals
-    generalized_normalization: the engine of exp_polynomial_normalization."""
+    generalized_normalization; normalization_constants adds its parts in
+    this order."""
     check_kind(backend)
     return _poly_series({1: theta, **higher}, order, backend)
 
@@ -249,49 +267,6 @@ def _poly_series(poly: dict, order: int, backend: str, above: int = 0) -> Trunca
         for i in range(above + 1, order // j + 1):
             coeffs[i * j] += to_kind(to_fraction(b) / Fraction(i) ** j, backend)
     return TruncatedSeries(coeffs, backend)
-
-
-def _checked_poly(fweights: GeneralizedWeights, n: int, least: int = 0) -> dict:
-    """fweights.poly, once F(k) > 0 holds for k <= n on exact rationals."""
-    if fweights.poly is None:
-        raise UsageError(f"{fweights!r} has no exp-polynomial form")
-    if not isinstance(n, int) or n < least:
-        raise UsageError(f"n must be an integer >= {least}, got {n!r}")
-    for k in range(1, n + 1):
-        fweights.value_exact(1, k)
-    return fweights.poly
-
-
-def exp_polynomial_normalization(fweights: GeneralizedWeights, n_max: int,
-                                 backend: str = EXACT) -> list:
-    """generalized_normalization of exp-polynomial weights: ts_exp of the log-series."""
-    check_kind(backend)
-    return list(ts_exp(_poly_series(_checked_poly(fweights, n_max), n_max, backend)).coeffs)
-
-
-def exp_polynomial_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
-                                    backend: str = EXACT) -> Pmf:
-    """generalized_total_cycles_pmf of exp-polynomial weights, by bv_exp_wg."""
-    check_kind(backend)
-    poly = _checked_poly(fweights, n, 1)
-    gs = [_poly_series({j: poly.get(j, 0)}, n, backend) for j in range(1, max(poly) + 1)]
-    return _k_pmf(bv_exp_wg(*gs)[n], n, backend)
-
-
-def exp_polynomial_joint_cycle_pmf(fweights: GeneralizedWeights, n: int, b: int,
-                                   backend: str = EXACT) -> Pmf:
-    """generalized_joint_cycle_pmf of exp-polynomial weights: the factors
-    F(c)/(c! m^c), rounded once, and ts_exp of the log-series past b as tail."""
-    check_kind(backend)
-
-    def tables():
-        poly = _checked_poly(fweights, n)
-        tail, full = (ts_exp(_poly_series(poly, n, backend, above)).coeffs for above in (b, 0))
-        factors = [[to_kind(v, backend) for v in _factor_coeffs(fweights, m, n // m, EXACT)]
-                   for m in range(1, b + 1)]
-        return factors, tail, _h_or_degenerate(full[n], n)
-
-    return _joint_pmf(n, b, backend, tables)
 
 
 # -- spatial models ----------------------------------------------------------

@@ -10,6 +10,11 @@ the h_n are the coefficients of exp(g(t)), which is how everything here
 is computed; the partition-sum oracle in partitions.py recomputes the
 same quantities independently for testing.
 
+The laws also take an exp-poly GeneralizedWeights (generalized.py), read
+like a WeightSequence through log_series(order, kind, above), the parts of
+log sum_n h_n(w) t^n = sum_j w^j g_j(t) over cycle lengths m > above ((g,)
+here), and cycle_factors(m, cmax, kind), F_m(c)/(c! m^c) (theta_m^c here).
+
 Laws provided exactly (rational or double backend):
 
 * normalization_constants  -- h_0..h_N;
@@ -97,6 +102,18 @@ class WeightSequence:
         """theta_m in the given scalar kind."""
         return self.theta_exact(m) if kind == EXACT else self.theta(m)
 
+    def log_series(self, order: int, kind: str, above: int = 0) -> tuple:
+        """(g,): weight_log_series with the coefficients of t^m, m <= above, zeroed."""
+        g = weight_log_series(self, order, kind).coeffs
+        return (TruncatedSeries([to_kind(0, kind)] * (above + 1) + list(g[above + 1:]), kind),)
+
+    def cycle_factors(self, m: int, cmax: int, kind: str) -> list:
+        """(theta_m/m)^c / c! for c = 0..cmax, multiplied left to right."""
+        ratio, table = self.at(m, kind) / m, [to_kind(1, kind)]
+        for count in range(1, cmax + 1):
+            table.append(table[-1] * ratio / count)
+        return table
+
     @property
     def has_exact_rule(self) -> bool:
         """Whether the exact backend sees true rationals from exact_fn
@@ -121,10 +138,19 @@ def weight_log_series(theta: WeightSequence, order: int, backend: str = EXACT) -
     return TruncatedSeries(coeffs, backend)
 
 
-def normalization_constants(theta: WeightSequence, n_max: int, backend: str = EXACT) -> list:
-    """h_0, ..., h_{n_max} with h_0 = 1."""
-    g = weight_log_series(theta, n_max, backend)
-    return list(ts_exp(g).coeffs)
+def normalization_constants(theta, n_max: int, backend: str = EXACT) -> list:
+    """h_0, ..., h_{n_max} with h_0 = 1, for either weight handle."""
+    return list(ts_exp(_at(theta, theta.log_series(n_max, backend))).coeffs)
+
+
+def _at(theta, parts: tuple, x=1) -> TruncatedSeries:
+    """sum_j x^j parts[j-1], the log-series at w = x.  Parts add in the handle's
+    poly order if it has one: exp_polynomial_log_series rounds doubles in it."""
+    coeffs = [to_kind(0, parts[0].kind)] * len(parts[0].coeffs)
+    for j in getattr(theta, "poly", None) or range(1, len(parts) + 1):
+        for t, c in enumerate(parts[j - 1].coeffs):
+            coeffs[t] += x**j * c
+    return TruncatedSeries(coeffs, parts[0].kind)
 
 
 def _h_or_degenerate(hn, n: int):
@@ -137,11 +163,11 @@ def _h_or_degenerate(hn, n: int):
     return hn
 
 
-def joint_cycle_pmf(theta: WeightSequence, n: int, b: int, backend: str = EXACT) -> Pmf:
-    """Law of (C_1, ..., C_b) under the weighted measure on S_n.
+def joint_cycle_pmf(theta, n: int, b: int, backend: str = EXACT) -> Pmf:
+    """Law of (C_1, ..., C_b) on S_n under either weight handle.
 
-    P[c] = (1/h_n) * prod_{m<=b} (theta_m/m)^{c_m}/c_m!
-                   * [t^{n - sum m c_m}] exp(sum_{m>b} theta_m t^m / m)
+    P[c] = (1/h_n) * prod_{m<=b} F_m(c_m)/(c_m! m^{c_m})
+                   * [t^{n - sum m c_m}] exp(sum_j g_j(t) restricted to m > b)
 
     Support: every tuple with sum_m m*c_m <= n, including zero-mass ones.
     """
@@ -154,18 +180,10 @@ def joint_cycle_columns(theta: WeightSequence, n: int, b: int) -> tuple:
     return _joint_columns(n, b, lambda: _joint_tables(theta, n, b, DOUBLE))
 
 
-def _joint_tables(theta: WeightSequence, n: int, b: int, backend: str) -> tuple:
+def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
     hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
-    zero, one = to_kind(0, backend), to_kind(1, backend)
-    tail_coeffs = [zero] * (b + 1) + [theta.at(m, backend) / m for m in range(b + 1, n + 1)]
-    tail = ts_exp(TruncatedSeries(tail_coeffs, backend)).coeffs
-    factors = []
-    for m in range(1, b + 1):
-        ratio = theta.at(m, backend) / m
-        table = [one]
-        for count in range(1, n // m + 1):
-            table.append(table[-1] * ratio / count)
-        factors.append(table)
+    tail = ts_exp(_at(theta, theta.log_series(n, backend, above=b))).coeffs
+    factors = [theta.cycle_factors(m, n // m, backend) for m in range(1, b + 1)]
     return factors, tail, hn
 
 
@@ -235,17 +253,17 @@ def _guard_joint_support(n: int, b: int) -> None:
                 f"joint support for n={n}, b={b} exceeds {_JOINT_SUPPORT_CAP} tuples")
 
 
-def total_cycles_pmf(theta: WeightSequence, n: int, backend: str = EXACT) -> Pmf:
+def total_cycles_pmf(theta, n: int, backend: str = EXACT) -> Pmf:
     """Law of the total cycle count K_n; support {1, ..., n}."""
     return total_cycles_pmf_many(theta, [n], backend)[n]
 
 
-def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
+def total_cycles_pmf_many(theta, n_values: Sequence[int],
                           backend: str = EXACT, max_tail: Optional[float] = None,
                           keep_k: int = 0) -> dict:
     """Laws of K_n for several n from one bivariate computation.
 
-    The coefficient rows of exp(w*g(t)) at every t-order up to max(n)
+    The coefficient rows of exp(sum_j w^j g_j(t)) at every t-order up to max(n)
     are produced by a single triangular recurrence, so asking for a grid
     of n values costs the same as asking for the largest one.
 
@@ -263,28 +281,26 @@ def total_cycles_pmf_many(theta: WeightSequence, n_values: Sequence[int],
     if max_tail is not None and not (backend == DOUBLE and 0 < max_tail < 1):
         raise UsageError(f"a truncated K_n law needs the double backend and "
                          f"0 < max_tail < 1, got {backend!r} and {max_tail!r}")
-    n_max = max(ns)
-    g = weight_log_series(theta, n_max, backend)
-    cols, bounds = ((None, dict.fromkeys(ns, 0.0)) if max_tail is None
-                    else _certified_cols(g, ns, max_tail, keep_k))
-    rows = bv_exp_wg(g, cols=cols)
+    parts = theta.log_series(max(ns), backend)
+    cols, bounds = ((None, dict.fromkeys(ns, 0)) if max_tail is None
+                    else _certified_cols(theta, parts, ns, max_tail, keep_k))
+    rows = bv_exp_wg(*parts, cols=cols)
     return {n: _k_pmf(rows[n], n, backend, bounds[n]) for n in ns}
 
 
-def _certified_cols(g: TruncatedSeries, ns: list, max_tail: float, keep_k: int) -> tuple:
+def _certified_cols(theta, parts: tuple, ns: list, max_tail: float, keep_k: int) -> tuple:
     """(cols, {n: tail bound}): the w-columns that leave at most max_tail of
     each law of K_n out, and the mass each law leaves out.  E[x^K_n] =
-    h_n(x)/h_n(1), h_n(x) = [t^n] exp(x g), so for x > 1
+    h_n(x)/h_n(1), h_n(x) = [t^n] exp(sum_j x^j g_j), so for x > 1
 
         P(K_n >= k) <= x^-k * h_n(x) / h_n(1),
 
     minimized over x in _CHERNOFF_X.  All N + 1 columns, and bounds 0,
     when that k reaches N = max(n) or some h_n has no finite h_n(x)."""
     import numpy as np
-    n_max = g.order
+    n_max = parts[0].order
     with np.errstate(all="ignore"):  # an overflowing h_n(x) only gives no bound
-        h = {x: ts_exp(TruncatedSeries([x * c for c in g.coeffs], DOUBLE)).coeffs
-             for x in (1.0, *_CHERNOFF_X)}
+        h = {x: ts_exp(_at(theta, parts, x)).coeffs for x in (1.0, *_CHERNOFF_X)}
     log_ratio = {n: {x: math.log(h[x][n] / h[1.0][n]) for x in _CHERNOFF_X
                      if 0 < h[1.0][n] < math.inf and 0 < h[x][n] < math.inf}
                  for n in ns}
@@ -299,7 +315,7 @@ def _certified_cols(g: TruncatedSeries, ns: list, max_tail: float, keep_k: int) 
                   for n in ns}
 
 
-def _k_pmf(row, n: int, backend: str, tail_bound: float = 0.0) -> Pmf:
+def _k_pmf(row, n: int, backend: str, tail_bound=0) -> Pmf:
     """Law of K_n from the w-coefficients of [t^n] (all of them, or the first
     ones with tail_bound covering the rest); numpy sums a numpy row."""
     row = row[: n + 1]
@@ -314,6 +330,8 @@ def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -
     The identity sum_m m * E[C_m] = n holds exactly and is a good
     self-check on any weight sequence.
     """
+    if not isinstance(theta, WeightSequence):
+        raise UsageError("expected cycle counts are defined for weighted families only")
     check_kind(backend)
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
@@ -365,6 +383,8 @@ def _permutation_of_type(lengths: list, rng) -> tuple:
 
 def _sample(theta: WeightSequence, n: int, seed: int, count: Optional[int], make: Callable):
     """The checks both samplers share, then make(lengths, rng) per draw."""
+    if not isinstance(theta, WeightSequence):
+        raise UsageError("sampling is defined for weighted families only")
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
     if not isinstance(seed, int) or seed < 0:

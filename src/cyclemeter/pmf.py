@@ -20,7 +20,7 @@ from .errors import UsageError
 class Pmf:
     __slots__ = ("_mass", "tol", "tail_bound")
 
-    def __init__(self, mass: dict, tol=0, tail_bound=0.0):
+    def __init__(self, mass: dict, tol=0, tail_bound=0):
         if not isinstance(mass, dict) or not mass:
             raise UsageError("mass must be a nonempty dict")
         for key, value in mass.items():

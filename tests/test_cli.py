@@ -185,9 +185,11 @@ def test_unknown_family_is_usage_error(capsys):
 
 
 def test_sample_generalized_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "sample", "--family", "exp-poly",
-                           "--theta", "1", "--n", "5")
-    assert code == EXIT_USAGE
+    for flags in ((), ("--cycle-type-only",)):
+        code, out, err = run_cli(capsys, "sample", "--family", "exp-poly",
+                                 "--theta", "1", "--n", "5", *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: sampling is defined for weighted families only\n"
 
 
 def test_sample_zero_count_is_usage_error(capsys):

@@ -16,12 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclemeter.diagnostics import K_TAIL
 from cyclemeter.errors import DegenerateMeasureError, UsageError
 from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
-                                    eg_series, exp_polynomial_joint_cycle_pmf,
-                                    exp_polynomial_log_series,
-                                    exp_polynomial_normalization,
-                                    exp_polynomial_total_cycles_pmf,
+                                    eg_series, exp_polynomial_log_series,
                                     exp_polynomial_weights,
                                     generalized_joint_cycle_pmf,
                                     generalized_normalization,
@@ -29,7 +27,8 @@ from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
                                     spatial_class_params,
                                     spatial_effective_weights)
 from cyclemeter.measure import (WeightSequence, joint_cycle_pmf,
-                                normalization_constants, total_cycles_pmf)
+                                normalization_constants, total_cycles_pmf,
+                                total_cycles_pmf_many)
 from cyclemeter.partitions import (brute_force_generalized_cycle_counts_pmf,
                                    brute_force_generalized_cycle_type_pmf,
                                    brute_force_generalized_k_pmf,
@@ -231,11 +230,11 @@ def test_exp_polynomial_routes_equal_lattice(theta, higher):
     # ts_exp of the log-series, bv_exp_wg of its w^j parts, and the ts_exp
     # tail of the joint law give the lattice product's Fractions.
     fw = exp_polynomial_weights(theta, higher)
-    assert exp_polynomial_normalization(fw, 200) == generalized_normalization(fw, 200)
+    assert normalization_constants(fw, 200) == generalized_normalization(fw, 200)
     for n in (1, 2, 13, 60):
-        assert exp_polynomial_total_cycles_pmf(fw, n) == generalized_total_cycles_pmf(fw, n)
+        assert total_cycles_pmf(fw, n) == generalized_total_cycles_pmf(fw, n)
     for b in (1, 2, 3):
-        assert exp_polynomial_joint_cycle_pmf(fw, 60, b) == generalized_joint_cycle_pmf(fw, 60, b)
+        assert joint_cycle_pmf(fw, 60, b) == generalized_joint_cycle_pmf(fw, 60, b)
 
 
 @pytest.mark.parametrize("theta, higher", EXP_POLYS)
@@ -245,15 +244,15 @@ def test_exp_polynomial_double_routes_match_exact(theta, higher):
     def close(double, exact):
         return abs(double - float(exact)) <= 1e-12 * float(exact)
 
-    exact = exp_polynomial_normalization(fw, 200)
-    double = exp_polynomial_normalization(fw, 200, "double")
+    exact = normalization_constants(fw, 200)
+    double = normalization_constants(fw, 200, "double")
     assert all(map(close, double, exact))
-    exact_k = exp_polynomial_total_cycles_pmf(fw, 60)
-    double_k = exp_polynomial_total_cycles_pmf(fw, 60, "double")
+    exact_k = total_cycles_pmf(fw, 60)
+    double_k = total_cycles_pmf(fw, 60, "double")
     assert all(close(double_k[k], p) for k, p in exact_k.items())
     for b in (1, 3):
-        exact_j = exp_polynomial_joint_cycle_pmf(fw, 60, b)
-        double_j = exp_polynomial_joint_cycle_pmf(fw, 60, b, "double")
+        exact_j = joint_cycle_pmf(fw, 60, b)
+        double_j = joint_cycle_pmf(fw, 60, b, "double")
         assert double_j.support() == exact_j.support()
         assert all(close(double_j[key], p) for key, p in exact_j.items())
 
@@ -267,9 +266,9 @@ def test_exp_polynomial_routes_match_oracle(data):
     ratio = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
     degrees = data.draw(st.sets(st.integers(2, 6), max_size=3))
     fw = exp_polynomial_weights(data.draw(ratio), {j: data.draw(ratio) for j in sorted(degrees)})
-    assert exp_polynomial_normalization(fw, n)[n] == brute_force_generalized_normalization(fw, n)
-    assert exp_polynomial_total_cycles_pmf(fw, n) == brute_force_generalized_k_pmf(fw, n)
-    joint = exp_polynomial_joint_cycle_pmf(fw, n, b)
+    assert normalization_constants(fw, n)[n] == brute_force_generalized_normalization(fw, n)
+    assert total_cycles_pmf(fw, n) == brute_force_generalized_k_pmf(fw, n)
+    joint = joint_cycle_pmf(fw, n, b)
     assert ({key: p for key, p in joint.items() if p}
             == dict(brute_force_generalized_cycle_counts_pmf(fw, n, b).items()))
 
@@ -280,11 +279,52 @@ def test_exp_polynomial_routes_check_F_exactly():
     fw = exp_polynomial_weights(4, {2: Fraction(-1, 200)})
     for backend in ("exact", "double"):
         with pytest.raises(UsageError, match=r"F_1\(417\) is negative"):
-            exp_polynomial_normalization(fw, 417, backend)
+            normalization_constants(fw, 417, backend)
     with pytest.raises(UsageError, match=r"F_1\(417\)"):
-        exp_polynomial_total_cycles_pmf(fw, 417, "double")
+        total_cycles_pmf(fw, 417, "double")
     with pytest.raises(UsageError, match=r"F_1\(417\)"):
-        exp_polynomial_joint_cycle_pmf(fw, 417, 1, "double")
-    assert exp_polynomial_normalization(fw, 416, "double")[416] > 0
+        joint_cycle_pmf(fw, 417, 1, "double")
+    assert normalization_constants(fw, 416, "double")[416] > 0
     with pytest.raises(UsageError, match="no exp-polynomial form"):
-        exp_polynomial_normalization(GeneralizedWeights(lambda m, k: 1.0), 3)
+        normalization_constants(GeneralizedWeights(lambda m, k: 1.0), 3)
+
+
+def test_exp_polynomial_normalization_keeps_the_log_series_rounding():
+    # The parts are summed at w = 1 in the order the terms were given,
+    # as exp_polynomial_log_series sums them; in degree order one
+    # coefficient rounds differently, so the order is visible here.
+    theta, higher = Fraction(1, 3), {5: Fraction(1, 7), 2: Fraction(1, 2), 3: Fraction(2, 3)}
+    fw = exp_polynomial_weights(theta, higher)
+    given = list(ts_exp(exp_polynomial_log_series(theta, higher, 400, "double")).coeffs)
+    by_degree = ts_exp(exp_polynomial_log_series(theta, dict(sorted(higher.items())),
+                                                 400, "double")).coeffs
+    assert normalization_constants(fw, 400, "double") == given != list(by_degree)
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2)])
+def test_exp_polynomial_of_degree_one_is_ewens(theta):
+    # P = theta x gives F_m(k) = theta^k: the Ewens measure, Fraction for Fraction.
+    fw, ewens = exp_polynomial_weights(theta, {}), WeightSequence.constant(theta)
+    assert normalization_constants(fw, 40) == normalization_constants(ewens, 40)
+    for n in (1, 2, 13, 40):
+        assert total_cycles_pmf(fw, n) == total_cycles_pmf(ewens, n)
+    for b in (1, 2, 3):
+        assert joint_cycle_pmf(fw, 40, b) == joint_cycle_pmf(ewens, 40, b)
+
+
+@pytest.mark.parametrize("theta, higher, ns", [
+    (1, {2: Fraction(1, 4)}, [300, 600]),
+    (4, {2: Fraction(-1, 200)}, [300, 416]),  # F(417) < 0 for this polynomial
+])
+def test_truncated_exp_polynomial_k_law_matches_full_law(theta, higher, ns):
+    # The certified columns of sum_j x^j g_j keep every atom of the full
+    # band's law, and their tail bound covers the mass the cut leaves out.
+    fw = exp_polynomial_weights(theta, higher)
+    full = total_cycles_pmf_many(fw, ns, "double")
+    cut = total_cycles_pmf_many(fw, ns, "double", max_tail=K_TAIL)
+    for n in ns:
+        assert len(cut[n]) < n and cut[n].support() == tuple(range(1, len(cut[n]) + 1))
+        for k, p in cut[n].items():
+            assert abs(p - full[n][k]) <= 1e-13 * full[n][k]
+        dropped = sum(p for k, p in full[n].items() if k > len(cut[n]))
+        assert dropped <= cut[n].tail_bound <= 1.01 * K_TAIL

@@ -88,6 +88,8 @@ def _cli(*argv) -> str:
 
 EWENS = ("--family", "ewens", "--theta", "1/2")
 EXP_POLY = ("--family", "exp-poly", "--theta", "1/2")
+# b2 = 1/4 gives two log-series parts: their sum at w = 1 and the joint tail
+QUAD = ("--family", "quad", "--config", str(Path(__file__).resolve().parent / "exp_poly.ini"))
 
 
 @pytest.mark.parametrize("code", [
@@ -102,9 +104,12 @@ EXP_POLY = ("--family", "exp-poly", "--theta", "1/2")
     _cli("dist", *EXP_POLY, "--n", "20"),
     _cli("dist", *EXP_POLY, "--n", "12", "--oracle"),
     _cli("dist", *EXP_POLY, "--target", "cycles", "--b", "2", "--n", "12"),
+    _cli("hn", *QUAD, "--n", "30"),
+    _cli("dist", *QUAD, "--n", "20"),
+    _cli("dist", *QUAD, "--target", "cycles", "--b", "2", "--n", "12"),
 ], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles",
         "dist-cycles-oracle", "exp-poly-hn", "exp-poly-dist", "exp-poly-dist-oracle",
-        "exp-poly-dist-cycles"])
+        "exp-poly-dist-cycles", "exp-poly-b2-hn", "exp-poly-b2-dist", "exp-poly-b2-dist-cycles"])
 def test_exact_paths_do_not_load_numpy(code):
     res = _loads(code)
     assert res.returncode == 0, res.stderr

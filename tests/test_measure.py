@@ -57,6 +57,14 @@ def test_pmf_tail_bound_completes_total():
     assert p[1] == 0
 
 
+def test_pmf_exact_check_stays_exact():
+    # The default tail_bound is the integer 0, so an exact sum is compared
+    # as a Fraction: 1 - 10^-20 is 1.0 as a double, but not 1.
+    with pytest.raises(UsageError, match="exactly"):
+        Pmf({1: 1 - Fraction(1, 10**20)}, tol=0)
+    assert Pmf({1: Fraction(1)}).tail_bound == 0
+
+
 def test_pmf_moments():
     p = Pmf({0: Fraction(1, 4), 2: Fraction(3, 4)})
     assert p.mean() == Fraction(3, 2)
@@ -328,6 +336,15 @@ def test_expected_counts_match_brute_force():
     for m in (1, 2, 5):
         mean = sum(p * lam.parts.count(m) for lam, p in type_pmf.items())
         assert counts[m - 1] == mean
+
+
+def test_sampling_and_expected_counts_refuse_generalized_weights():
+    fw = exp_polynomial_weights(1, {2: Fraction(1, 4)})
+    for draw in (sample_cycle_type, sample_permutation, measure.sample_cycle_type_parts):
+        with pytest.raises(UsageError, match="sampling is defined for weighted families only"):
+            draw(fw, 5, seed=1, count=2)
+    with pytest.raises(UsageError, match="defined for weighted families only"):
+        expected_cycle_counts(fw, 5)
 
 
 # -- sampling ----------------------------------------------------------------
