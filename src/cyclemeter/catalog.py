@@ -111,7 +111,7 @@ def _build_exp_poly(theta: Fraction, **higher: Fraction) -> WeightFamily:
     per-multiplicity GeneralizedWeights."""
     higher = {int(k[1:]): b for k, b in higher.items()}
     weights = exp_polynomial_weights(theta, higher)
-    K = sum(float(b) * riemann_zeta(float(j)) for j, b in higher.items())
+    K = sum(float(b) * riemann_zeta(float(j)) for j, b in sorted(higher.items()))
     return WeightFamily(weights, SingularityClass("F", 1.0, float(theta), K), "exp-poly")
 
 

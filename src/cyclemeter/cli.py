@@ -34,9 +34,7 @@ from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
 from .generalized import GeneralizedWeights
 from .measure import (joint_cycle_pmf, normalization_constants, sample_cycle_type_parts,
                       sample_permutation, total_cycles_pmf)
-from .partitions import (brute_force_cycle_counts_pmf,
-                         brute_force_generalized_cycle_counts_pmf,
-                         brute_force_generalized_k_pmf, brute_force_k_pmf)
+from .partitions import brute_force_cycle_counts_pmf, brute_force_k_pmf
 from .series import EXACT, auto_kind, pmf_tol, to_kind
 
 EXIT_OK = 0
@@ -171,12 +169,8 @@ def _run_hn(args) -> tuple:
 
 def _oracle_check(pmf, weights, args, backend: str) -> None:
     # the oracles are read from this module per call, so a wrapper installed here is used
-    k_oracle, counts_oracle = ((brute_force_generalized_k_pmf,
-                                brute_force_generalized_cycle_counts_pmf)
-                               if isinstance(weights, GeneralizedWeights)
-                               else (brute_force_k_pmf, brute_force_cycle_counts_pmf))
-    ref_law = (k_oracle(weights, args.n, backend) if args.target == "k"
-               else counts_oracle(weights, args.n, args.b, backend))
+    ref_law = (brute_force_k_pmf(weights, args.n, backend) if args.target == "k"
+               else brute_force_cycle_counts_pmf(weights, args.n, args.b, backend))
     for key, value in pmf.items():
         ref = ref_law[key]
         if abs(value - ref) > pmf_tol(backend) * max(1, abs(ref)):

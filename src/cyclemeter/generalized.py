@@ -38,22 +38,19 @@ from typing import Callable, Optional, Sequence
 
 from .asymptotics import SingularityClass
 from .errors import UsageError
-from .measure import WeightSequence, _h_or_degenerate, _joint_pmf, _k_pmf
+from .measure import WeightSequence, _WeightRule, _h_or_degenerate, _joint_pmf, _k_pmf
 from .pmf import Pmf
 from .series import EXACT, TruncatedSeries, check_kind, to_fraction, to_kind
 
 
-class GeneralizedWeights:
-    """Weights F_m(k) > 0 per multiplicity, F_m(0) = 1; exp_polynomial_weights sets poly."""
+class GeneralizedWeights(_WeightRule):
+    """Weights F_m(k) > 0 per multiplicity, F_m(0) = 1, given by eval_fn(m, k)
+    and optionally exact_fn(m, k); exp_polynomial_weights sets poly."""
 
     def __init__(self, eval_fn: Callable[[int, int], float], name: str = "custom",
                  exact_fn: Optional[Callable[[int, int], Fraction]] = None,
                  poly: Optional[dict] = None):
-        if not callable(eval_fn):
-            raise UsageError("eval_fn must be callable")
-        self._eval = eval_fn
-        self._exact = exact_fn
-        self.name = name
+        super().__init__(eval_fn, name, exact_fn)
         self.poly = poly
 
     @classmethod
@@ -66,10 +63,7 @@ class GeneralizedWeights:
         self._check(m, k)
         if k == 0:
             return 1.0
-        try:
-            v = float(self._eval(m, k))
-        except OverflowError:
-            v = math.inf
+        v = self._double(m, k)
         if not (math.isfinite(v) and v > 0):
             raise UsageError(f"F_{m}({k}) = {v} must be finite and > 0")
         return v
@@ -105,20 +99,11 @@ class GeneralizedWeights:
         """F_m(c) / (c! m^c) for c = 0..cmax, each exact rational rounded once."""
         return [to_kind(v, kind) for v in _factor_coeffs(self, m, cmax, EXACT)]
 
-    @property
-    def has_exact_rule(self) -> bool:
-        """Whether the exact backend sees true rationals from exact_fn
-        rather than binary snapshots of the doubles."""
-        return self._exact is not None
-
     def _check(self, m: int, k: int) -> None:
         if not isinstance(m, int) or m < 1:
             raise UsageError(f"cycle length must be an integer >= 1, got {m!r}")
         if not isinstance(k, int) or k < 0:
             raise UsageError(f"multiplicity must be an integer >= 0, got {k!r}")
-
-    def __repr__(self) -> str:
-        return f"GeneralizedWeights({self.name})"
 
 
 def eg_series(fweights: GeneralizedWeights, m: int, order: int,
@@ -134,6 +119,9 @@ def eg_series(fweights: GeneralizedWeights, m: int, order: int,
 def _factor_coeffs(fweights: GeneralizedWeights, m: int, kmax: int, backend: str) -> list:
     """Coefficients of EG(F_m, t^m/m) on the t^{m k} lattice, k = 0..kmax,
     each one exact rational rounded once: k! m^k overflows a double."""
+    if isinstance(fweights, WeightSequence):
+        raise UsageError("the lattice laws read F_m(k): pass GeneralizedWeights.from_theta"
+                         "(theta), or use the measure laws, which take a WeightSequence")
     return [to_kind(Fraction(fweights.at(m, k, backend)) / (math.factorial(k) * m**k), backend)
             for k in range(kmax + 1)]
 
@@ -254,16 +242,17 @@ def exp_polynomial_log_series(theta, higher: dict, order: int,
                               backend: str = EXACT) -> TruncatedSeries:
     """log of the exp-polynomial normalization generating function,
     theta sum_m t^m/m + sum_j b_j sum_i t^{ij}/i^j, whose ts_exp equals
-    generalized_normalization; normalization_constants adds its parts in
-    this order."""
+    generalized_normalization; it and normalization_constants add the
+    terms in degree order."""
     check_kind(backend)
     return _poly_series({1: theta, **higher}, order, backend)
 
 
 def _poly_series(poly: dict, order: int, backend: str, above: int = 0) -> TruncatedSeries:
-    """sum_j b_j sum_{i > above} t^{ij} / i^j to t^order, for poly = {j: b_j}."""
+    """sum_j b_j sum_{i > above} t^{ij} / i^j to t^order, for poly = {j: b_j},
+    added in degree order."""
     coeffs = [to_kind(0, backend)] * (order + 1)
-    for j, b in poly.items():
+    for j, b in sorted(poly.items()):
         for i in range(above + 1, order // j + 1):
             coeffs[i * j] += to_kind(to_fraction(b) / Fraction(i) ** j, backend)
     return TruncatedSeries(coeffs, backend)

@@ -14,6 +14,8 @@ The laws also take an exp-poly GeneralizedWeights (generalized.py), read
 like a WeightSequence through log_series(order, kind, above), the parts of
 log sum_n h_n(w) t^n = sum_j w^j g_j(t) over cycle lengths m > above ((g,)
 here), and cycle_factors(m, cmax, kind), F_m(c)/(c! m^c) (theta_m^c here).
+Both handles subclass _WeightRule, which holds their eval_fn/exact_fn rule,
+its overflow-to-inf double and their repr.
 
 Laws provided exactly (rational or double backend):
 
@@ -53,23 +55,41 @@ _JOINT_SUPPORT_CAP = 5_000_000
 _CHERNOFF_X = (2.0, 4.0, 8.0)  # the points x of _certified_cols' bound
 
 
-class WeightSequence:
-    """Cycle weights theta_1, theta_2, ... >= 0 given by a rule.
+class _WeightRule:
+    """What both weight handles share.  eval_fn gives the doubles; exact_fn,
+    if provided, the exact values for the rational backend.  Without it the
+    exact backend uses the exact binary value of the double, so both
+    backends always see the same numbers and the partition oracle can
+    demand exact equality."""
 
-    eval_fn(m) -> float defines the sequence; exact_fn(m) -> Fraction, if
-    provided, is its exact value for the rational backend.  When exact_fn
-    is omitted the exact backend uses Fraction(eval_fn(m)), i.e. the exact
-    binary value of the double, so both backends always see the same
-    numbers and the partition oracle can demand exact equality.
-    """
-
-    def __init__(self, eval_fn: Callable[[int], float], name: str = "custom",
-                 exact_fn: Optional[Callable[[int], Fraction]] = None):
+    def __init__(self, eval_fn: Callable, name: str = "custom",
+                 exact_fn: Optional[Callable] = None):
         if not callable(eval_fn):
             raise UsageError("eval_fn must be callable")
         self._eval = eval_fn
         self._exact = exact_fn
         self.name = name
+
+    def _double(self, *index) -> float:
+        """float(eval_fn(*index)), or inf where it overflows."""
+        try:
+            return float(self._eval(*index))
+        except OverflowError:
+            return math.inf
+
+    @property
+    def has_exact_rule(self) -> bool:
+        """Whether the exact backend sees true rationals from exact_fn
+        rather than binary snapshots of the doubles."""
+        return self._exact is not None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name})"
+
+
+class WeightSequence(_WeightRule):
+    """Cycle weights theta_1, theta_2, ... >= 0 given by a rule:
+    eval_fn(m) -> float, and optionally exact_fn(m) -> Fraction."""
 
     @classmethod
     def constant(cls, value, name: Optional[str] = None) -> "WeightSequence":
@@ -81,10 +101,7 @@ class WeightSequence:
 
     def theta(self, m: int) -> float:
         _check_index(m)
-        try:
-            value = float(self._eval(m))
-        except OverflowError:
-            value = math.inf
+        value = self._double(m)
         if not math.isfinite(value) or value < 0:
             raise UsageError(f"theta_{m} = {value} is not a finite nonnegative weight")
         return value
@@ -104,8 +121,8 @@ class WeightSequence:
 
     def log_series(self, order: int, kind: str, above: int = 0) -> tuple:
         """(g,): weight_log_series with the coefficients of t^m, m <= above, zeroed."""
-        g = weight_log_series(self, order, kind).coeffs
-        return (TruncatedSeries([to_kind(0, kind)] * (above + 1) + list(g[above + 1:]), kind),)
+        g, cut = weight_log_series(self, order, kind).coeffs, min(above, order) + 1
+        return (TruncatedSeries([to_kind(0, kind)] * cut + list(g[cut:]), kind),)
 
     def cycle_factors(self, m: int, cmax: int, kind: str) -> list:
         """(theta_m/m)^c / c! for c = 0..cmax, multiplied left to right."""
@@ -113,15 +130,6 @@ class WeightSequence:
         for count in range(1, cmax + 1):
             table.append(table[-1] * ratio / count)
         return table
-
-    @property
-    def has_exact_rule(self) -> bool:
-        """Whether the exact backend sees true rationals from exact_fn
-        rather than binary snapshots of the doubles."""
-        return self._exact is not None
-
-    def __repr__(self) -> str:
-        return f"WeightSequence({self.name})"
 
 
 def _check_index(m) -> None:
@@ -140,15 +148,15 @@ def weight_log_series(theta: WeightSequence, order: int, backend: str = EXACT) -
 
 def normalization_constants(theta, n_max: int, backend: str = EXACT) -> list:
     """h_0, ..., h_{n_max} with h_0 = 1, for either weight handle."""
-    return list(ts_exp(_at(theta, theta.log_series(n_max, backend))).coeffs)
+    return list(ts_exp(_at(theta.log_series(n_max, backend))).coeffs)
 
 
-def _at(theta, parts: tuple, x=1) -> TruncatedSeries:
-    """sum_j x^j parts[j-1], the log-series at w = x.  Parts add in the handle's
-    poly order if it has one: exp_polynomial_log_series rounds doubles in it."""
+def _at(parts: tuple, x=1) -> TruncatedSeries:
+    """sum_j x^j parts[j-1], the log-series at w = x, added in degree order
+    as exp_polynomial_log_series adds its terms."""
     coeffs = [to_kind(0, parts[0].kind)] * len(parts[0].coeffs)
-    for j in getattr(theta, "poly", None) or range(1, len(parts) + 1):
-        for t, c in enumerate(parts[j - 1].coeffs):
+    for j, part in enumerate(parts, 1):
+        for t, c in enumerate(part.coeffs):
             coeffs[t] += x**j * c
     return TruncatedSeries(coeffs, parts[0].kind)
 
@@ -182,7 +190,7 @@ def joint_cycle_columns(theta: WeightSequence, n: int, b: int) -> tuple:
 
 def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
     hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
-    tail = ts_exp(_at(theta, theta.log_series(n, backend, above=b))).coeffs
+    tail = ts_exp(_at(theta.log_series(n, backend, above=b))).coeffs
     factors = [theta.cycle_factors(m, n // m, backend) for m in range(1, b + 1)]
     return factors, tail, hn
 
@@ -283,12 +291,12 @@ def total_cycles_pmf_many(theta, n_values: Sequence[int],
                          f"0 < max_tail < 1, got {backend!r} and {max_tail!r}")
     parts = theta.log_series(max(ns), backend)
     cols, bounds = ((None, dict.fromkeys(ns, 0)) if max_tail is None
-                    else _certified_cols(theta, parts, ns, max_tail, keep_k))
+                    else _certified_cols(parts, ns, max_tail, keep_k))
     rows = bv_exp_wg(*parts, cols=cols)
     return {n: _k_pmf(rows[n], n, backend, bounds[n]) for n in ns}
 
 
-def _certified_cols(theta, parts: tuple, ns: list, max_tail: float, keep_k: int) -> tuple:
+def _certified_cols(parts: tuple, ns: list, max_tail: float, keep_k: int) -> tuple:
     """(cols, {n: tail bound}): the w-columns that leave at most max_tail of
     each law of K_n out, and the mass each law leaves out.  E[x^K_n] =
     h_n(x)/h_n(1), h_n(x) = [t^n] exp(sum_j x^j g_j), so for x > 1
@@ -300,7 +308,7 @@ def _certified_cols(theta, parts: tuple, ns: list, max_tail: float, keep_k: int)
     import numpy as np
     n_max = parts[0].order
     with np.errstate(all="ignore"):  # an overflowing h_n(x) only gives no bound
-        h = {x: ts_exp(_at(theta, parts, x)).coeffs for x in (1.0, *_CHERNOFF_X)}
+        h = {x: ts_exp(_at(parts, x)).coeffs for x in (1.0, *_CHERNOFF_X)}
     log_ratio = {n: {x: math.log(h[x][n] / h[1.0][n]) for x in _CHERNOFF_X
                      if 0 < h[1.0][n] < math.inf and 0 < h[x][n] < math.inf}
                  for n in ns}

@@ -11,9 +11,10 @@ cycle type with c_m cycles of length m, and
     z_lambda = prod_m m^{c_m} * c_m!
 
 so that n!/z_lambda permutations share the type.  A class of cycle type
-lambda has total mass prod_m F_m(c_m) / z_lambda before normalization,
-with F_m(c) = theta_m^c (weighted) or F_m(c) as given (generalized); both
-measures share one walk over the classes.
+lambda has total mass prod_m F_m(c_m) / z_lambda before normalization.
+The handle picks F: theta_m^c for a WeightSequence (weighted), F_m(c) as
+given for a GeneralizedWeights (generalized), so every oracle takes either
+and both measures share one walk over the classes.
 
 The exact walk runs on Python ints.  Write F_m(c) = a_{m,c} / B^e with
 B clearing every theta_m and e = c (weighted) or every F_m(c) and e = 1
@@ -102,15 +103,18 @@ def _generalized(fweights, n: int, backend: str) -> tuple:
     return (lambda m, c: fweights.at(m, c, backend)), False
 
 
-def _classes(builder, weights, n: int, backend: str, key) -> tuple:
+def _classes(weights, n: int, backend: str, key) -> tuple:
     """(mass, total, d): the class masses summed by key(parts) are mass / d
-    and sum to total / d; builder(weights, n, backend) gives F and whether
-    e = c.  Doubles have d = 1; exact sums are the integers of the module
-    docstring, keyed by (key(parts), n - E) until the scaling by B^{n-E}."""
+    and sum to total / d; a WeightSequence weighs by theta_m^c (e = c), any
+    other handle by F_m(c) (e = 1).  Doubles have d = 1; exact sums are the
+    integers of the module docstring, keyed by (key(parts), n - E) until
+    the scaling by B^{n-E}."""
+    from .measure import WeightSequence  # measure imports this module
     check_kind(backend)
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    weigh, per_cycle = builder(weights, n, backend)
+    rule = _weighted if isinstance(weights, WeightSequence) else _generalized
+    weigh, per_cycle = rule(weights, n, backend)
     f = {(m, c): weigh(m, c) for m in range(1, n + 1) for c in range(1, n // m + 1)}
     sums: dict = {}
     if backend == EXACT:
@@ -135,55 +139,36 @@ def _classes(builder, weights, n: int, backend: str, key) -> tuple:
     return mass, to_kind(sum(mass.values()), backend), d
 
 
-def _law(builder, weights, n: int, backend: str, key) -> tuple:
+def _law(weights, n: int, backend: str, key) -> tuple:
     """(law of key(parts), normalization)."""
-    mass, total, d = _classes(builder, weights, n, backend, key)
+    mass, total, d = _classes(weights, n, backend, key)
     if total == 0:
         raise DegenerateMeasureError(f"normalization vanishes at n={n}")
     return Pmf({k: w / total for k, w in mass.items()}, tol=pmf_tol(backend)), total / d
 
 
-def brute_force_normalization(theta, n: int, backend: str = "exact"):
-    """Partition sum h_n = sum_lambda prod_i theta_{lambda_i} / z_lambda."""
-    _, total, d = _classes(_weighted, theta, n, backend, len)
+def brute_force_normalization(weights, n: int, backend: str = "exact"):
+    """Partition sum h_n = sum_lambda prod_m F_m(c_m) / z_lambda."""
+    _, total, d = _classes(weights, n, backend, len)
     return total / d
 
 
-def brute_force_cycle_type_pmf(theta, n: int, backend: str = "exact"):
+def brute_force_cycle_type_pmf(weights, n: int, backend: str = "exact"):
     """Exact law of the cycle type; returns (pmf over Partition, normalization)."""
-    return _law(_weighted, theta, n, backend, Partition)
+    return _law(weights, n, backend, Partition)
 
 
-def _counts_key(b: int):
-    return lambda parts: tuple(map(parts.count, range(1, b + 1)))
-
-
-def brute_force_cycle_counts_pmf(theta, n: int, b: int, backend: str = "exact") -> Pmf:
+def brute_force_cycle_counts_pmf(weights, n: int, b: int, backend: str = "exact") -> Pmf:
     """Law of (C_1, ..., C_b), one atom per tuple the classes reach."""
-    return _law(_weighted, theta, n, backend, _counts_key(b))[0]
+    return _law(weights, n, backend, lambda parts: tuple(map(parts.count, range(1, b + 1))))[0]
 
 
-def brute_force_k_pmf(theta, n: int, backend: str = "exact") -> Pmf:
+def brute_force_k_pmf(weights, n: int, backend: str = "exact") -> Pmf:
     """Exact law of the total number of cycles, by partition length."""
-    return _law(_weighted, theta, n, backend, len)[0]
+    return _law(weights, n, backend, len)[0]
 
 
-def brute_force_generalized_normalization(fweights, n: int, backend: str = "exact"):
-    """Partition sum h_n(F) = sum_lambda prod_m F_m(c_m) / z_lambda."""
-    _, total, d = _classes(_generalized, fweights, n, backend, len)
-    return total / d
-
-
-def brute_force_generalized_cycle_type_pmf(fweights, n: int, backend: str = "exact"):
-    """Cycle-type law of the generalized measure; returns (pmf, normalization)."""
-    return _law(_generalized, fweights, n, backend, Partition)
-
-
-def brute_force_generalized_cycle_counts_pmf(fweights, n: int, b: int, backend: str = "exact"):
-    """Law of (C_1, ..., C_b) under the generalized measure."""
-    return _law(_generalized, fweights, n, backend, _counts_key(b))[0]
-
-
-def brute_force_generalized_k_pmf(fweights, n: int, backend: str = "exact") -> Pmf:
-    """Law of the total number of cycles under the generalized measure."""
-    return _law(_generalized, fweights, n, backend, len)[0]
+# The generalized measure's names for the same oracles
+brute_force_generalized_normalization = brute_force_normalization
+brute_force_generalized_cycle_type_pmf = brute_force_cycle_type_pmf
+brute_force_generalized_k_pmf = brute_force_k_pmf

@@ -627,16 +627,15 @@ def test_readme_family_table_matches_registry():
 @pytest.mark.parametrize("family", ["ewens", "exp-poly"])
 @pytest.mark.parametrize("target, oracle", [("k", "k"), ("cycles", "cycle_counts")])
 def test_oracle_tripwire_per_measure_and_target(monkeypatch, capsys, family, target, oracle):
-    # The law lookup runs per call, so a patched oracle of either measure
-    # and either target is the one --oracle consults.
+    # The law lookup runs per call, so a patched oracle of either target is
+    # the one --oracle consults, for either measure.
     import cyclemeter.cli as cli_mod
     from cyclemeter.pmf import Pmf
 
     def wrong_oracle(weights, n, *b_and_backend):
         return Pmf({1 if oracle == "k" else (n,): Fraction(1)})
 
-    generalized = "generalized_" if family == "exp-poly" else ""
-    monkeypatch.setattr(cli_mod, f"brute_force_{generalized}{oracle}_pmf", wrong_oracle)
+    monkeypatch.setattr(cli_mod, f"brute_force_{oracle}_pmf", wrong_oracle)
     code, out, err = run_cli(capsys, "dist", "--family", family, "--theta", "1",
                              "--target", target, "--n", "4", "--oracle")
     assert code == EXIT_MATH and out == ""
@@ -676,3 +675,23 @@ def test_report_refuses_generalized_family(capsys, kind, grid):
                              "--kind", kind, *grid)
     assert code == EXIT_USAGE and out == ""
     assert "reports need a weighted family" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("hn", "--n-grid", "50,100,200,300,400", "--backend", "double"),
+    ("hn", "--n-grid", "50,100", "--backend", "exact", "--format", "csv"),
+    ("dist", "--n", "60", "--backend", "double"),
+    ("dist", "--target", "cycles", "--b", "2", "--n", "30", "--backend", "double")])
+def test_exp_poly_key_order_changes_no_byte(capsys, tmp_path, command):
+    # The b<j> keys of one polynomial, in degree order and not: the sums
+    # over j run in degree order, so only the family name differs.
+    config = tmp_path / "families.ini"
+    config.write_text("[sorted]\nkind = exp-poly\ntheta = 1/3\nb2 = 1/2\nb3 = 2/3\nb5 = 1/7\n"
+                      "[shuffled]\nkind = exp-poly\ntheta = 1/3\nb5 = 1/7\nb2 = 1/2\nb3 = 2/3\n")
+    outs = []
+    for name in ("sorted", "shuffled"):
+        code, out, err = run_cli(capsys, command[0], "--family", name, "--config", str(config),
+                                 *command[1:])
+        assert (code, err) == (EXIT_OK, "")
+        outs.append(out.replace(name, "NAME"))
+    assert outs[0] == outs[1]

@@ -29,7 +29,7 @@ from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
 from cyclemeter.measure import (WeightSequence, joint_cycle_pmf,
                                 normalization_constants, total_cycles_pmf,
                                 total_cycles_pmf_many)
-from cyclemeter.partitions import (brute_force_generalized_cycle_counts_pmf,
+from cyclemeter.partitions import (brute_force_cycle_counts_pmf,
                                    brute_force_generalized_cycle_type_pmf,
                                    brute_force_generalized_k_pmf,
                                    brute_force_generalized_normalization)
@@ -270,7 +270,7 @@ def test_exp_polynomial_routes_match_oracle(data):
     assert total_cycles_pmf(fw, n) == brute_force_generalized_k_pmf(fw, n)
     joint = joint_cycle_pmf(fw, n, b)
     assert ({key: p for key, p in joint.items() if p}
-            == dict(brute_force_generalized_cycle_counts_pmf(fw, n, b).items()))
+            == dict(brute_force_cycle_counts_pmf(fw, n, b).items()))
 
 
 def test_exp_polynomial_routes_check_F_exactly():
@@ -289,16 +289,18 @@ def test_exp_polynomial_routes_check_F_exactly():
         normalization_constants(GeneralizedWeights(lambda m, k: 1.0), 3)
 
 
-def test_exp_polynomial_normalization_keeps_the_log_series_rounding():
-    # The parts are summed at w = 1 in the order the terms were given,
-    # as exp_polynomial_log_series sums them; in degree order one
-    # coefficient rounds differently, so the order is visible here.
+def test_exp_polynomial_key_order_changes_no_bit():
+    # The parts are summed at w = 1 in degree order whatever order the
+    # b_j were given in, as exp_polynomial_log_series sums them; added in
+    # the order given, one of these 401 doubles would round differently.
     theta, higher = Fraction(1, 3), {5: Fraction(1, 7), 2: Fraction(1, 2), 3: Fraction(2, 3)}
-    fw = exp_polynomial_weights(theta, higher)
-    given = list(ts_exp(exp_polynomial_log_series(theta, higher, 400, "double")).coeffs)
-    by_degree = ts_exp(exp_polynomial_log_series(theta, dict(sorted(higher.items())),
-                                                 400, "double")).coeffs
-    assert normalization_constants(fw, 400, "double") == given != list(by_degree)
+    by_degree = list(ts_exp(exp_polynomial_log_series(theta, dict(sorted(higher.items())),
+                                                      400, "double")).coeffs)
+    for order in (higher, dict(sorted(higher.items()))):
+        assert normalization_constants(exp_polynomial_weights(theta, order), 400,
+                                       "double") == by_degree
+        assert list(ts_exp(exp_polynomial_log_series(theta, order, 400,
+                                                     "double")).coeffs) == by_degree
 
 
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2)])
@@ -328,3 +330,17 @@ def test_truncated_exp_polynomial_k_law_matches_full_law(theta, higher, ns):
             assert abs(p - full[n][k]) <= 1e-13 * full[n][k]
         dropped = sum(p for k, p in full[n].items() if k > len(cut[n]))
         assert dropped <= cut[n].tail_bound <= 1.01 * K_TAIL
+
+
+@pytest.mark.parametrize("law", [
+    lambda theta, kind: generalized_normalization(theta, 4, kind),
+    lambda theta, kind: generalized_total_cycles_pmf(theta, 4, kind),
+    lambda theta, kind: generalized_joint_cycle_pmf(theta, 4, 2, kind)],
+    ids=["normalization", "total_cycles", "joint_cycles"])
+@pytest.mark.parametrize("backend", ["exact", "double"])
+def test_lattice_laws_refuse_a_weight_sequence(law, backend):
+    # The lattice reads F_m(k); a WeightSequence has theta_m only, and the
+    # refusal names both ways on: from_theta and the measure laws.
+    theta = WeightSequence.constant(Fraction(1, 2))
+    with pytest.raises(UsageError, match="GeneralizedWeights.from_theta.*measure laws"):
+        law(theta, backend)

@@ -20,8 +20,8 @@ from cyclemeter import measure
 from cyclemeter.asymptotics import ewens_family, polylog_family, theta_shift_family
 from cyclemeter.diagnostics import K_TAIL
 from cyclemeter.errors import DegenerateMeasureError, UsageError
-from cyclemeter.generalized import (_eg_product, _factor_coeffs, exp_polynomial_weights,
-                                    generalized_joint_cycle_pmf)
+from cyclemeter.generalized import (GeneralizedWeights, _eg_product, _factor_coeffs,
+                                    exp_polynomial_weights, generalized_joint_cycle_pmf)
 from cyclemeter.measure import (WeightSequence, expected_cycle_counts,
                                 joint_cycle_columns, joint_cycle_pmf,
                                 normalization_constants,
@@ -501,3 +501,35 @@ def test_pmf_rejects_non_finite_mass(bad):
         Pmf({1: bad}, tol=1e-9)
     with pytest.raises(UsageError):
         Pmf({1: 1.0}, tol=1e-9, tail_bound=bad)
+
+
+@pytest.mark.parametrize("cls, arity", [(WeightSequence, 1), (GeneralizedWeights, 2)])
+def test_weight_handles_share_one_rule(cls, arity):
+    # Both handles take their rule through one base: the callable check,
+    # has_exact_rule, the repr, and overflow read as inf, then refused.
+    with pytest.raises(UsageError, match="eval_fn must be callable"):
+        cls(1.5)
+    plain = cls(lambda *index: 0.5, name="plain")
+    exact = cls(lambda *index: 0.5, name="exact", exact_fn=lambda *index: Fraction(1, 2))
+    assert (plain.has_exact_rule, exact.has_exact_rule) == (False, True)
+    assert repr(plain) == f"{cls.__name__}(plain)"
+    huge = cls(lambda *index: 10**400, name="huge")
+    with pytest.raises(UsageError, match="finite"):
+        huge.at(*(1,) * arity, "double")
+    for backend in ("exact", "double"):
+        with pytest.raises(UsageError, match="finite"):
+            brute_force_normalization(huge, 3, backend)
+
+
+@pytest.mark.parametrize("handle", [
+    WeightSequence(lambda m: 1 / m, exact_fn=lambda m: Fraction(1, m)),
+    exp_polynomial_weights(Fraction(1, 2), {2: Fraction(1, 3), 3: Fraction(1, 5)})],
+    ids=["weighted", "exp-poly"])
+@pytest.mark.parametrize("above", [0, 3, 9, 14])
+def test_log_series_keeps_its_order_whatever_above(handle, above):
+    # order + 1 coefficients in every part, those of t^m with m <= above
+    # zeroed, for above up to and past the order.
+    order = 9
+    for part in handle.log_series(order, "exact", above=above):
+        assert len(part.coeffs) == order + 1
+        assert all(c == 0 for c in part.coeffs[:above + 1])

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cyclemeter import generalized, measure, partitions, series
+from cyclemeter.asymptotics import theta_shift_family
 from cyclemeter.errors import DegenerateMeasureError, ResourceError, UsageError
 from cyclemeter.measure import WeightSequence
 from cyclemeter.partitions import (Partition, brute_force_cycle_type_pmf,
@@ -125,7 +126,7 @@ def test_counts_oracle_equals_projected_type_law(b):
     for counts, types in [
             (partitions.brute_force_cycle_counts_pmf(theta, 9, b),
              brute_force_cycle_type_pmf(theta, 9)[0]),
-            (partitions.brute_force_generalized_cycle_counts_pmf(fw, 9, b),
+            (partitions.brute_force_cycle_counts_pmf(fw, 9, b),
              partitions.brute_force_generalized_cycle_type_pmf(fw, 9)[0])]:
         projected = {}
         for lam, p in types.items():
@@ -162,3 +163,34 @@ def test_generalized_oracle_refuses_vanishing_normalization():
         partitions.brute_force_generalized_cycle_type_pmf(tiny, 2, "double")
     with pytest.raises(DegenerateMeasureError):
         partitions.brute_force_generalized_k_pmf(tiny, 2, "double")
+
+
+@pytest.mark.parametrize("theta", [
+    theta_shift_family(1, amp=1, power=2).weights,
+    WeightSequence.constant(Fraction(1, 2)),
+    generalized.spatial_effective_weights(
+        generalized.SpatialModel((Fraction(1, 2), Fraction(1, 3)), alpha=0.5))],
+    ids=["theta-shift", "ewens-half", "spatial"])
+@pytest.mark.parametrize("n", [1, 7, 12])
+def test_class_weight_rules_agree_on_powers(theta, n):
+    # F_m(c) = theta_m^c read as a GeneralizedWeights (e = 1) and theta
+    # itself (e = c) weigh every class alike: equal Fractions, law by law.
+    fw = generalized.GeneralizedWeights.from_theta(theta)
+    for law in (brute_force_normalization, brute_force_k_pmf, brute_force_cycle_type_pmf):
+        assert law(theta, n) == law(fw, n)
+    for b in range(1, min(3, n) + 1):
+        assert (partitions.brute_force_cycle_counts_pmf(theta, n, b)
+                == partitions.brute_force_cycle_counts_pmf(fw, n, b))
+
+
+def test_k_oracle_equals_projected_type_law():
+    # The K_n oracle of either handle adds the cycle-type law by length.
+    theta = WeightSequence(lambda m: 0.5 * m, exact_fn=lambda m: Fraction(m, 2))
+    fw = generalized.exp_polynomial_weights(Fraction(2, 3), {3: Fraction(1, 6), 2: Fraction(1, 4)})
+    for weights in (theta, fw):
+        types, norm = brute_force_cycle_type_pmf(weights, 10)
+        assert norm == brute_force_normalization(weights, 10)
+        projected = {}
+        for lam, p in types.items():
+            projected[len(lam.parts)] = projected.get(len(lam.parts), 0) + p
+        assert dict(brute_force_k_pmf(weights, 10).items()) == projected
