@@ -20,10 +20,10 @@ from .generalized import (GeneralizedWeights, SpatialModel, eg_series,
                           generalized_normalization,
                           generalized_total_cycles_pmf, spatial_F,
                           spatial_class_params, spatial_effective_weights)
-from .measure import (WeightSequence, expected_cycle_counts, joint_cycle_columns,
-                      joint_cycle_pmf, normalization_constants, sample_cycle_type,
-                      sample_cycle_type_parts, sample_permutation, total_cycles_pmf,
-                      total_cycles_pmf_many, weight_log_series)
+from .measure import (WeightSequence, expected_cycle_counts, joint_cycle_blocks,
+                      joint_cycle_columns, joint_cycle_pmf, normalization_constants,
+                      sample_cycle_type, sample_cycle_type_parts, sample_permutation,
+                      total_cycles_pmf, total_cycles_pmf_many, weight_log_series)
 from .partitions import (Partition, brute_force_cycle_type_pmf,
                          brute_force_generalized_cycle_type_pmf,
                          brute_force_generalized_k_pmf,

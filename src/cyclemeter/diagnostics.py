@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .asymptotics import WeightFamily, large_deviation_estimate, mod_poisson_limit
 from .errors import ResourceError, UsageError
-from .measure import joint_cycle_columns, total_cycles_pmf_many
+from .measure import joint_cycle_blocks, total_cycles_pmf_many
 from .pmf import Pmf
 from .specfun import normal_cdf, poisson_pmf
 
@@ -148,9 +148,11 @@ def poisson_vector_report(family: WeightFamily, b: int,
 
     Emits total-variation and pointwise-sup rows; mass the product law
     puts outside the exact support enters both as an upper bound.  The law
-    comes as joint_cycle_columns (tuples in lexicographic order); products
-    run left to right in m and sums left to right over the tuples
-    (np.add.accumulate), as the references pin their rounding.
+    streams in as joint_cycle_blocks (tuples in lexicographic order, a
+    bounded number per block), so memory does not grow with the support.
+    Products run left to right in m, and sums left to right over the
+    tuples (np.add.accumulate, carried from block to block), as the
+    references pin their rounding.
     """
     cls = family.require_class()
     ns = _check_grid(n_values)
@@ -160,15 +162,20 @@ def poisson_vector_report(family: WeightFamily, b: int,
     import numpy as np
     tv_values, loc_values = [], []
     for n in ns:
-        counts, p_mass = joint_cycle_columns(family.weights, n, b)
-        q_mass = np.ones(len(p_mass))
-        for m in range(1, b + 1):
-            row = np.array([poisson_pmf(lams[m - 1], c) for c in range(n // m + 1)])
-            q_mass = q_mass * row[counts[:, m - 1]]
-        diff = np.abs(p_mass - q_mass)
-        outside = max(0.0, 1.0 - float(np.add.accumulate(q_mass)[-1]))
-        tv_values.append(0.5 * float(np.add.accumulate(diff)[-1]) + 0.5 * outside)
-        loc_values.append(max(float(diff.max()), outside))
+        rows = [np.array([poisson_pmf(lams[m - 1], c) for c in range(n // m + 1)])
+                for m in range(1, b + 1)]
+        sum_diff = sum_q = max_diff = 0.0
+        for counts, p_mass in joint_cycle_blocks(family.weights, n, b):
+            q_mass = np.ones(len(p_mass))
+            for m, row in enumerate(rows):
+                q_mass = q_mass * row[counts[:, m]]
+            diff = np.abs(p_mass - q_mass)
+            sum_diff = float(np.add.accumulate(np.concatenate(([sum_diff], diff)))[-1])
+            sum_q = float(np.add.accumulate(np.concatenate(([sum_q], q_mass)))[-1])
+            max_diff = max(max_diff, float(diff.max()))
+        outside = max(0.0, 1.0 - sum_q)
+        tv_values.append(0.5 * sum_diff + 0.5 * outside)
+        loc_values.append(max(max_diff, outside))
     rate, ref = _reference(family, ns)
     return [
         ComparisonReport("tv", ns, tv_values, rate, ref, _fit_slope(ns, tv_values)),

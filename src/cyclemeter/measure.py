@@ -21,7 +21,9 @@ Laws provided exactly (rational or double backend):
 
 * normalization_constants  -- h_0..h_N;
 * joint_cycle_pmf          -- law of (C_1, ..., C_b), tuples in lexicographic order;
-* joint_cycle_columns      -- its double law as numpy columns (sum left to right);
+* joint_cycle_blocks       -- its double law as (counts, mass) numpy blocks of at
+                              most _JOINT_BLOCK tuples, in the same order;
+* joint_cycle_columns      -- those blocks stacked into two columns (sum left to right);
 * total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
 * total_cycles_pmf_many    -- laws of K_n along a grid of n; double ones may
                               stop at a certified tail bound (k_max columns);
@@ -52,6 +54,7 @@ from .series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, check_kind,
                      pmf_tol, to_fraction, to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
+_JOINT_BLOCK = 1 << 14  # rows per block of a double joint law
 _CHERNOFF_X = (2.0, 4.0, 8.0)  # the points x of _certified_cols' bound
 
 
@@ -183,6 +186,11 @@ def joint_cycle_pmf(theta, n: int, b: int, backend: str = EXACT) -> Pmf:
     return _joint_pmf(n, b, backend, lambda: _joint_tables(theta, n, b, backend))
 
 
+def joint_cycle_blocks(theta, n: int, b: int):
+    """The double joint_cycle_pmf as the (counts, mass) blocks of _joint_blocks."""
+    return _joint_blocks(n, b, lambda: _joint_tables(theta, n, b, DOUBLE))
+
+
 def joint_cycle_columns(theta: WeightSequence, n: int, b: int) -> tuple:
     """The double joint_cycle_pmf as the columns of _joint_columns."""
     return _joint_columns(n, b, lambda: _joint_tables(theta, n, b, DOUBLE))
@@ -229,36 +237,76 @@ def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
 
 def _joint_columns(n: int, b: int, tables: Callable) -> tuple:
     """(counts, mass): the double law of _joint_pmf, row i of counts its i-th
-    tuple.  Per m, a row with budget points left repeats budget//m + 1 times
-    and takes factors[m-1][c_m], so each mass has fill's product and bits."""
+    tuple; the blocks of _joint_blocks stacked."""
+    import numpy as np
+    counts, mass = zip(*_joint_blocks(n, b, tables))
+    return np.concatenate(counts), np.concatenate(mass)
+
+
+def _joint_blocks(n: int, b: int, tables: Callable):
+    """(counts, mass) blocks of at most _JOINT_BLOCK rows: the double law of
+    _joint_pmf, the rows of counts its tuples in lexicographic order.
+
+    Per m, a row with budget points left repeats budget//m + 1 times and
+    takes factors[m-1][c_m], so each mass has fill's product and bits.
+    Rows whose repeats would pass _JOINT_BLOCK are expanded half at a time,
+    and the repeats of a single such row _JOINT_BLOCK at a time.  Each
+    block is checked finite and >= 0, and the total after the last one.
+    """
     _guard_joint_support(n, b)
     import numpy as np
     factors, tail, hn = tables()
-    counts, budget, weight = np.zeros((1, 0), dtype=np.int64), np.array([n]), np.ones(1)
-    for m in range(1, b + 1):
+    factors = [np.asarray(table, dtype=float) for table in factors]
+    tail = np.asarray(tail, dtype=float)
+
+    def expand(m: int, counts, budget, weight):
+        if m > b:
+            yield counts, weight * tail[budget] / hn
+            return
         reps = budget // m + 1
+        if budget.size > 1 and reps.sum() > _JOINT_BLOCK:
+            half = budget.size // 2
+            yield from expand(m, counts[:half], budget[:half], weight[:half])
+            yield from expand(m, counts[half:], budget[half:], weight[half:])
+            return
         row = np.repeat(np.arange(budget.size), reps)
         c = np.arange(row.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        counts = np.column_stack([counts[row], c])
-        budget = budget[row] - m * c
-        weight = weight[row] * np.asarray(factors[m - 1], dtype=float)[c]
-    mass = weight * np.asarray(tail, dtype=float)[budget] / hn
-    if not (np.all((mass >= 0) & (mass < math.inf)) and abs(mass.sum() - 1) <= pmf_tol(DOUBLE)):
-        raise UsageError(f"joint masses must be finite, >= 0 and sum to 1: {mass.sum()}")
-    return counts, mass
+        for lo in range(0, row.size, _JOINT_BLOCK):
+            r, k = row[lo:lo + _JOINT_BLOCK], c[lo:lo + _JOINT_BLOCK]
+            yield from expand(m + 1, np.column_stack([counts[r], k]), budget[r] - m * k,
+                              weight[r] * factors[m - 1][k])
+
+    total = 0.0
+    for counts, mass in expand(1, np.zeros((1, 0), dtype=np.int64), np.array([n]), np.ones(1)):
+        total += float(mass.sum())
+        if not np.all((mass >= 0) & (mass < math.inf)):
+            raise UsageError(f"joint masses must be finite, >= 0 and sum to 1: {total}")
+        yield counts, mass
+    if not abs(total - 1) <= pmf_tol(DOUBLE):
+        raise UsageError(f"joint masses must be finite, >= 0 and sum to 1: {total}")
 
 
-def _guard_joint_support(n: int, b: int) -> None:
+def _guard_joint_support(n: int, b: int) -> int:
+    """The number of tuples (c_1, ..., c_b) with sum_m m c_m <= n, that is
+    sum_{s<=n} p_b(s) for p_m(s) = p_{m-1}(s) + p_m(s - m) the partitions of
+    s into parts <= m; ResourceError as soon as the running count passes
+    _JOINT_SUPPORT_CAP."""
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
     if not isinstance(b, int) or not 1 <= b <= n:
         raise UsageError(f"b must satisfy 1 <= b <= n, got {b!r}")
-    size = 1.0
-    for m in range(1, b + 1):
-        size *= n / m + 1
-        if size > _JOINT_SUPPORT_CAP:
-            raise ResourceError(
-                f"joint support for n={n}, b={b} exceeds {_JOINT_SUPPORT_CAP} tuples")
+    refusal = ResourceError(
+        f"joint support for n={n}, b={b} has more than {_JOINT_SUPPORT_CAP} tuples")
+    if n + 1 > _JOINT_SUPPORT_CAP:  # the tuples (c_1, 0, ..., 0) alone
+        raise refusal
+    ways, count = [1] * (n + 1), n + 1  # p_1(s) = 1
+    for m in range(2, b + 1):
+        for s in range(m, n + 1):
+            ways[s] += ways[s - m]
+            count += ways[s - m]
+            if count > _JOINT_SUPPORT_CAP:
+                raise refusal
+    return count
 
 
 def total_cycles_pmf(theta, n: int, backend: str = EXACT) -> Pmf:

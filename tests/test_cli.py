@@ -373,17 +373,19 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("n, b", [(150, 12), (600, 3)])
 @pytest.mark.parametrize("joint, weights, family", [
     (joint_cycle_pmf, ewens_family(1).weights, "ewens"),
     (generalized_joint_cycle_pmf, exp_polynomial_weights(1, {}), "exp-poly"),
 ])
-def test_joint_support_cap(capsys, joint, weights, family):
-    # (C_1..C_12) at n=150 has more tuples than the cap: both measures
-    # refuse at once instead of enumerating for minutes.
+def test_joint_support_cap(capsys, joint, weights, family, n, b):
+    # (C_1..C_12) at n=150 and (C_1..C_3) at n=600 (6,105,551 tuples) have
+    # more tuples than the cap: both measures refuse at once instead of
+    # enumerating for minutes.
     with pytest.raises(ResourceError):
-        joint(weights, 150, 12)
+        joint(weights, n, b)
     code, _, err = run_cli(capsys, "dist", "--family", family, "--theta", "1",
-                           "--target", "cycles", "--b", "12", "--n", "150",
+                           "--target", "cycles", "--b", str(b), "--n", str(n),
                            "--backend", "double")
     assert code == EXIT_USAGE
     assert "joint support" in err

@@ -6,6 +6,7 @@ direct Poisson sums.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclemeter import measure
 from cyclemeter.asymptotics import theta_shift_family
 from cyclemeter.diagnostics import (ComparisonReport, d_K, d_loc, dumps_csv,
                                     dumps_deterministic, format_scalar,
@@ -200,11 +202,27 @@ def reference_poisson_vector(family, b, n):
     return 0.5 * acc_abs + 0.5 * outside, max(best, outside)
 
 
-def test_poisson_vector_report_matches_sequential_reference_bitwise():
-    # The references pin these values to the last bit: the column sums
-    # must add left to right in lexicographic order, as this loop does.
+@pytest.mark.parametrize("block", [measure._JOINT_BLOCK, 5])
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_poisson_vector_report_matches_sequential_reference_bitwise(monkeypatch, b, block):
+    # The references pin these values to the last bit: the block sums
+    # must add left to right in lexicographic order, carried across
+    # blocks, as this loop does.  5-row blocks put many carries in each law.
+    monkeypatch.setattr(measure, "_JOINT_BLOCK", block)
     family, ns = theta_shift_family(1), [30, 60]
-    tv, loc = poisson_vector_report(family, 3, ns)
-    expected = [reference_poisson_vector(family, 3, n) for n in ns]
+    tv, loc = poisson_vector_report(family, b, ns)
+    expected = [reference_poisson_vector(family, b, n) for n in ns]
     assert tv.values == [e[0] for e in expected]
     assert loc.values == [e[1] for e in expected]
+
+
+def test_poisson_vector_report_memory_is_bounded_by_the_block():
+    # The whole law at n = 200, b = 3 is 234,073 tuples, over 11 MB as
+    # (b + 3) columns of 8 bytes; the report holds one block at a time.
+    tracemalloc.start()
+    try:
+        poisson_vector_report(theta_shift_family(1), 3, [200])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

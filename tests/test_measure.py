@@ -19,7 +19,7 @@ from scipy import stats
 from cyclemeter import measure
 from cyclemeter.asymptotics import ewens_family, polylog_family, theta_shift_family
 from cyclemeter.diagnostics import K_TAIL
-from cyclemeter.errors import DegenerateMeasureError, UsageError
+from cyclemeter.errors import DegenerateMeasureError, ResourceError, UsageError
 from cyclemeter.generalized import (GeneralizedWeights, _eg_product, _factor_coeffs,
                                     exp_polynomial_weights, generalized_joint_cycle_pmf)
 from cyclemeter.measure import (WeightSequence, expected_cycle_counts,
@@ -130,6 +130,22 @@ def test_joint_marginal_consistency():
     assert collapsed == dict(single.items())
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_joint_support_count_matches_enumeration(n):
+    for b in range(1, n + 1):
+        boxes = itertools.product(*[range(n // m + 1) for m in range(1, b + 1)])
+        tuples = sum(sum(m * c for m, c in enumerate(key, 1)) <= n for key in boxes)
+        assert measure._guard_joint_support(n, b) == tuples
+
+
+def test_joint_support_cap_counts_tuples_not_the_box():
+    # Both boxes prod_m (n/m + 1) pass the cap; the supports do not.
+    assert measure._guard_joint_support(400, 3) == 1_824_812
+    assert measure._guard_joint_support(200, 4) == 3_095_037
+    with pytest.raises(ResourceError, match="more than 5000000 tuples"):
+        measure._guard_joint_support(600, 3)  # 6,105,551 tuples
+
+
 def test_joint_validates_b():
     theta = WeightSequence.constant(1)
     with pytest.raises(UsageError):
@@ -159,11 +175,18 @@ JOINT_WEIGHTS = {"constant": WeightSequence.constant(2),
                  "polylog": polylog_family(-0.5).weights}
 
 
+# The default block holds every law below whole; 3 rows split the root
+# row's repeats and halve the rows of every later level.
+BLOCKS = [measure._JOINT_BLOCK, 3]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", list(JOINT_WEIGHTS))
-def test_double_joint_columns_match_per_atom_masses_bitwise(family, b):
-    # The column builder keeps every rounding of the per-tuple products,
+def test_double_joint_columns_match_per_atom_masses_bitwise(monkeypatch, family, b, block):
+    # The block builder keeps every rounding of the per-tuple products,
     # so supports and masses compare with ==, not a tolerance.
+    monkeypatch.setattr(measure, "_JOINT_BLOCK", block)
     theta, n = JOINT_WEIGHTS[family], 24
     keys, masses = per_atom_joint(n, b, *measure._joint_tables(theta, n, b, "double"))
     pmf = joint_cycle_pmf(theta, n, b, "double")
@@ -172,11 +195,14 @@ def test_double_joint_columns_match_per_atom_masses_bitwise(family, b):
     counts, mass = joint_cycle_columns(theta, n, b)
     assert list(map(tuple, counts.tolist())) == keys
     assert mass.tolist() == masses
+    assert max(len(rows) for _, rows in measure.joint_cycle_blocks(theta, n, b)) <= block
 
 
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("b", [1, 2, 3])
-def test_double_generalized_joint_matches_per_atom_masses_bitwise(b):
+def test_double_generalized_joint_matches_per_atom_masses_bitwise(monkeypatch, b, block):
     # F(k) = He_k(16 sqrt 2) / 2^{k/2} for b2 = -1/4: positive, not a power.
+    monkeypatch.setattr(measure, "_JOINT_BLOCK", block)
     fw, n = exp_polynomial_weights(16, {2: Fraction(-1, 4)}), 20
     tail = _eg_product(fw, range(b + 1, n + 1), n, "double")
     hn = _eg_product(fw, range(1, b + 1), n, "double", acc=tail)[n]
