@@ -13,15 +13,20 @@ degenerate measure, unusable class); 4 failed trend assertion
 (--assert-trends).
 
 Output is deterministic: identical invocations produce identical bytes;
-floats carry 17 significant digits.
+floats carry 17 significant digits.  `sample` draws and writes its rows
+in blocks of about 2^14 integers, so its memory does not depend on
+--count; every refusal comes before the first draw and writes nothing,
+but a draw that fails later (exit 3) leaves the blocks already written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import warnings
+from itertools import islice
 
 from .asymptotics import WeightFamily, asymptotic_hn
 from .catalog import KINDS, family_flags, family_from_request
@@ -32,8 +37,8 @@ from .diagnostics import (clt_report, dumps_csv, dumps_deterministic,
 from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
                      ResourceError, UnsupportedClassError, UsageError)
 from .generalized import GeneralizedWeights
-from .measure import (joint_cycle_pmf, normalization_constants, sample_cycle_type_parts,
-                      sample_permutation, total_cycles_pmf)
+from .measure import (_sample_rows, joint_cycle_pmf, normalization_constants,
+                      total_cycles_pmf)
 from .partitions import brute_force_cycle_counts_pmf, brute_force_k_pmf
 from .series import EXACT, auto_kind, pmf_tol, to_kind
 
@@ -44,6 +49,7 @@ EXIT_TREND = 4
 
 _REPORT_KINDS = ("poisson-vector", "mod-poisson", "clt", "poisson-k", "large-dev")
 _DEFAULT_S_GRID = "0,0.5,-0.5,1,-1,2,-2"
+_SAMPLE_BLOCK = 1 << 14  # integers per block of sample output
 
 
 class _TrendFailure(Exception):
@@ -143,6 +149,7 @@ def _pmf_out(pmf, backend: str) -> tuple:
 
 # -- subcommand implementations ---------------------------------------------
 # Each runner returns (JSON document, CSV rows); main renders one of them.
+# The sample runner's rows are an iterator, drawn as main writes them.
 
 
 def _run_hn(args) -> tuple:
@@ -197,12 +204,29 @@ def _run_dist(args) -> tuple:
 
 def _run_sample(args) -> tuple:
     handle = _resolve_family(args)
-    draw, kind = ((sample_cycle_type_parts, "cycle-type") if args.cycle_type_only
-                  else (sample_permutation, "permutation"))
-    samples = draw(handle.weights, args.n, seed=args.seed, count=args.count)
+    samples = _sample_rows(handle.weights, args.n, args.seed, args.count,
+                           args.cycle_type_only)
+    kind = "cycle-type" if args.cycle_type_only else "permutation"
     doc = {"command": "sample", "family": args.family, "n": args.n,
            "seed": args.seed, "count": args.count, "kind": kind, "samples": samples}
     return doc, samples
+
+
+def _sample_chunks(doc: dict, csv: bool):
+    """The sample output in pieces, drawing max(1, _SAMPLE_BLOCK // n) rows
+    at a time so that one block is held.  Each piece is cut from the
+    serializers' output for the whole document, so the pieces join to its
+    bytes."""
+    size = max(1, _SAMPLE_BLOCK // doc["n"])
+    blocks = iter(lambda: list(islice(doc["samples"], size)), [])
+    if csv:
+        yield from map(dumps_csv, blocks)
+        return
+    assert list(doc)[-1] == "samples"  # the rows close the document
+    yield dumps_deterministic({**doc, "samples": []})[:-2]
+    for i, block in enumerate(blocks):
+        yield (", " if i else "") + dumps_deterministic(block)[1:-1]
+    yield "]}\n"
 
 
 def _parse_k_spec(text: str):
@@ -280,7 +304,26 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             doc, rows = _RUNNERS[args.command](args)
-        text = dumps_csv(rows) if args.format == "csv" else dumps_deterministic(doc) + "\n"
+            csv = args.format == "csv"
+            chunks = (_sample_chunks(doc, csv) if args.command == "sample" else
+                      [dumps_csv(rows) if csv else dumps_deterministic(doc) + "\n"])
+            if args.output:
+                try:
+                    with open(args.output, "w") as fh:
+                        fh.writelines(chunks)
+                except OSError as exc:
+                    print(f"error: cannot write --output: {exc}", file=sys.stderr)
+                    return EXIT_USAGE
+            else:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does): stop drawing, and
+        # point stdout at /dev/null so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (UsageError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -291,15 +334,6 @@ def main(argv=None) -> int:
     except _TrendFailure as exc:
         print(f"trend assertion failed: {exc}", file=sys.stderr)
         return EXIT_TREND
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write --output: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -437,8 +437,11 @@ def _permutation_of_type(lengths: list, rng) -> tuple:
     return tuple(image.tolist())
 
 
-def _sample(theta: WeightSequence, n: int, seed: int, count: Optional[int], make: Callable):
-    """The checks both samplers share, then make(lengths, rng) per draw."""
+def _sample_rows(theta: WeightSequence, n: int, seed: int, count: Optional[int],
+                 cycle_type_only: bool):
+    """The checks both samplers share, the RNG and h_n, all at once; then
+    an iterator that draws one row per step (count rows, or one for None):
+    a nonincreasing length list, or a permutation image."""
     if not isinstance(theta, WeightSequence):
         raise UsageError("sampling is defined for weighted families only")
     if not isinstance(n, int) or n < 1:
@@ -453,14 +456,16 @@ def _sample(theta: WeightSequence, n: int, seed: int, count: Optional[int], make
     batches = iter(lambda: rng.random(4096).tolist(), None)  # endless: a list is not None
     uniform = chain.from_iterable(batches).__next__
     draw = _length_drawer(theta, n)
-    result = [make(draw(uniform), rng) for _ in range(draws)]
-    return result[0] if count is None else result
+    if cycle_type_only:
+        return (sorted(draw(uniform), reverse=True) for _ in range(draws))
+    return (_permutation_of_type(draw(uniform), rng) for _ in range(draws))
 
 
 def sample_cycle_type_parts(theta: WeightSequence, n: int, seed: int = 0,
                             count: Optional[int] = None):
     """sample_cycle_type's draws as nonincreasing lists, with no Partition built."""
-    return _sample(theta, n, seed, count, lambda lengths, rng: sorted(lengths, reverse=True))
+    rows = list(_sample_rows(theta, n, seed, count, cycle_type_only=True))
+    return rows[0] if count is None else rows
 
 
 def sample_cycle_type(theta: WeightSequence, n: int, seed: int = 0,
@@ -482,4 +487,5 @@ def sample_permutation(theta: WeightSequence, n: int, seed: int = 0,
     of 1..n is cut into cycles of those lengths; fixed (theta, n, seed,
     count) gives identical output on every run.
     """
-    return _sample(theta, n, seed, count, _permutation_of_type)
+    rows = list(_sample_rows(theta, n, seed, count, cycle_type_only=False))
+    return rows[0] if count is None else rows

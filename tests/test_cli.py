@@ -5,6 +5,7 @@ pytest.  Oracles are the library calls the commands wrap.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -24,11 +26,13 @@ from hypothesis import strategies as st
 from cyclemeter.asymptotics import ewens_family, theta_shift_family
 from cyclemeter.catalog import FAMILIES, KINDS, build_family, parse_number
 from cyclemeter.cli import (EXIT_MATH, EXIT_OK, EXIT_TREND, EXIT_USAGE, main)
+from cyclemeter.diagnostics import dumps_csv, dumps_deterministic
 from cyclemeter.errors import DegenerateMeasureError, ResourceError
 from cyclemeter.generalized import (exp_polynomial_weights,
                                     generalized_joint_cycle_pmf)
 from cyclemeter.measure import (joint_cycle_pmf, normalization_constants,
-                                sample_cycle_type, total_cycles_pmf)
+                                sample_cycle_type, sample_cycle_type_parts,
+                                sample_permutation, total_cycles_pmf)
 from cyclemeter.partitions import brute_force_normalization
 
 
@@ -184,20 +188,137 @@ def test_unknown_family_is_usage_error(capsys):
     assert "error" in err
 
 
-def test_sample_generalized_is_usage_error(capsys):
+def _assert_sample_refused(capsys, tmp_path, argv, code, err):
+    # A refusal comes before the first draw: nothing on stdout, no --output file.
+    target = tmp_path / "samples.out"
     for flags in ((), ("--cycle-type-only",)):
-        code, out, err = run_cli(capsys, "sample", "--family", "exp-poly",
-                                 "--theta", "1", "--n", "5", *flags)
-        assert code == EXIT_USAGE and out == ""
-        assert err == "error: sampling is defined for weighted families only\n"
+        for fmt in ("json", "csv"):
+            for output in ((), ("--output", str(target))):
+                assert run_cli(capsys, "sample", *argv, *flags,
+                               "--format", fmt, *output) == (code, "", err)
+                assert not target.exists()
 
 
-def test_sample_zero_count_is_usage_error(capsys):
-    for flags in ((), ("--cycle-type-only",)):
-        code, out, err = run_cli(capsys, "sample", "--family", "ewens", "--theta", "1",
-                                 "--n", "5", "--count", "0", *flags)
-        assert code == EXIT_USAGE and out == ""
-        assert "count must be a positive integer" in err
+def test_sample_generalized_is_usage_error(capsys, tmp_path):
+    _assert_sample_refused(capsys, tmp_path, ("--family", "exp-poly", "--theta", "1", "--n", "5"),
+                           EXIT_USAGE, "error: sampling is defined for weighted families only\n")
+
+
+def test_sample_zero_count_is_usage_error(capsys, tmp_path):
+    _assert_sample_refused(capsys, tmp_path, ("--family", "ewens", "--theta", "1", "--n", "5",
+                                                "--count", "0"),
+                           EXIT_USAGE, "error: count must be a positive integer, got 0\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("--theta", "1", "--n", "5", "--seed", "-1"), EXIT_USAGE,
+     "error: seed must be a nonnegative integer, got -1\n"),
+    (("--theta=4e-323", "--n", "40"), EXIT_MATH,  # h_40 underflows to 0
+     "error: normalization h_40 = 0; the measure is undefined there\n")])
+def test_sample_refusals_write_nothing(capsys, tmp_path, argv, code, err):
+    _assert_sample_refused(capsys, tmp_path, ("--family", "ewens", *argv), code, err)
+
+
+def test_sample_failing_draw_leaves_the_blocks_written(monkeypatch, capsys):
+    # _length_drawer fails mid-draw only at a remainder s where every
+    # theta_j h_{s-j} is 0 though ts_exp's h_s > 0, which needs products at
+    # the bottom of the subnormal range; no family is known to reach it.  A
+    # drawer that fails at the fifth draw stands in: exit 3 after the first
+    # block of three rows.
+    import cyclemeter.cli as cli_mod
+    import cyclemeter.measure as measure_mod
+
+    real = measure_mod._length_drawer
+
+    def failing_drawer(theta, n):
+        draw, calls = real(theta, n), []
+
+        def flaky(uniform):
+            calls.append(1)
+            if len(calls) == 5:
+                raise DegenerateMeasureError("reached remainder size 1 with h_1 = 0")
+            return draw(uniform)
+        return flaky
+
+    monkeypatch.setattr(cli_mod, "_SAMPLE_BLOCK", 3)
+    monkeypatch.setattr(measure_mod, "_length_drawer", failing_drawer)
+    argv = ("sample", "--family", "ewens", "--theta", "1", "--n", "1", "--count", "9")
+    err = "error: reached remainder size 1 with h_1 = 0\n"
+    assert run_cli(capsys, *argv) == (EXIT_MATH, '{"command": "sample", "family": "ewens", '
+                                      '"n": 1, "seed": 0, "count": 9, "kind": "permutation", '
+                                      '"samples": [[1], [1], [1]', err)
+    assert run_cli(capsys, *argv, "--format", "csv") == (EXIT_MATH, "1\n1\n1\n", err)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("cycle_type_only", [True, False])
+def test_sample_blocks_join_to_the_whole_document(monkeypatch, capsys, n, cycle_type_only):
+    # Blocks of 3 integers: max(1, 3 // n) rows each.  Each count below is
+    # checked against the whole document rendered at once from the library's draws.
+    import cyclemeter.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_SAMPLE_BLOCK", 3)
+    block = max(1, 3 // n)
+    draw, kind, flags = ((sample_cycle_type_parts, "cycle-type", ["--cycle-type-only"])
+                         if cycle_type_only else (sample_permutation, "permutation", []))
+    for count in sorted({c for c in (1, block - 1, block, block + 1, 3 * block + 2) if c}):
+        samples = draw(ewens_family(2).weights, n, seed=5, count=count)
+        doc = {"command": "sample", "family": "ewens", "n": n, "seed": 5, "count": count,
+               "kind": kind, "samples": samples}
+        argv = ("sample", "--family", "ewens", "--theta", "2", "--n", str(n),
+                "--count", str(count), "--seed", "5", *flags)
+        assert run_cli(capsys, *argv) == (EXIT_OK, dumps_deterministic(doc) + "\n", "")
+        assert run_cli(capsys, *argv, "--format", "csv") == (EXIT_OK, dumps_csv(samples), "")
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ("--n 8 --count 5000 --cycle-type-only",
+     "45630133202bbc4d7ee4e2e69f32e160b179f98a36515acacd3d11486b4f236b"),
+    ("--n 2000 --count 20", "e1fb52cd08be37ec2fd42002e20d9f801c998100995fd3c5ef3691d1b51068de"),
+    ("--n 8 --count 5000 --cycle-type-only --format csv",
+     "d947a4636f45d3e679f537f6b5cca74c5adca29b0dde78dc2b48ab22de2720c9"),
+    ("--n 2000 --count 20 --format csv",
+     "bc5c86bb8934ab8093bc9f10c58621141a1c0ee376221162e51b0b3fa8e1d612")])
+def test_multi_block_sample_bytes_are_pinned(capsys, flags, digest):
+    # Recorded when the whole document was rendered at once; each spans
+    # several blocks of the default size.
+    code, out, err = run_cli(capsys, "sample", "--family", "ewens", "--theta", "2",
+                             "--seed", "3", *flags.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sample_memory_does_not_grow_with_count():
+    # tracemalloc's peak over one sample command: about one block of
+    # 2^14 integers (2048 rows of n = 8) whatever the count.  Holding every
+    # draw read 1.6 MB at 4,100 draws and 4.1 MB at 12,000.
+    argv = ["sample", "--family", "ewens", "--theta", "2", "--n", "8",
+            "--cycle-type-only", "--output", os.devnull]
+    assert main([*argv, "--count", "10"]) == EXIT_OK  # imports and caches, untraced
+    peaks = []
+    for count in ("4100", "12000"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--count", count]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2e6 and peaks[1] < peaks[0] + 2.5e5, peaks
+
+
+def test_sample_closed_stdout_gives_no_traceback():
+    # A reader that stops early, as `| head -c 50` does: the writer stops
+    # drawing at the broken pipe and exits 0, as it did when it wrote once.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "cyclemeter.cli", "sample", "--family",
+                             "ewens", "--theta", "2", "--n", "8", "--count", "300000",
+                             "--cycle-type-only"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(50).startswith(b'{"command": "sample"')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert b"Traceback" not in err and err == b""
 
 
 def test_report_without_class_is_usage_error(capsys):
@@ -371,6 +492,13 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err.startswith("error:")
     assert out == ""
+    for flags in ((), ("--cycle-type-only",)):
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, "sample", "--family", "ewens", "--theta", "1",
+                                     "--n", "5", "--count", "3", "--format", fmt,
+                                     "--output", str(target), *flags)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: cannot write --output:")
 
 
 @pytest.mark.parametrize("n, b", [(150, 12), (600, 3)])
