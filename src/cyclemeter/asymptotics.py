@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ConvergenceError, UnsupportedClassError, UsageError
-from .measure import WeightSequence
+from .measure import WeightSequence, _WeightRule
 from .series import to_fraction
 from .specfun import complex_gamma, reciprocal_gamma, riemann_zeta
 
@@ -76,9 +76,10 @@ class SingularityClass:
 @dataclass
 class WeightFamily:
     """Weights with their classification: a weight sequence or, for exp-poly,
-    the per-multiplicity GeneralizedWeights (measure's laws take either)."""
+    the per-multiplicity GeneralizedWeights (the finite-n laws and the
+    partition oracle take either)."""
 
-    weights: WeightSequence
+    weights: _WeightRule
     cls: Optional[SingularityClass]
     provenance: str
     status: str = STATUS_OK

@@ -10,9 +10,10 @@ normalization generating function factorizes over cycle lengths,
 
     sum_n h_n(F) t^n = prod_m EG(F_m, t^m / m),
 
-and marginals/cycle-count laws come from truncating that product.  For
-F_m(k) = theta_m^k every formula collapses to the plain weighted
-measure, which the tests exploit as an exact reduction identity.
+and marginals/cycle-count laws come from truncating that product, whose
+factors the lattice laws read from either handle's cycle_factors.  For
+F_m(k) = theta_m^k (a WeightSequence) every formula collapses to the plain
+weighted measure, which the tests exploit as an exact reduction identity.
 
 Two concrete constructions:
 
@@ -96,8 +97,16 @@ class GeneralizedWeights(_WeightRule):
                      for j in range(1, max(self.poly) + 1))
 
     def cycle_factors(self, m: int, cmax: int, kind: str) -> list:
-        """F_m(c) / (c! m^c) for c = 0..cmax, each exact rational rounded once."""
-        return [to_kind(v, kind) for v in _factor_coeffs(self, m, cmax, EXACT)]
+        """F_m(c) / (c! m^c) for c = 0..cmax, each exact rational rounded once:
+        F_m(c) and c! m^c can overflow a double where their ratio does not."""
+        table = []
+        for c in range(cmax + 1):
+            try:
+                table.append(to_kind(self.value_exact(m, c) / (math.factorial(c) * m**c), kind))
+            except OverflowError:
+                raise UsageError(f"F_{m}({c}) / ({c}! {m}^{c}) overflows a double; "
+                                 "use the exact backend") from None
+        return table
 
     def _check(self, m: int, k: int) -> None:
         if not isinstance(m, int) or m < 1:
@@ -116,16 +125,6 @@ def eg_series(fweights: GeneralizedWeights, m: int, order: int,
     return TruncatedSeries(coeffs, backend)
 
 
-def _factor_coeffs(fweights: GeneralizedWeights, m: int, kmax: int, backend: str) -> list:
-    """Coefficients of EG(F_m, t^m/m) on the t^{m k} lattice, k = 0..kmax,
-    each one exact rational rounded once: k! m^k overflows a double."""
-    if isinstance(fweights, WeightSequence):
-        raise UsageError("the lattice laws read F_m(k): pass GeneralizedWeights.from_theta"
-                         "(theta), or use the measure laws, which take a WeightSequence")
-    return [to_kind(Fraction(fweights.at(m, k, backend)) / (math.factorial(k) * m**k), backend)
-            for k in range(kmax + 1)]
-
-
 def _scaled(values, backend: str) -> tuple:
     """values as one numpy array over a denominator: Python ints over the
     lcm of their denominators (exact), or float64 over 1 (double)."""
@@ -136,14 +135,15 @@ def _scaled(values, backend: str) -> tuple:
     return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
 
 
-def _eg_product(fweights: GeneralizedWeights, lengths, n: int, backend: str,
+def _eg_product(fweights, lengths, n: int, backend: str,
                 acc=None, marked: bool = False) -> list:
     """Coefficients t^0..t^n of acc * prod_{m in lengths} EG(F_m, t^m/m),
-    where acc defaults to 1.  With marked, every cycle also carries a u:
-    t^d u^c sits at index d*(n+1) + c, and each factor EG(F_m, u t^m/m)
-    steps by m*(n+1) + 1 per cycle.  One slice-update loop serves both
-    kinds, on the arrays of _scaled; an exact product is reduced by one gcd
-    pass per factor, and Fractions are built only at the end."""
+    acc defaulting to 1, factor m the handle's cycle_factors(m, n // m).
+    With marked, every cycle also carries a u: t^d u^c sits at index
+    d*(n+1) + c, and each factor EG(F_m, u t^m/m) steps by m*(n+1) + 1 per
+    cycle.  One slice-update loop serves both kinds, on the arrays of
+    _scaled; an exact product is reduced by one gcd pass per factor, and
+    Fractions are built only at the end."""
     import numpy as np
     size = (n + 1) ** 2 if marked else n + 1
     if acc is None:
@@ -154,7 +154,7 @@ def _eg_product(fweights: GeneralizedWeights, lengths, n: int, backend: str,
         # c <= d: the u-power never carries into the next t, and the last
         # cycle count n // m lands at index size - 1 at the latest.
         step = m * (n + 1) + 1 if marked else m
-        fac, den = _scaled(_factor_coeffs(fweights, m, n // m, backend), backend)
+        fac, den = _scaled(fweights.cycle_factors(m, n // m, backend), backend)
         new = np.zeros_like(acc)
         # descending k adds each slot's terms in ascending order of their
         # acc index, a fixed order that keeps the double results' bits
@@ -168,18 +168,17 @@ def _eg_product(fweights: GeneralizedWeights, lengths, n: int, backend: str,
     return [Fraction(v, q) for v in acc] if backend == EXACT else acc.tolist()
 
 
-def generalized_normalization(fweights: GeneralizedWeights, n_max: int,
-                              backend: str = EXACT) -> list:
-    """h_0(F), ..., h_{n_max}(F) via the product over cycle lengths."""
+def generalized_normalization(fweights, n_max: int, backend: str = EXACT) -> list:
+    """h_0(F), ..., h_{n_max}(F) via the product over cycle lengths, for
+    either weight handle."""
     check_kind(backend)
     if not isinstance(n_max, int) or n_max < 0:
         raise UsageError(f"n_max must be >= 0, got {n_max!r}")
     return _eg_product(fweights, range(1, n_max + 1), n_max, backend)
 
 
-def generalized_joint_cycle_pmf(fweights: GeneralizedWeights, n: int, b: int,
-                                backend: str = EXACT) -> Pmf:
-    """Law of (C_1, ..., C_b) under the generalized measure.
+def generalized_joint_cycle_pmf(fweights, n: int, b: int, backend: str = EXACT) -> Pmf:
+    """Law of (C_1, ..., C_b) under the measure of either weight handle.
 
     P[c] = (1/h_n(F)) * prod_{m<=b} F_m(c_m)/(c_m! m^{c_m})
                       * [t^{n - sum m c_m}] prod_{m>b} EG(F_m, t^m/m)
@@ -190,16 +189,15 @@ def generalized_joint_cycle_pmf(fweights: GeneralizedWeights, n: int, b: int,
         tail = _eg_product(fweights, range(b + 1, n + 1), n, backend)
         full = _eg_product(fweights, range(1, b + 1), n, backend, acc=tail)
         hn = _h_or_degenerate(full[n], n)
-        factors = [_factor_coeffs(fweights, m, n // m, backend) for m in range(1, b + 1)]
+        factors = [fweights.cycle_factors(m, n // m, backend) for m in range(1, b + 1)]
         return factors, tail, hn
 
     return _joint_pmf(n, b, backend, tables)
 
 
-def generalized_total_cycles_pmf(fweights: GeneralizedWeights, n: int,
-                                 backend: str = EXACT) -> Pmf:
-    """Law of the total cycle count: coefficient of u^k t^n in
-    prod_m EG(F_m, u t^m / m), normalized by h_n(F)."""
+def generalized_total_cycles_pmf(fweights, n: int, backend: str = EXACT) -> Pmf:
+    """Law of the total cycle count under either weight handle: coefficient
+    of u^k t^n in prod_m EG(F_m, u t^m / m), normalized by h_n(F)."""
     check_kind(backend)
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")

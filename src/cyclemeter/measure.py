@@ -23,7 +23,6 @@ Laws provided exactly (rational or double backend):
 * joint_cycle_pmf          -- law of (C_1, ..., C_b), tuples in lexicographic order;
 * joint_cycle_blocks       -- its double law as (counts, mass) numpy blocks of at
                               most _JOINT_BLOCK tuples, in the same order;
-* joint_cycle_columns      -- those blocks stacked into two columns (sum left to right);
 * total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
 * total_cycles_pmf_many    -- laws of K_n along a grid of n; double ones may
                               stop at a certified tail bound (k_max columns);
@@ -191,11 +190,6 @@ def joint_cycle_blocks(theta, n: int, b: int):
     return _joint_blocks(n, b, lambda: _joint_tables(theta, n, b, DOUBLE))
 
 
-def joint_cycle_columns(theta: WeightSequence, n: int, b: int) -> tuple:
-    """The double joint_cycle_pmf as the columns of _joint_columns."""
-    return _joint_columns(n, b, lambda: _joint_tables(theta, n, b, DOUBLE))
-
-
 def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
     hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
     tail = ts_exp(_at(theta.log_series(n, backend, above=b))).coeffs
@@ -213,11 +207,13 @@ def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
         P[c] = prod_{m<=b} factors[m-1][c_m] * tail[n - sum m c_m] / hn.
 
     Exact laws are filled one Fraction per tuple, with no numpy; doubles
-    are the columns of _joint_columns.  Keys are lexicographic, and sums
-    run left to right because the references pin their rounding.
+    are the blocks of _joint_blocks stacked.  Keys are lexicographic, and
+    sums run left to right because the references pin their rounding.
     """
     if kind != EXACT:
-        counts, mass = _joint_columns(n, b, tables)
+        import numpy as np
+        counts, mass = zip(*_joint_blocks(n, b, tables))
+        counts, mass = np.concatenate(counts), np.concatenate(mass)
         return Pmf(dict(zip(map(tuple, counts.tolist()), mass.tolist())), tol=pmf_tol(kind))
     _guard_joint_support(n, b)
     factors, tail, hn = tables()
@@ -233,14 +229,6 @@ def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
 
     fill(1, n, (), to_kind(1, kind))
     return Pmf(mass, tol=pmf_tol(kind))
-
-
-def _joint_columns(n: int, b: int, tables: Callable) -> tuple:
-    """(counts, mass): the double law of _joint_pmf, row i of counts its i-th
-    tuple; the blocks of _joint_blocks stacked."""
-    import numpy as np
-    counts, mass = zip(*_joint_blocks(n, b, tables))
-    return np.concatenate(counts), np.concatenate(mass)
 
 
 def _joint_blocks(n: int, b: int, tables: Callable):
@@ -461,13 +449,6 @@ def _sample_rows(theta: WeightSequence, n: int, seed: int, count: Optional[int],
     return (_permutation_of_type(draw(uniform), rng) for _ in range(draws))
 
 
-def sample_cycle_type_parts(theta: WeightSequence, n: int, seed: int = 0,
-                            count: Optional[int] = None):
-    """sample_cycle_type's draws as nonincreasing lists, with no Partition built."""
-    rows = list(_sample_rows(theta, n, seed, count, cycle_type_only=True))
-    return rows[0] if count is None else rows
-
-
 def sample_cycle_type(theta: WeightSequence, n: int, seed: int = 0,
                       count: Optional[int] = None):
     """Cycle type(s) of weighted random permutations of size n.
@@ -475,8 +456,9 @@ def sample_cycle_type(theta: WeightSequence, n: int, seed: int = 0,
     Returns one Partition, or a list of them when count is given.
     Fixed (theta, n, seed, count) gives identical output on every run.
     """
-    rows = sample_cycle_type_parts(theta, n, seed, count)
-    return Partition(tuple(rows)) if count is None else [Partition(tuple(r)) for r in rows]
+    rows = [Partition(tuple(r)) for r in
+            _sample_rows(theta, n, seed, count, cycle_type_only=True)]
+    return rows[0] if count is None else rows
 
 
 def sample_permutation(theta: WeightSequence, n: int, seed: int = 0,

@@ -31,8 +31,8 @@ from cyclemeter.errors import DegenerateMeasureError, ResourceError
 from cyclemeter.generalized import (exp_polynomial_weights,
                                     generalized_joint_cycle_pmf)
 from cyclemeter.measure import (joint_cycle_pmf, normalization_constants,
-                                sample_cycle_type, sample_cycle_type_parts,
-                                sample_permutation, total_cycles_pmf)
+                                sample_cycle_type, sample_permutation,
+                                total_cycles_pmf)
 from cyclemeter.partitions import brute_force_normalization
 
 
@@ -259,10 +259,12 @@ def test_sample_blocks_join_to_the_whole_document(monkeypatch, capsys, n, cycle_
 
     monkeypatch.setattr(cli_mod, "_SAMPLE_BLOCK", 3)
     block = max(1, 3 // n)
-    draw, kind, flags = ((sample_cycle_type_parts, "cycle-type", ["--cycle-type-only"])
+    draw, kind, flags = ((sample_cycle_type, "cycle-type", ["--cycle-type-only"])
                          if cycle_type_only else (sample_permutation, "permutation", []))
     for count in sorted({c for c in (1, block - 1, block, block + 1, 3 * block + 2) if c}):
         samples = draw(ewens_family(2).weights, n, seed=5, count=count)
+        if cycle_type_only:
+            samples = [list(lam.parts) for lam in samples]
         doc = {"command": "sample", "family": "ewens", "n": n, "seed": 5, "count": count,
                "kind": kind, "samples": samples}
         argv = ("sample", "--family", "ewens", "--theta", "2", "--n", str(n),
@@ -752,6 +754,13 @@ def test_readme_family_table_matches_registry():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         rows[cells[0]] = set(re.findall(r"`([^`]+)`", cells[1]))
     assert rows == {kind: {p.shown for p in params} for kind, (_, params) in FAMILIES.items()}
+
+
+def test_readme_library_example_runs():
+    # A library name the example calls and the package lost fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("\n## Library\n")[1].split("```python\n")[1].split("```")[0]
+    exec(compile(example, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("family", ["ewens", "exp-poly"])

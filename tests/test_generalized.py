@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclemeter.asymptotics import theta_shift_family
 from cyclemeter.diagnostics import K_TAIL
 from cyclemeter.errors import DegenerateMeasureError, UsageError
 from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
@@ -332,15 +333,53 @@ def test_truncated_exp_polynomial_k_law_matches_full_law(theta, higher, ns):
         assert dropped <= cut[n].tail_bound <= 1.01 * K_TAIL
 
 
-@pytest.mark.parametrize("law", [
-    lambda theta, kind: generalized_normalization(theta, 4, kind),
-    lambda theta, kind: generalized_total_cycles_pmf(theta, 4, kind),
-    lambda theta, kind: generalized_joint_cycle_pmf(theta, 4, 2, kind)],
+@pytest.mark.parametrize("lattice, engine", [
+    (lambda theta, kind: generalized_normalization(theta, 20, kind),
+     lambda theta, kind: normalization_constants(theta, 20, kind)),
+    (lambda theta, kind: generalized_total_cycles_pmf(theta, 20, kind),
+     lambda theta, kind: total_cycles_pmf(theta, 20, kind)),
+    (lambda theta, kind: generalized_joint_cycle_pmf(theta, 20, 3, kind),
+     lambda theta, kind: joint_cycle_pmf(theta, 20, 3, kind))],
     ids=["normalization", "total_cycles", "joint_cycles"])
 @pytest.mark.parametrize("backend", ["exact", "double"])
-def test_lattice_laws_refuse_a_weight_sequence(law, backend):
-    # The lattice reads F_m(k); a WeightSequence has theta_m only, and the
-    # refusal names both ways on: from_theta and the measure laws.
-    theta = WeightSequence.constant(Fraction(1, 2))
-    with pytest.raises(UsageError, match="GeneralizedWeights.from_theta.*measure laws"):
-        law(theta, backend)
+def test_lattice_laws_take_a_weight_sequence(lattice, engine, backend):
+    # The lattice reads theta_m^c / (c! m^c) from the handle's
+    # cycle_factors, so its laws are the series engine's laws.
+    def atoms(law):
+        return dict(enumerate(law)) if isinstance(law, list) else dict(law.items())
+
+    theta = theta_shift_family(Fraction(1, 2)).weights
+    mine, ref = atoms(lattice(theta, backend)), atoms(engine(theta, backend))
+    assert mine.keys() == ref.keys()
+    if backend == "exact":
+        assert mine == ref
+    else:
+        assert all(abs(mine[key] - p) <= 1e-14 * p for key, p in ref.items())
+
+
+def test_double_lattice_runs_where_f_leaves_the_double_range():
+    # F_1(333) overflows a double for theta = 1, b2 = 1/4, but every
+    # factor F(c)/(c! m^c) and every h_n stays in range.
+    fw = exp_polynomial_weights(1, {2: Fraction(1, 4)})
+    exact = normalization_constants(fw, 400)
+    double = generalized_normalization(fw, 400, "double")
+    assert all(abs(d - float(e)) <= 1e-12 * float(e) for d, e in zip(double, exact))
+    # The K law against the double series engine, which other tests check
+    # against the exact law.
+    engine_k = total_cycles_pmf(fw, 300, "double")
+    double_k = generalized_total_cycles_pmf(fw, 300, "double")
+    atoms = [(double_k[k], p) for k, p in engine_k.items() if p > 1e-300]
+    assert len(atoms) > 250
+    assert all(abs(d - e) <= 1e-12 * e for d, e in atoms)
+
+
+@pytest.mark.parametrize("law", [
+    lambda fw: generalized_normalization(fw, 400, "double"),
+    lambda fw: generalized_total_cycles_pmf(fw, 400, "double"),
+    lambda fw: generalized_joint_cycle_pmf(fw, 400, 1, "double")],
+    ids=["normalization", "total_cycles", "joint_cycles"])
+def test_double_lattice_refuses_a_factor_past_the_double_range(law):
+    # theta^c / c! passes 1.8e308 near c = 350 for theta = 1000, so h_c
+    # is not finite in doubles either; the factor names itself.
+    with pytest.raises(UsageError, match=r"F_1\(\d+\) / \(\d+! 1\^\d+\) overflows a double"):
+        law(exp_polynomial_weights(1000, {}))

@@ -20,11 +20,10 @@ from cyclemeter import measure
 from cyclemeter.asymptotics import ewens_family, polylog_family, theta_shift_family
 from cyclemeter.diagnostics import K_TAIL
 from cyclemeter.errors import DegenerateMeasureError, ResourceError, UsageError
-from cyclemeter.generalized import (GeneralizedWeights, _eg_product, _factor_coeffs,
+from cyclemeter.generalized import (GeneralizedWeights, _eg_product,
                                     exp_polynomial_weights, generalized_joint_cycle_pmf)
 from cyclemeter.measure import (WeightSequence, expected_cycle_counts,
-                                joint_cycle_columns, joint_cycle_pmf,
-                                normalization_constants,
+                                joint_cycle_pmf, normalization_constants,
                                 sample_cycle_type, sample_permutation,
                                 total_cycles_pmf, total_cycles_pmf_many)
 from cyclemeter.partitions import (brute_force_cycle_type_pmf, brute_force_k_pmf,
@@ -192,10 +191,10 @@ def test_double_joint_columns_match_per_atom_masses_bitwise(monkeypatch, family,
     pmf = joint_cycle_pmf(theta, n, b, "double")
     assert list(pmf.support()) == keys
     assert [pmf[key] for key in keys] == masses
-    counts, mass = joint_cycle_columns(theta, n, b)
-    assert list(map(tuple, counts.tolist())) == keys
-    assert mass.tolist() == masses
-    assert max(len(rows) for _, rows in measure.joint_cycle_blocks(theta, n, b)) <= block
+    blocks = list(measure.joint_cycle_blocks(theta, n, b))
+    assert [tuple(row) for counts, _ in blocks for row in counts.tolist()] == keys
+    assert [p for _, mass in blocks for p in mass.tolist()] == masses
+    assert max(len(rows) for _, rows in blocks) <= block
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -206,7 +205,7 @@ def test_double_generalized_joint_matches_per_atom_masses_bitwise(monkeypatch, b
     fw, n = exp_polynomial_weights(16, {2: Fraction(-1, 4)}), 20
     tail = _eg_product(fw, range(b + 1, n + 1), n, "double")
     hn = _eg_product(fw, range(1, b + 1), n, "double", acc=tail)[n]
-    factors = [_factor_coeffs(fw, m, n // m, "double") for m in range(1, b + 1)]
+    factors = [fw.cycle_factors(m, n // m, "double") for m in range(1, b + 1)]
     keys, masses = per_atom_joint(n, b, factors, tail, hn)
     pmf = generalized_joint_cycle_pmf(fw, n, b, "double")
     assert list(pmf.support()) == keys
@@ -366,7 +365,7 @@ def test_expected_counts_match_brute_force():
 
 def test_sampling_and_expected_counts_refuse_generalized_weights():
     fw = exp_polynomial_weights(1, {2: Fraction(1, 4)})
-    for draw in (sample_cycle_type, sample_permutation, measure.sample_cycle_type_parts):
+    for draw in (sample_cycle_type, sample_permutation):
         with pytest.raises(UsageError, match="sampling is defined for weighted families only"):
             draw(fw, 5, seed=1, count=2)
     with pytest.raises(UsageError, match="defined for weighted families only"):
