@@ -96,15 +96,15 @@ class GeneralizedWeights(_WeightRule):
         return tuple(_poly_series({j: self.poly.get(j, 0)}, order, kind, above)
                      for j in range(1, max(self.poly) + 1))
 
-    def cycle_factors(self, m: int, cmax: int, kind: str) -> list:
-        """F_m(c) / (c! m^c) for c = 0..cmax, each exact rational rounded once:
-        F_m(c) and c! m^c can overflow a double where their ratio does not."""
-        table = []
+    def cycle_factors(self, m: int, cmax: int, kind: str, base: Optional[int] = None) -> list:
+        """F_m(c) / (c! base^c) for c = 0..cmax, base defaulting to m, each exact
+        rational rounded once: F_m(c) and c! can overflow where it does not."""
+        base, table = m if base is None else base, []
         for c in range(cmax + 1):
             try:
-                table.append(to_kind(self.value_exact(m, c) / (math.factorial(c) * m**c), kind))
+                table.append(to_kind(self.value_exact(m, c) / (math.factorial(c) * base**c), kind))
             except OverflowError:
-                raise UsageError(f"F_{m}({c}) / ({c}! {m}^{c}) overflows a double; "
+                raise UsageError(f"F_{m}({c}) / ({c}! {base}^{c}) overflows a double; "
                                  "use the exact backend") from None
         return table
 
@@ -117,12 +117,12 @@ class GeneralizedWeights(_WeightRule):
 
 def eg_series(fweights: GeneralizedWeights, m: int, order: int,
               backend: str = EXACT) -> TruncatedSeries:
-    """EG(F_m, x) = sum_k F_m(k) x^k / k! truncated at x^order."""
+    """EG(F_m, x) = sum_k F_m(k) x^k / k! truncated at x^order: cycle_factors
+    at base 1, each exact F_m(k) / k! rounded once."""
     check_kind(backend)
     if not isinstance(order, int) or order < 0:
         raise UsageError(f"order must be >= 0, got {order!r}")
-    coeffs = [fweights.at(m, k, backend) / math.factorial(k) for k in range(order + 1)]
-    return TruncatedSeries(coeffs, backend)
+    return TruncatedSeries(fweights.cycle_factors(m, order, backend, base=1), backend)
 
 
 def _scaled(values, backend: str) -> tuple:

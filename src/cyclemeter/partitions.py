@@ -14,7 +14,8 @@ so that n!/z_lambda permutations share the type.  A class of cycle type
 lambda has total mass prod_m F_m(c_m) / z_lambda before normalization.
 The handle picks F: theta_m^c for a WeightSequence (weighted), F_m(c) as
 given for a GeneralizedWeights (generalized), so every oracle takes either
-and both measures share one walk over the classes.
+and both measures share one walk over the classes.  The walk stores no
+class: its stack holds one class's pairs (m, c_m), so memory is O(n).
 
 The exact walk runs on Python ints.  Write F_m(c) = a_{m,c} / B^e with
 B clearing every theta_m and e = c (weighted) or every F_m(c) and e = 1
@@ -31,15 +32,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain, repeat
 
 from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .pmf import Pmf
 # Only the scalar-kind helpers: the oracle shares no kernel with the engine.
 from .series import EXACT, check_kind, pmf_tol, to_kind
 
-# Enumerating all partitions beyond this size is refused; p(80) ~ 1.5e7
-# would already be painful and nothing in the package needs it.
+# Enumerating all partitions beyond this size is refused.  The unit-weight K
+# law takes 2.2 s at n = 60 and 10.6 s at 70, about 2.5 us a class (one Xeon
+# core, CPython 3.11), so n = 80 (p ~ 1.6e7 classes) would take about 40 s.
 PARTITION_CAP = 80
 
 
@@ -60,87 +62,77 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def _partition_rows(n: int):
-    """(parts, z_lambda, ((m, c_m), ...)) of each partition of n in descending
-    lexicographic order, m decreasing within a class: a step spreads one part
-    m of the last pair above 1, and the 1s, over parts m - 1 and a remainder."""
-    if not isinstance(n, int) or n < 0:
-        raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    if n > PARTITION_CAP:
-        raise ResourceError(f"partition enumeration capped at n <= {PARTITION_CAP}, got {n}")
-    stack = [((), 1, ())]  # the row of every prefix of the pairs
-
-    def push(m, c):  # m = 0 or c = 0 adds no pair
-        if m * c:
-            parts, z, mc = stack[-1]
-            stack.append((parts + (m,) * c, z * m**c * math.factorial(c), mc + ((m, c),)))
-
-    push(n, 1)
-    yield stack[-1]
-    while len(stack[-1][0]) < n:  # until n parts of 1
-        ones = stack.pop()[2][-1][1] if stack[-1][2][-1][0] == 1 else 0  # drop the 1s
-        m, c = stack.pop()[2][-1]
-        push(m, c - 1)
-        push(m - 1, (m + ones) // (m - 1))
-        push((m + ones) % (m - 1), 1)
-        yield stack[-1]
+def _walk(n: int, step, start):
+    """Each partition of n, descending lexicographically, as one list (changed after
+    each yield) of pairs (m, c_m, cycles, value), m decreasing, on a base (0, 0, 0,
+    start); cycles and value = step(value, m, c) run over the prefix.  A step spreads
+    one part m of the last pair above 1, and the 1s, over parts m - 1 and a rest."""
+    stack = [(0, 0, 0, start)]
+    if n:
+        stack.append((n, 1, 1, step(start, n, 1)))
+    yield stack
+    while stack[-1][2] < n:  # until n parts of 1
+        ones = stack.pop()[1] if stack[-1][0] == 1 else 0  # drop the 1s
+        m, c, _, _ = stack.pop()
+        _, _, cycles, value = stack[-1]
+        if c > 1:
+            cycles, value = cycles + c - 1, step(value, m, c - 1)
+            stack.append((m, c - 1, cycles, value))
+        q, r = divmod(m + ones, m - 1)
+        cycles, value = cycles + q, step(value, m - 1, q)
+        stack.append((m - 1, q, cycles, value))
+        if r:
+            stack.append((r, 1, cycles + 1, step(value, r, 1)))
+        yield stack
 
 
-@lru_cache(maxsize=None)
-def _partition_table(n: int) -> tuple:
-    return tuple(_partition_rows(n))
-
-
-def _weighted(theta, n: int, backend: str) -> tuple:
-    """(F, e = c): F_m(c) = theta_m^c as a product, which overflows a double
-    to inf rather than raising; theta_1..theta_n are read once."""
-    vals = [None] + [theta.at(m, backend) for m in range(1, n + 1)]
-    return (lambda m, c: math.prod([vals[m]] * c)), True
-
-
-def _generalized(fweights, n: int, backend: str) -> tuple:
-    """(F, e = 1) for generalized weights."""
-    return (lambda m, c: fweights.at(m, c, backend)), False
+def _cycles(stack) -> int:
+    return stack[-1][2]
 
 
 def _classes(weights, n: int, backend: str, key) -> tuple:
-    """(mass, total, d): the class masses summed by key(parts) are mass / d
-    and sum to total / d; a WeightSequence weighs by theta_m^c (e = c), any
-    other handle by F_m(c) (e = 1).  Doubles have d = 1; exact sums are the
-    integers of the module docstring, keyed by (key(parts), n - E) until
-    the scaling by B^{n-E}."""
+    """(mass, total, d): the class masses summed by key(stack) of _walk are
+    mass / d and sum to total / d; a WeightSequence weighs by theta_m^c
+    (e = c), any other handle by F_m(c) (e = 1).  n is checked before any
+    weight is read.  A double prefix carries (prod F, z), F multiplied left
+    to right from 1.0; an exact one the integer (n!/z) prod a of the module
+    docstring, summed by (key(stack), n - E) until the scaling by B^{n-E}."""
     from .measure import WeightSequence  # measure imports this module
     check_kind(backend)
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    rule = _weighted if isinstance(weights, WeightSequence) else _generalized
-    weigh, per_cycle = rule(weights, n, backend)
-    f = {(m, c): weigh(m, c) for m in range(1, n + 1) for c in range(1, n // m + 1)}
-    sums: dict = {}
+    if n > PARTITION_CAP:
+        raise ResourceError(f"partition enumeration capped at n <= {PARTITION_CAP}, got {n}")
+    z = {(m, c): m**c * math.factorial(c) for m in range(1, n + 1) for c in range(1, n // m + 1)}
+    per_cycle = isinstance(weights, WeightSequence)
+    if per_cycle:  # theta_1..theta_n read once; a double power overflows to inf, not raising
+        theta = [None] + [weights.at(m, backend) for m in range(1, n + 1)]
+        f = {(m, c): math.prod([theta[m]] * c) for m, c in z}
+    else:
+        f = {(m, c): weights.at(m, c, backend) for m, c in z}
+    mass, d = {}, 1
     if backend == EXACT:
         # B clears every theta_m = F_m(1) (weighted) or every F_m(c)
         big = math.lcm(*[v.denominator for (_, c), v in f.items() if c == 1 or not per_cycle])
         powers = [big**k for k in range(n + 1)]
         f = {(m, c): v.numerator * (powers[c if per_cycle else 1] // v.denominator)
              for (m, c), v in f.items()}
-        fact = math.factorial(n)
-        for parts, z, mc in _partition_table(n):
-            k = (key(parts), n - len(parts if per_cycle else mc))
-            sums[k] = sums.get(k, 0) + fact // z * math.prod(map(f.__getitem__, mc))
-        d = fact * powers[n]
+        sums, d = {}, math.factorial(n)
+        for stack in _walk(n, lambda w, m, c: w // z[m, c] * f[m, c], d):
+            k = (key(stack), n - (stack[-1][2] if per_cycle else len(stack) - 1))
+            sums[k] = sums.get(k, 0) + stack[-1][3]
+        for (k, power), w in sums.items():
+            mass[k] = mass.get(k, 0) + w * powers[power]
+        d *= powers[n]
     else:
-        for parts, z, mc in _partition_table(n):
-            k = (key(parts), 0)
-            sums[k] = sums.get(k, 0) + math.prod(map(f.__getitem__, mc), start=1.0) / z
-        powers, d = [1.0], 1
-    mass: dict = {}
-    for (k, power), w in sums.items():
-        mass[k] = mass.get(k, 0) + w * powers[power]
+        for stack in _walk(n, lambda v, m, c: (v[0] * f[m, c], v[1] * z[m, c]), (1.0, 1)):
+            k, (prod, zl) = key(stack), stack[-1][3]
+            mass[k] = mass.get(k, 0) + prod / zl
     return mass, to_kind(sum(mass.values()), backend), d
 
 
 def _law(weights, n: int, backend: str, key) -> tuple:
-    """(law of key(parts), normalization)."""
+    """(law of key(stack), normalization)."""
     mass, total, d = _classes(weights, n, backend, key)
     if total == 0:
         raise DegenerateMeasureError(f"normalization vanishes at n={n}")
@@ -149,23 +141,31 @@ def _law(weights, n: int, backend: str, key) -> tuple:
 
 def brute_force_normalization(weights, n: int, backend: str = "exact"):
     """Partition sum h_n = sum_lambda prod_m F_m(c_m) / z_lambda."""
-    _, total, d = _classes(weights, n, backend, len)
+    _, total, d = _classes(weights, n, backend, _cycles)
     return total / d
 
 
 def brute_force_cycle_type_pmf(weights, n: int, backend: str = "exact"):
     """Exact law of the cycle type; returns (pmf over Partition, normalization)."""
-    return _law(weights, n, backend, Partition)
+    return _law(weights, n, backend, lambda stack: Partition(
+        tuple(chain.from_iterable(repeat(m, c) for m, c, _, _ in stack))))
 
 
 def brute_force_cycle_counts_pmf(weights, n: int, b: int, backend: str = "exact") -> Pmf:
     """Law of (C_1, ..., C_b), one atom per tuple the classes reach."""
-    return _law(weights, n, backend, lambda parts: tuple(map(parts.count, range(1, b + 1))))[0]
+    def counts(stack):  # m decreases up the stack, so c_1..c_b sit at its top
+        c = [0] * (b + 1)
+        for m, c_m, _, _ in reversed(stack):
+            if m > b:
+                break
+            c[m] = c_m
+        return tuple(c[1:])
+    return _law(weights, n, backend, counts)[0]
 
 
 def brute_force_k_pmf(weights, n: int, backend: str = "exact") -> Pmf:
     """Exact law of the total number of cycles, by partition length."""
-    return _law(weights, n, backend, len)[0]
+    return _law(weights, n, backend, _cycles)[0]
 
 
 # The generalized measure's names for the same oracles

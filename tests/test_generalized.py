@@ -62,6 +62,17 @@ def test_eg_series_unit_weights():
     assert list(series.coeffs) == [Fraction(1, math.factorial(k)) for k in range(7)]
 
 
+def test_double_eg_series_rounds_each_exact_coefficient_once():
+    # k! passes the double range after k = 170: F_1(k) / k! = 1 / k! is
+    # the exact ratio rounded once (0.0 past the subnormals), not a bare
+    # OverflowError from converting k! to a float.
+    series = eg_series(exp_polynomial_weights(1, {}), 1, 200, "double")
+    assert list(series.coeffs) == [float(Fraction(1, math.factorial(k))) for k in range(201)]
+    # theta^k / k! itself passes 1.8e308 near k = 350 for theta = 1000
+    with pytest.raises(UsageError, match=r"F_1\(\d+\) / \(\d+! 1\^\d+\) overflows a double"):
+        eg_series(exp_polynomial_weights(1000, {}), 1, 400, "double")
+
+
 def test_exp_polynomial_factor_values():
     # P(x) = theta x + x^2: F_m(1) = theta, F_m(2) = theta^2 + 2.
     fw = exp_polynomial_weights(Fraction(3, 2), {2: 1})

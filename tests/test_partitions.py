@@ -6,6 +6,8 @@ classes of S_n partition the group).
 """
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,18 +43,36 @@ def pentagonal_partition_counts(n_max):
     return p
 
 
+def classes(n):
+    """The number of classes the oracle's walk visits at n."""
+    return sum(1 for _ in partitions._walk(n, lambda value, m, c: value, None))
+
+
+def walk_rows(n):
+    """(parts, z, ((m, c_m), ...)) of each class, built up the walk's stack
+    as its running value, with the stack's count of cycles checked."""
+    rows = []
+    for stack in partitions._walk(n, lambda row, m, c: (
+            row[0] + (m,) * c, row[1] * m**c * math.factorial(c), row[2] + ((m, c),)),
+            ((), 1, ())):
+        _, _, cycles, row = stack[-1]
+        assert cycles == len(row[0])
+        rows.append(row)
+    return rows
+
+
 def test_partition_counts_match_pentagonal_recurrence():
     counts = pentagonal_partition_counts(45)
     for n in (0, 1, 2, 5, 10, 20, 35, 45):
-        assert len(partitions._partition_table(n)) == counts[n]
+        assert classes(n) == counts[n]
 
 
 def test_p_of_ten():
-    assert len(partitions._partition_table(10)) == 42
+    assert classes(10) == 42
 
 
 def test_descending_lex_order():
-    parts = [row[0] for row in partitions._partition_table(5)]
+    parts = [row[0] for row in walk_rows(5)]
     assert parts == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
                      (2, 1, 1, 1), (1, 1, 1, 1, 1)]
 
@@ -71,20 +91,20 @@ def recursive_table(n, below, row, out):
     return out
 
 
-def test_partition_table_equals_recursive_reference():
-    # same rows in the same order: the order fixes the double oracle's sums
+def test_walk_equals_recursive_reference():
+    # same classes in the same order: the order fixes the double oracle's sums
     for n in range(41):
-        assert partitions._partition_table(n) == tuple(recursive_table(n, n + 1, ((), 1, ()), []))
+        assert walk_rows(n) == recursive_table(n, n + 1, ((), 1, ()), [])
 
 
 def test_z_values_s3():
-    z = {parts: z for parts, z, _ in partitions._partition_table(3)}
+    z = {parts: z for parts, z, _ in walk_rows(3)}
     assert z == {(3,): 3, (2, 1): 2, (1, 1, 1): 6}
 
 
 def test_class_sizes_cover_group():
     for n in range(1, 13):
-        total = sum(Fraction(1, z) for _, z, _ in partitions._partition_table(n))
+        total = sum(Fraction(1, z) for _, z, _ in walk_rows(n))
         assert total == 1
 
 
@@ -97,7 +117,22 @@ def test_partition_validation():
 
 def test_enumeration_cap():
     with pytest.raises(ResourceError):
-        partitions._partition_table(81)
+        brute_force_normalization(WeightSequence.constant(1), 81)
+
+
+@pytest.mark.parametrize("law", [brute_force_normalization, brute_force_k_pmf,
+                                 brute_force_cycle_type_pmf, partitions.brute_force_cycle_counts_pmf])
+def test_oracles_refuse_before_reading_weights(law):
+    # n is checked before any weight is read or any factor table is built:
+    # at n = 10**6 the O(n log n) factors alone would take minutes.
+    read = []
+    theta = WeightSequence(lambda m: read.append(m) or 1.0, exact_fn=lambda m: read.append(m) or 1)
+    args = (3,) if law is partitions.brute_force_cycle_counts_pmf else ()
+    start = time.perf_counter()
+    for backend in ("exact", "double"):
+        with pytest.raises(ResourceError):
+            law(theta, 10**6, *args, backend)
+    assert time.perf_counter() - start < 1 and read == []
 
 
 def test_uniform_measure_class_probabilities():
@@ -194,3 +229,50 @@ def test_k_oracle_equals_projected_type_law():
         for lam, p in types.items():
             projected[len(lam.parts)] = projected.get(len(lam.parts), 0) + p
         assert dict(brute_force_k_pmf(weights, 10).items()) == projected
+
+
+@pytest.mark.parametrize("law", [
+    brute_force_k_pmf, lambda weights, n: partitions.brute_force_cycle_counts_pmf(weights, n, 3)],
+    ids=["k", "counts-b3"])
+def test_oracle_memory_does_not_grow_with_the_class_count(law):
+    # The p(45) = 89,134 classes are walked, not stored: a table of
+    # (parts, z, pairs) rows would hold about 0.5 KB a class.
+    tracemalloc.start()
+    try:
+        law(WeightSequence.constant(1), 45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("weights", [
+    theta_shift_family(1, amp=1, power=2).weights,
+    generalized.exp_polynomial_weights(Fraction(1, 3), {2: Fraction(1, 5), 3: Fraction(1, 7)})],
+    ids=["theta-shift", "exp-poly"])
+def test_double_oracle_sums_recursive_rows_in_order(weights, n=30):
+    # A class weighs prod F_m(c_m) / z_lambda, F multiplied left to right
+    # from 1.0 (theta_m^c as a product of c factors for a WeightSequence),
+    # and each atom adds its classes in descending lexicographic order: the
+    # double laws equal that sum over the reference rows bit for bit.
+    if isinstance(weights, WeightSequence):
+        factor = lambda m, c: math.prod([weights.at(m, "double")] * c)
+    else:
+        factor = lambda m, c: weights.at(m, c, "double")
+    rows = recursive_table(n, n + 1, ((), 1, ()), [])
+
+    def law(key):
+        mass = {}
+        for parts, z, mc in rows:
+            w = math.prod([factor(m, c) for m, c in mc], start=1.0) / z
+            mass[key(parts)] = mass.get(key(parts), 0) + w
+        total = sum(mass.values())
+        return {k: w / total for k, w in mass.items()}, total
+
+    k_law, total = law(len)
+    assert brute_force_normalization(weights, n, "double") == total
+    assert dict(brute_force_k_pmf(weights, n, "double").items()) == k_law
+    types, norm = brute_force_cycle_type_pmf(weights, n, "double")
+    assert (dict(types.items()), norm) == law(Partition)
+    counts = partitions.brute_force_cycle_counts_pmf(weights, n, 3, "double")
+    assert dict(counts.items()) == law(lambda parts: tuple(map(parts.count, (1, 2, 3))))[0]
