@@ -39,7 +39,7 @@ from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
 from .generalized import GeneralizedWeights
 from .measure import (_sample_rows, joint_cycle_pmf, normalization_constants,
                       total_cycles_pmf)
-from .partitions import brute_force_cycle_counts_pmf, brute_force_k_pmf
+from .partitions import brute_force_cycle_counts_pmf, brute_force_k_pmf, check_partition_cap
 from .series import EXACT, auto_kind, pmf_tol, to_kind
 
 EXIT_OK = 0
@@ -187,14 +187,13 @@ def _oracle_check(pmf, weights, args, backend: str) -> None:
 def _run_dist(args) -> tuple:
     weights = _resolve_family(args).weights
     backend = _resolve_backend(args, weights, args.n)
-    if args.target == "k":
-        pmf = total_cycles_pmf(weights, args.n, backend)
-    else:
-        pmf = joint_cycle_pmf(weights, args.n, args.b, backend)
-    oracle = None
+    if args.oracle:  # the oracle's own refusal comes before the engine law
+        check_partition_cap(args.n)
+    pmf = (total_cycles_pmf(weights, args.n, backend) if args.target == "k"
+           else joint_cycle_pmf(weights, args.n, args.b, backend))
     if args.oracle:
         _oracle_check(pmf, weights, args, backend)
-        oracle = "match"
+    oracle = "match" if args.oracle else None
     support, mass = _pmf_out(pmf, backend)
     doc = {"command": "dist", "family": args.family, "target": args.target,
            "n": args.n, "b": args.b if args.target == "cycles" else None,

@@ -360,8 +360,8 @@ def _certified_cols(parts: tuple, ns: list, max_tail: float, keep_k: int) -> tup
 
 
 def _k_pmf(row, n: int, backend: str, tail_bound=0) -> Pmf:
-    """Law of K_n from the w-coefficients of [t^n] (all of them, or the first
-    ones with tail_bound covering the rest); numpy sums a numpy row."""
+    """Law of K_n from a bv_exp_wg row, the w-coefficients of [t^n] (all of them,
+    or the first ones with tail_bound covering the rest): exact, list or numpy."""
     row = row[: n + 1]
     hn = _h_or_degenerate(float(row.sum()) if hasattr(row, "sum") else sum(row), n)
     return Pmf({k: row[k] / hn for k in range(1, len(row))}, tol=pmf_tol(backend),

@@ -86,6 +86,12 @@ def _walk(n: int, step, start):
         yield stack
 
 
+def check_partition_cap(n: int) -> None:
+    """ResourceError when the oracles would refuse to enumerate S_n."""
+    if n > PARTITION_CAP:
+        raise ResourceError(f"partition enumeration capped at n <= {PARTITION_CAP}, got {n}")
+
+
 def _cycles(stack) -> int:
     return stack[-1][2]
 
@@ -101,8 +107,7 @@ def _classes(weights, n: int, backend: str, key) -> tuple:
     check_kind(backend)
     if not isinstance(n, int) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    if n > PARTITION_CAP:
-        raise ResourceError(f"partition enumeration capped at n <= {PARTITION_CAP}, got {n}")
+    check_partition_cap(n)
     z = {(m, c): m**c * math.factorial(c) for m in range(1, n + 1) for c in range(1, n // m + 1)}
     per_cycle = isinstance(weights, WeightSequence)
     if per_cycle:  # theta_1..theta_n read once; a double power overflows to inf, not raising

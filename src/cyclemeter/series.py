@@ -5,12 +5,13 @@ a series is its coefficient vector (a_0, ..., a_N) and every operation
 discards terms of order > N.  Two scalar kinds are supported:
 
 * ``"exact"``  -- fractions.Fraction coefficients, no rounding anywhere;
-* ``"double"`` -- float coefficients with numpy-backed recurrences that
-  read forward slices and, in bv_exp_wg, only the live w-band: the leading
-  columns nonzero in some earlier row, and at most a given number of them.
-  K_n concentrates near theta log n, so past the double range the band is
-  narrow and a row costs O(n * k_live); a column limit k_max keeps the
-  whole array at (N + 1) * k_max doubles.
+* ``"double"`` -- float coefficients: up to order _EXACT_DOUBLE_MAX_N, the
+  exact kernel's result on their binary values, each rounded once; past it,
+  numpy-backed recurrences that read forward slices and, in bv_exp_wg, only
+  the live w-band: the leading columns nonzero in some earlier row, and at
+  most a given number of them.  K_n concentrates near theta log n, so past
+  the double range the band is narrow and a row costs O(n * k_live); a
+  column limit k_max keeps the whole array at (N + 1) * k_max doubles.
 
 Binary operations require equal order and equal kind; callers pick the
 backend explicitly and keep it.  This module is also the one place that
@@ -27,9 +28,9 @@ obtained by differentiating H = exp(G):
 which is also the workhorse for the bivariate exp(sum_j w^j G_j(t)), G_j
 vanishing below t^j, of cycle-count generating functions: its [t^n] is a
 polynomial in w of degree at most n, and bv_exp_wg returns one row of
-w-coefficients per t-order: tuples of length n + 1 (exact) or the rows
-of one (N + 1) x cols array holding degrees 0..cols - 1, zero past
-degree n (double; cols is N + 1 unless a smaller limit is asked for).
+w-coefficients per t-order: tuples of length n + 1 (exact), or float rows
+of degrees 0..cols - 1 (cols defaults to N + 1), zero past degree n: lists
+up to order _EXACT_DOUBLE_MAX_N, the rows of one numpy array past it.
 
 The exact recurrences run on Python ints: each row (the scalar h_n, or
 the w-coefficients of [t^n]) is a list of integer numerators over one
@@ -53,6 +54,12 @@ _KINDS = (EXACT, DOUBLE)
 # denominators grow with n, so exact K_n laws cost about 170x the double
 # ones at n = 200 and 1200x at n = 400 (Ewens 1/2).
 _AUTO_EXACT_MAX_N = 200
+
+# Double series up to this order run on _exact_rows.  The slowest catalog
+# family's band (exp-weight) costs 10/23/48/95/165 ms at N = 32/40/48/56/64 on
+# one Xeon core; 48 is the largest N within a third of the numpy import it saves
+# (median 0.16 s, 13 MB), and below 50, where bench references pin numpy's bits.
+_EXACT_DOUBLE_MAX_N = 48
 
 # The double bv_exp_wg refuses an array larger than this, before allocating:
 # the full (N + 1)^2 triangle passes it from N = 11585 on (12.8 GB at 40000).
@@ -160,7 +167,7 @@ def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
     _require(isinstance(g, TruncatedSeries), "operand must be a TruncatedSeries")
     _require(g.coeffs[0] == 0, "ts_exp needs a vanishing constant term")
     n_max = g.order
-    if g.kind == DOUBLE:
+    if not _on_exact_kernel((g,)):
         import numpy as np
         kg = np.arange(n_max + 1, dtype=float) * np.asarray(g.coeffs)
         hr = np.zeros(n_max + 1)  # hr[N - j] = h_j: h_{n-1}..h_0 is hr[N-n+1:]
@@ -168,7 +175,7 @@ def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
         for n in range(1, n_max + 1):
             hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
         return TruncatedSeries(hr[::-1].tolist(), DOUBLE)
-    return TruncatedSeries([Fraction(nums[0], q) for nums, q in _exact_rows((g,), 0)], EXACT)
+    return TruncatedSeries([row[0] for row in _exact_rows((g,), 0)], g.kind)
 
 
 def ts_log(h: TruncatedSeries) -> TruncatedSeries:
@@ -204,10 +211,10 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
 
         n * H_n(w) = sum_j sum_k k*g_{j,k} * w^j * H_{n-k}(w)
 
-    The double kernel keeps only w-degrees below cols (default N + 1, all
-    of them); no kept coefficient depends on a dropped one.  It raises
-    ResourceError, before allocating, when the array would pass
-    BAND_BYTES_MAX bytes.  The exact kernel always returns every degree.
+    A double result keeps w-degrees below cols (default N + 1, all of them),
+    in lists of that length up to order _EXACT_DOUBLE_MAX_N and in one numpy
+    array past it, refused (ResourceError) before allocating when over
+    BAND_BYTES_MAX bytes; no kept coefficient depends on a dropped one.
     """
     gs = (g, *higher)
     for j, s in enumerate(gs, 1):
@@ -218,6 +225,8 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
         cols = n_max + 1 if cols is None else cols
         _require(isinstance(cols, int) and 1 <= cols <= n_max + 1,
                  f"cols must be an integer in 1..{n_max + 1}, got {cols!r}")
+        if _on_exact_kernel(gs):
+            return [row[:cols] + [0.0] * (cols - len(row)) for row in _exact_rows(gs, 1)]
         if (n_max + 1) * cols * 8 > BAND_BYTES_MAX:
             raise ResourceError(f"a {n_max + 1} x {cols} double array passes the "
                                 f"{BAND_BYTES_MAX} byte budget of bv_exp_wg")
@@ -239,16 +248,28 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
                 top -= 1
             width = top + 1
         return arr
-    return [tuple(Fraction(v, q) for v in nums) for nums, q in _exact_rows(gs, 1)]
+    return [tuple(row) for row in _exact_rows(gs, 1)]
+
+
+def _on_exact_kernel(gs: tuple) -> bool:  # exact, or finite doubles up to the cut
+    return gs[0].kind == EXACT or gs[0].order <= _EXACT_DOUBLE_MAX_N and all(
+        math.isfinite(c) for s in gs for c in s.coeffs)
+
+
+def _scalar(v: int, q: int, kind: str) -> Scalar:
+    try:  # a double is rounded once, to +-inf past its range as numpy gives
+        return Fraction(v, q) if kind == EXACT else v / q
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _exact_rows(gs: tuple, shift: int) -> list:
-    """Rows n = 0..N of exp(sum_j w^{shift+j} gs[j]) (shift 0 or 1) as Python
-    ints (numerators, q), [t^n] = sum_i numerators[i] w^i / q.  With k*g_{j,k}
+    """Rows n = 0..N of exp(sum_j w^{shift+j} gs[j]) (shift 0 or 1) in gs' kind,
+    [t^n] = sum_i numerators[i] w^i / q on ints divided once.  With k*g_{j,k}
     = a/d, row n lies over n*e*Q_n, Q_n = lcm(q_0..q_{n-1}) and e the least
     factor with every d*q_{n-k} | e*Q_n; one gcd pass reduces the row."""
     # keep only nonzero terms; tails of sparse polynomials stay cheap
-    terms = [(k, j, (k * gk).numerator, (k * gk).denominator)
+    terms = [(k, j, *(k * Fraction(gk)).as_integer_ratio())
              for j, s in enumerate(gs, shift) for k, gk in enumerate(s.coeffs) if k and gk]
     rows, big_q = [([1], 1)], 1
     for n in range(1, len(gs[0].coeffs)):
@@ -263,4 +284,4 @@ def _exact_rows(gs: tuple, shift: int) -> list:
                 acc[i] += c * v
         div = math.gcd(n * e * big_q, *acc)
         rows.append(([v // div for v in acc], n * e * big_q // div))
-    return rows
+    return [[_scalar(v, q, gs[0].kind) for v in nums] for nums, q in rows]

@@ -834,3 +834,46 @@ def test_exp_poly_key_order_changes_no_byte(capsys, tmp_path, command):
         assert (code, err) == (EXIT_OK, "")
         outs.append(out.replace(name, "NAME"))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("target", ["k", "cycles"])
+def test_oracle_cap_is_met_before_the_engine_law(capsys, monkeypatch, target):
+    # Building the exact K law at n = 3000 took 3.7 s and 107 MB before
+    # this refusal; the partition module's own check now comes first.
+    import cyclemeter.cli as cli_mod
+
+    def no_law(*args, **kwargs):
+        raise AssertionError("built the engine law")
+
+    monkeypatch.setattr(cli_mod, "total_cycles_pmf", no_law)
+    monkeypatch.setattr(cli_mod, "joint_cycle_pmf", no_law)
+    code, out, err = run_cli(capsys, "dist", "--family", "ewens", "--theta", "1",
+                             "--target", target, "--n", "3000", "--oracle")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: partition enumeration capped at n <= 80, got 3000\n"
+
+
+def test_small_double_overflow_ends_as_numpy_did(capsys):
+    # h_40(8) ~ 2^1041 inside the report's Chernoff bound overflows on the
+    # exact kernel too; the report keeps the numpy kernels' values.
+    code, out, err = run_cli(capsys, "report", "--family", "exp-weight", "--c", "17.6",
+                             "--theta-exp", "1", "--kind", "clt", "--n-grid", "20,40")
+    assert (code, err) == (EXIT_OK, "")
+    for report in json.loads(out)["reports"]:
+        for got, want in zip(report["values"] + [report["fitted_slope"]],
+                             [0.27359669908910944, 0.22858211809886478, -0.25933827796291126]):
+            assert abs(got - want) <= 1e-12 * abs(want)
+    code, out, err = run_cli(capsys, "hn", "--family", "exp-weight", "--c", "30",
+                             "--theta-exp", "1", "--n", "40")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: theta_24 = inf is not a finite nonnegative weight\n"
+
+
+def test_h30_agrees_on_both_sides_of_the_exact_double_cut(capsys):
+    # --n 30 runs the exact kernel rounded once, --n-grid 30,1000 numpy
+    hs = []
+    for grid in (("--n", "30"), ("--n-grid", "30,1000")):
+        code, out, err = run_cli(capsys, "hn", "--family", "polylog", "--delta=-1/2", *grid)
+        assert (code, err) == (EXIT_OK, "")
+        hs.append(json.loads(out)["rows"][0]["h"])
+    assert abs(hs[0] - hs[1]) <= 1e-15 * hs[1]

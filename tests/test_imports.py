@@ -1,13 +1,15 @@
-"""Imports: every name a scope imports is used there, and exact commands
-start without numpy.
+"""Imports: every name a scope imports is used there, and commands on the
+exact integer kernel start without numpy.
 
 A module's imports may be read anywhere in its file, a function's only in
 that function's body.  __init__.py is skipped: its imports are the
-package's re-exports.  numpy is imported inside the functions that do
-double arithmetic, sample or run the generalized lattice, so the package,
-the CLI module and exact commands of weighted and exp-poly families never
-load it; each of those runs in a fresh interpreter.  json is imported only
-by the serializer's int-row branch, so the CLI module starts without it.
+package's re-exports.  numpy is imported inside the functions that run
+double series past the exact-double cut, double joint laws, diagnostics,
+sampling or the generalized lattice, so the package, the CLI module, exact
+commands of weighted and exp-poly families and double hn and K-law dist
+commands up to the cut never load it; each of those runs in a fresh
+interpreter.  json is imported only by the serializer's int-row branch, so
+the CLI module starts without it.
 """
 
 import ast
@@ -88,6 +90,7 @@ def _cli(*argv) -> str:
 
 EWENS = ("--family", "ewens", "--theta", "1/2")
 EXP_POLY = ("--family", "exp-poly", "--theta", "1/2")
+POLYLOG = ("--family", "polylog", "--delta=-1/2")  # no exact rule: double by default
 # b2 = 1/4 gives two log-series parts: their sum at w = 1 and the joint tail
 QUAD = ("--family", "quad", "--config", str(Path(__file__).resolve().parent / "exp_poly.ini"))
 
@@ -107,15 +110,22 @@ QUAD = ("--family", "quad", "--config", str(Path(__file__).resolve().parent / "e
     _cli("hn", *QUAD, "--n", "30"),
     _cli("dist", *QUAD, "--n", "20"),
     _cli("dist", *QUAD, "--target", "cycles", "--b", "2", "--n", "12"),
+    # double series up to the cut run on the exact kernel, rounded once
+    _cli("hn", *POLYLOG, "--n", "30"),
+    _cli("dist", *POLYLOG, "--n", "30", "--oracle"),
+    _cli("dist", *EWENS, "--n", "20", "--backend", "double"),
+    _cli("dist", *EXP_POLY, "--n", "20", "--backend", "double"),
 ], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles",
         "dist-cycles-oracle", "exp-poly-hn", "exp-poly-dist", "exp-poly-dist-oracle",
-        "exp-poly-dist-cycles", "exp-poly-b2-hn", "exp-poly-b2-dist", "exp-poly-b2-dist-cycles"])
+        "exp-poly-dist-cycles", "exp-poly-b2-hn", "exp-poly-b2-dist", "exp-poly-b2-dist-cycles",
+        "polylog-hn-double", "polylog-dist-oracle-double", "dist-double", "exp-poly-dist-double"])
 def test_exact_paths_do_not_load_numpy(code):
     res = _loads(code)
     assert res.returncode == 0, res.stderr
     assert res.stderr.splitlines()[-1] == "False"
     if "main" in code:
-        assert '"backend": "exact"' in res.stdout
+        backend = "double" if "double" in code or "polylog" in code else "exact"
+        assert f'"backend": "{backend}"' in res.stdout
 
 
 def test_cli_import_leaves_json_unloaded():
@@ -125,7 +135,8 @@ def test_cli_import_leaves_json_unloaded():
 
 
 def test_double_command_loads_numpy():
-    res = _loads(_cli("hn", *EWENS, "--n", "10", "--backend", "double"))
+    # past the exact-double cut the double series run on numpy
+    res = _loads(_cli("hn", *EWENS, "--n", "200", "--backend", "double"))
     assert res.returncode == 0, res.stderr
     assert '"backend": "double"' in res.stdout
     assert res.stderr.splitlines()[-1] == "True"

@@ -4,7 +4,9 @@ Oracles: closed-form coefficient sequences (geometric series, exp of a
 logarithm), round-trip identities that pair ts_exp with ts_log and
 ts_mul with hand convolution, and the dense full-triangle loop that the
 double bv_exp_wg must reproduce while reading only its live w-band; its
-full band is in turn the reference for the column-limited band.
+full band is in turn the reference for the column-limited band.  Double
+series up to the cut _EXACT_DOUBLE_MAX_N must be the exact results on the
+same double inputs, each rounded once; past it, the numpy kernels run.
 """
 
 import math
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 
 from cyclemeter import series
+from cyclemeter.catalog import KINDS, build_family
 from cyclemeter.errors import ResourceError, UsageError
+from cyclemeter.measure import _at, total_cycles_pmf
 from cyclemeter.series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, ts_exp,
                                ts_log, ts_mul)
 
@@ -271,3 +275,78 @@ def test_bivariate_higher_degrees_exact_rows():
         bv_exp_wg(g1, g1)
     with pytest.raises(UsageError):
         bv_exp_wg(g1, TruncatedSeries([0, 0, 1], EXACT))
+
+
+_CUT = series._EXACT_DOUBLE_MAX_N
+# one parameter set per catalog kind (a new kind fails with KeyError)
+_KIND_PARAMS = {
+    "ewens": {"theta": "1/3"},
+    "theta-shift": {"theta": "1"},
+    "polylog": {"delta": "-1/2"},
+    "exp-weight": {"c": "1", "theta_exp": "1"},
+    "alpha-exp": {"alpha": "1/2"},
+    "spatial": {"eps": "1,2"},
+    "exp-poly": {"theta": "1/2", "b2": "1/4", "b3": "1/7"},
+}
+
+
+def rounded(value: Fraction) -> float:
+    # value rounded once to a double, +-inf past the double range
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_small_double_series_round_the_exact_ones_once(kind, monkeypatch):
+    # At the cut, on the doubles' binary values: bit for bit the exact
+    # result rounded once, and within 1e-13 of the numpy kernels.
+    weights = build_family(kind, _KIND_PARAMS[kind]).weights
+    parts = weights.log_series(_CUT, DOUBLE)
+    exact = [TruncatedSeries(part.coeffs, EXACT) for part in parts]
+    rows = bv_exp_wg(*parts)
+    assert rows == [[rounded(v) for v in row] + [0.0] * (_CUT - n)
+                    for n, row in enumerate(bv_exp_wg(*exact))]
+    assert bv_exp_wg(*parts, cols=5) == [row[:5] for row in rows]
+    h = ts_exp(_at(parts))
+    assert h.coeffs == tuple(rounded(c) for c in
+                             ts_exp(TruncatedSeries(_at(parts).coeffs, EXACT)).coeffs)
+    law = total_cycles_pmf(weights, _CUT, DOUBLE)
+    monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)  # numpy kernels only
+    for a, b in zip(h.coeffs, ts_exp(_at(parts)).coeffs):
+        assert abs(a - b) <= 1e-13 * b
+    for k, p in total_cycles_pmf(weights, _CUT, DOUBLE).items():
+        if p > 1e-300:
+            assert abs(law[k] - p) <= 1e-13 * p, k
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_double_series_past_the_cut_stay_on_numpy(kind, monkeypatch):
+    parts = build_family(kind, _KIND_PARAMS[kind]).weights.log_series(_CUT + 1, DOUBLE)
+    rows, h = bv_exp_wg(*parts), ts_exp(_at(parts))
+    assert isinstance(rows, np.ndarray)
+    monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)
+    assert np.array_equal(rows, bv_exp_wg(*parts)) and h == ts_exp(_at(parts))
+
+
+def test_small_double_series_overflow_to_inf_as_numpy_does(monkeypatch):
+    # exp(8 sum_m e^{17.6 m} t^m / m) has h_40 = e^704 C(47, 7) ~ 2^1041 from
+    # finite inputs, as the Chernoff bound of a clt report meets it.  numpy
+    # overflows there too, and in more w-degrees, whose dot products pass
+    # the double range before the division by n.  A non-finite input keeps
+    # the numpy kernels.
+    g = weight_series(lambda m: 8 * math.exp(17.6 * m), 40)
+    h, rows = ts_exp(g).coeffs, bv_exp_wg(g)
+    assert math.isfinite(h[39]) and h[40] == math.inf
+    assert isinstance(rows, list) and math.inf in rows[40]
+    with np.errstate(all="ignore"):
+        assert isinstance(bv_exp_wg(TruncatedSeries((*g.coeffs[:-1], math.inf), DOUBLE)),
+                          np.ndarray)
+        monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)
+        ref_h, ref_rows = ts_exp(g).coeffs, bv_exp_wg(g)
+    assert [math.isinf(v) for v in h] == [math.isinf(v) for v in ref_h]
+    rows = np.array(rows)
+    assert np.all(np.isinf(ref_rows)[np.isinf(rows)]) and not np.isnan(ref_rows).any()
+    both = np.isfinite(ref_rows)
+    assert np.all(np.abs(rows[both] - ref_rows[both]) <= 1e-13 * np.abs(ref_rows[both]))
