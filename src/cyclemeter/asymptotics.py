@@ -399,7 +399,10 @@ def large_deviation_estimate(theta: float, K: float, n, k: int) -> LargeDeviatio
     x = k / t_n
     log_poisson = -t_n + k * math.log(t_n) - math.lgamma(k + 1)
     correction = math.lgamma(theta) - math.lgamma(x) - math.lgamma(theta * x)
-    estimate = math.exp(log_poisson + correction)
+    try:
+        estimate = math.exp(log_poisson + correction)
+    except OverflowError as exc:
+        raise UsageError(f"large-deviation estimate overflows at n={n}, k={k}") from exc
     rate = x * math.log(x) - x + 1.0
     return LargeDeviationEstimate(estimate, t_n, x, rate, math.log(x))
 

@@ -139,12 +139,7 @@ def _scalar_out(value, backend: str):
 
 
 def _pmf_out(pmf, backend: str) -> tuple:
-    support = []
-    mass = []
-    for key, value in pmf.items():
-        support.append(list(key) if isinstance(key, tuple) else key)
-        mass.append(_scalar_out(value, backend))
-    return support, mass
+    return pmf.support(), [_scalar_out(value, backend) for _, value in pmf.items()]
 
 
 # -- subcommand implementations ---------------------------------------------

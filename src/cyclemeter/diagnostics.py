@@ -399,7 +399,7 @@ def _csv_cell(cell) -> str:
         return ""
     if isinstance(cell, str):
         return cell
-    if isinstance(cell, list):
+    if isinstance(cell, (list, tuple)):
         return " ".join(str(c) for c in cell)
     return format_scalar(cell)
 

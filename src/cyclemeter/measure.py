@@ -20,9 +20,11 @@ its overflow-to-inf double and their repr.
 Laws provided exactly (rational or double backend):
 
 * normalization_constants  -- h_0..h_N;
-* joint_cycle_pmf          -- law of (C_1, ..., C_b), tuples in lexicographic order;
+* joint_cycle_pmf          -- law of (C_1, ..., C_b), tuples in lexicographic order,
+                              filled one scalar per tuple for both kinds;
 * joint_cycle_blocks       -- its double law as (counts, mass) numpy blocks of at
-                              most _JOINT_BLOCK tuples, in the same order;
+                              most _JOINT_BLOCK tuples, in the same order, for
+                              the poisson-vector report;
 * total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
 * total_cycles_pmf_many    -- laws of K_n along a grid of n; double ones may
                               stop at a certified tail bound (k_max columns);
@@ -185,11 +187,6 @@ def joint_cycle_pmf(theta, n: int, b: int, backend: str = EXACT) -> Pmf:
     return _joint_pmf(n, b, backend, lambda: _joint_tables(theta, n, b, backend))
 
 
-def joint_cycle_blocks(theta, n: int, b: int):
-    """The double joint_cycle_pmf as the (counts, mass) blocks of _joint_blocks."""
-    return _joint_blocks(n, b, lambda: _joint_tables(theta, n, b, DOUBLE))
-
-
 def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
     hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
     tail = ts_exp(_at(theta.log_series(n, backend, above=b))).coeffs
@@ -206,15 +203,10 @@ def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
 
         P[c] = prod_{m<=b} factors[m-1][c_m] * tail[n - sum m c_m] / hn.
 
-    Exact laws are filled one Fraction per tuple, with no numpy; doubles
-    are the blocks of _joint_blocks stacked.  Keys are lexicographic, and
-    sums run left to right because the references pin their rounding.
+    Both kinds fill one scalar per tuple, with no numpy.  Keys are
+    lexicographic, and the double products run in the order of
+    joint_cycle_blocks, so both give every mass the same bits.
     """
-    if kind != EXACT:
-        import numpy as np
-        counts, mass = zip(*_joint_blocks(n, b, tables))
-        counts, mass = np.concatenate(counts), np.concatenate(mass)
-        return Pmf(dict(zip(map(tuple, counts.tolist()), mass.tolist())), tol=pmf_tol(kind))
     _guard_joint_support(n, b)
     factors, tail, hn = tables()
     mass: dict = {}
@@ -231,19 +223,19 @@ def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
     return Pmf(mass, tol=pmf_tol(kind))
 
 
-def _joint_blocks(n: int, b: int, tables: Callable):
-    """(counts, mass) blocks of at most _JOINT_BLOCK rows: the double law of
-    _joint_pmf, the rows of counts its tuples in lexicographic order.
+def joint_cycle_blocks(theta, n: int, b: int):
+    """The double joint_cycle_pmf as (counts, mass) numpy blocks of at most
+    _JOINT_BLOCK rows, the rows of counts its tuples in lexicographic order.
 
     Per m, a row with budget points left repeats budget//m + 1 times and
-    takes factors[m-1][c_m], so each mass has fill's product and bits.
-    Rows whose repeats would pass _JOINT_BLOCK are expanded half at a time,
-    and the repeats of a single such row _JOINT_BLOCK at a time.  Each
-    block is checked finite and >= 0, and the total after the last one.
+    takes factors[m-1][c_m], so each mass has _joint_pmf's product and
+    bits.  Rows whose repeats would pass _JOINT_BLOCK are expanded half at
+    a time, and the repeats of a single such row _JOINT_BLOCK at a time.
+    Each block is checked finite and >= 0, and the total after the last one.
     """
     _guard_joint_support(n, b)
     import numpy as np
-    factors, tail, hn = tables()
+    factors, tail, hn = _joint_tables(theta, n, b, DOUBLE)
     factors = [np.asarray(table, dtype=float) for table in factors]
     tail = np.asarray(tail, dtype=float)
 

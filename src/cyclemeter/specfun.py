@@ -2,9 +2,9 @@
 
 Only what the estimators actually use, implemented directly:
 
-* complex_gamma      -- Lanczos approximation (g = 7, 9 coefficients)
-                        with the reflection formula for Re z < 1/2;
-                        ~1e-13 relative accuracy on moderate arguments.
+* complex_gamma      -- libm's Gamma on the real axis; elsewhere Lanczos (g = 7,
+                        9 coefficients, the whole product as one exp, so finite
+                        where Gamma is), reflected for Re z < 1/2; ~1e-13 relative.
 * reciprocal_gamma   -- 1/Gamma extended by 0 at the poles, which is the
                         value the coefficient asymptotics actually need.
 * riemann_zeta       -- zeta(s) and its tails sum_{k >= start} k^{-s},
@@ -40,19 +40,24 @@ def _is_nonpositive_integer(z: complex) -> bool:
 
 
 def complex_gamma(z) -> complex:
-    """Gamma on the complex plane; raises GammaPoleError at 0, -1, -2, ..."""
+    """Gamma on the complex plane; GammaPoleError at 0, -1, ..., UsageError past a double."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise GammaPoleError(f"Gamma pole at {z}")
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    w = z - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
+    try:
+        if z.imag == 0.0:
+            return complex(math.gamma(z.real))
+        if z.real < 0.5:
+            # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+            return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
+        w = z - 1.0
+        acc = _LANCZOS_COEFFS[0]
+        for i in range(1, len(_LANCZOS_COEFFS)):
+            acc += _LANCZOS_COEFFS[i] / (w + i)
+        t = w + _LANCZOS_G + 0.5
+        return cmath.exp((w + 0.5) * cmath.log(t) - t + cmath.log(_SQRT_TWO_PI * acc))
+    except OverflowError as exc:
+        raise UsageError(f"Gamma({z}) overflows a double") from exc
 
 
 def reciprocal_gamma(z) -> complex:

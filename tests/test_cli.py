@@ -363,6 +363,23 @@ def test_large_dev_report(capsys):
     assert doc["table"]["rel_error"] <= 0.25
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "ewens", "--theta", "1000", "--kind", "large-dev", "--n", "20", "--k", "20"),
+    ("--family", "alpha-exp", "--alpha=-6", "--kind", "large-dev", "--n", "20", "--k", "20"),
+    *[("--family", "ewens", "--theta", theta, "--kind", "mod-poisson", "--n-grid", "10,20")
+      for theta in ("150", "171", "172", "1000")]],
+    ids=["large-dev-ewens", "large-dev-alpha-exp", *[f"mod-poisson-{t}" for t in
+                                                      (150, 171, 172, 1000)]])
+def test_overflowing_estimates_end_without_a_traceback(capsys, argv):
+    # e^x and Gamma overflow a double here: an error line and exit 2, or a result
+    code, out, err = run_cli(capsys, "report", *argv)
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out == "" and err.startswith("error: ")
+    if "large-dev" in argv:
+        assert code == EXIT_USAGE and "estimate overflows" in err
+
+
 def test_oracle_mismatch_is_math_error(monkeypatch, capsys):
     # The --oracle tripwire: a disagreeing reference must exit 3.
     from fractions import Fraction

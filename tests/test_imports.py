@@ -4,12 +4,13 @@ exact integer kernel start without numpy.
 A module's imports may be read anywhere in its file, a function's only in
 that function's body.  __init__.py is skipped: its imports are the
 package's re-exports.  numpy is imported inside the functions that run
-double series past the exact-double cut, double joint laws, diagnostics,
-sampling or the generalized lattice, so the package, the CLI module, exact
-commands of weighted and exp-poly families and double hn and K-law dist
-commands up to the cut never load it; each of those runs in a fresh
-interpreter.  json is imported only by the serializer's int-row branch, so
-the CLI module starts without it.
+double series past the exact-double cut, the joint-law blocks of the
+poisson-vector report, diagnostics, sampling or the generalized lattice,
+so the package, the CLI module, exact commands of weighted and exp-poly
+families and double hn and dist commands (either target) up to the cut
+never load it; each of those runs in a fresh interpreter.  json is
+imported only by the serializer's int-row branch, so the CLI module
+starts without it.
 """
 
 import ast
@@ -115,10 +116,15 @@ QUAD = ("--family", "quad", "--config", str(Path(__file__).resolve().parent / "e
     _cli("dist", *POLYLOG, "--n", "30", "--oracle"),
     _cli("dist", *EWENS, "--n", "20", "--backend", "double"),
     _cli("dist", *EXP_POLY, "--n", "20", "--backend", "double"),
+    # double joint laws are filled one float per tuple
+    _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "48", "--backend", "double"),
+    _cli("dist", *EXP_POLY, "--target", "cycles", "--b", "2", "--n", "30", "--backend", "double"),
+    _cli("dist", *POLYLOG, "--target", "cycles", "--b", "2", "--n", "30", "--oracle"),
 ], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles",
         "dist-cycles-oracle", "exp-poly-hn", "exp-poly-dist", "exp-poly-dist-oracle",
         "exp-poly-dist-cycles", "exp-poly-b2-hn", "exp-poly-b2-dist", "exp-poly-b2-dist-cycles",
-        "polylog-hn-double", "polylog-dist-oracle-double", "dist-double", "exp-poly-dist-double"])
+        "polylog-hn-double", "polylog-dist-oracle-double", "dist-double", "exp-poly-dist-double",
+        "dist-cycles-double", "exp-poly-dist-cycles-double", "polylog-dist-cycles-oracle-double"])
 def test_exact_paths_do_not_load_numpy(code):
     res = _loads(code)
     assert res.returncode == 0, res.stderr
@@ -136,7 +142,10 @@ def test_cli_import_leaves_json_unloaded():
 
 def test_double_command_loads_numpy():
     # past the exact-double cut the double series run on numpy
-    res = _loads(_cli("hn", *EWENS, "--n", "200", "--backend", "double"))
-    assert res.returncode == 0, res.stderr
-    assert '"backend": "double"' in res.stdout
-    assert res.stderr.splitlines()[-1] == "True"
+    for code in (_cli("hn", *EWENS, "--n", "200", "--backend", "double"),
+                 _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "49",
+                      "--backend", "double")):
+        res = _loads(code)
+        assert res.returncode == 0, res.stderr
+        assert '"backend": "double"' in res.stdout
+        assert res.stderr.splitlines()[-1] == "True"

@@ -180,13 +180,15 @@ BLOCKS = [measure._JOINT_BLOCK, 3]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
-@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, b", [(24, 1), (24, 2), (24, 3), (24, 4), (60, 1), (60, 2), (60, 3)],
+                         ids=["1", "2", "3", "4", "n60-1", "n60-2", "n60-3"])
 @pytest.mark.parametrize("family", list(JOINT_WEIGHTS))
-def test_double_joint_columns_match_per_atom_masses_bitwise(monkeypatch, family, b, block):
+def test_double_joint_columns_match_per_atom_masses_bitwise(monkeypatch, family, n, b, block):
     # The block builder keeps every rounding of the per-tuple products,
-    # so supports and masses compare with ==, not a tolerance.
+    # so supports and masses compare with ==, not a tolerance; at n = 60
+    # the tail comes from the numpy series past the exact-double cut.
     monkeypatch.setattr(measure, "_JOINT_BLOCK", block)
-    theta, n = JOINT_WEIGHTS[family], 24
+    theta = JOINT_WEIGHTS[family]
     keys, masses = per_atom_joint(n, b, *measure._joint_tables(theta, n, b, "double"))
     pmf = joint_cycle_pmf(theta, n, b, "double")
     assert list(pmf.support()) == keys

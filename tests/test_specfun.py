@@ -17,7 +17,8 @@ from cyclemeter.specfun import (complex_gamma, normal_cdf, poisson_pmf,
                                 reciprocal_gamma, riemann_zeta)
 
 GRID = [0.1, 0.5, 1.0, 2.5, 7.0, -0.5, -2.3,
-        1 + 1j, 2 + 3j, 0.5 - 4j, -1.5 + 0.5j, 6 - 2j]
+        1 + 1j, 2 + 3j, 0.5 - 4j, -1.5 + 0.5j, 6 - 2j,
+        150 + 1j, 150 * cmath.exp(0.5j)]  # t^(z - 1/2) alone overflows there
 
 
 def test_gamma_matches_scipy():
@@ -45,6 +46,18 @@ def test_gamma_closed_forms():
     assert abs(complex_gamma(0.5) - math.sqrt(math.pi)) <= 1e-14
     assert abs(complex_gamma(5) - 24) <= 1e-13
     assert abs(complex_gamma(-0.5) + 2 * math.sqrt(math.pi)) <= 1e-13
+
+
+@pytest.mark.parametrize("z", [150, 160, 171])
+def test_gamma_is_finite_wherever_gamma_is(z):
+    # finite up to z ~ 171.6, where Gamma itself overflows a double
+    assert abs(complex_gamma(z) / math.gamma(z) - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("z", [172, 1000, 172 + 1j, 171.7 + 0.1j])
+def test_gamma_overflow_is_a_usage_error(z):
+    with pytest.raises(UsageError, match="overflows a double"):
+        complex_gamma(z)
 
 
 def test_gamma_poles():
