@@ -366,7 +366,10 @@ def mod_poisson_limit(theta: float, s: float) -> complex:
     """Limiting function Gamma(theta)/Gamma(theta e^{is}) of the K_n law."""
     if theta <= 0:
         raise UsageError(f"theta must be > 0, got {theta}")
-    return complex_gamma(theta) * reciprocal_gamma(theta * cmath.exp(1j * s))
+    value = complex_gamma(theta) * reciprocal_gamma(theta * cmath.exp(1j * s))
+    if not cmath.isfinite(value):
+        raise UsageError(f"mod-Poisson limit overflows at theta={theta}, s={s}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ scanning j = 1, 2, ... until the partial sum passes u s h_s for a uniform
 u, so a draw costs O(n) time and memory.  P depends on the cycle type
 alone, so a permutation is one shuffle of 1..n cut into consecutive
 cycles of the drawn lengths: each permutation of that type arises
-prod_m m^{c_m} c_m! times.  The generator is counter-based (Philox), so
-runs with the same seed are reproducible byte for byte.
+prod_m m^{c_m} c_m! times.  The generator is random.Random(seed), the
+Mersenne Twister, so runs with the same seed are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateMeasureError, ResourceError, UsageError
@@ -406,15 +405,18 @@ def _length_drawer(theta: WeightSequence, n: int) -> Callable:
 
 
 def _permutation_of_type(lengths: list, rng) -> tuple:
-    """One shuffle of 1..n cut into cycles of the given lengths, as an image."""
-    import numpy as np
-    order = rng.permutation(sum(lengths))
-    ends = np.cumsum(lengths)
-    succ = np.arange(1, len(order) + 1)  # each label maps to the next in its block
-    succ[ends - 1] = ends - lengths
-    image = np.empty_like(order)
-    image[order] = order[succ] + 1
-    return tuple(image.tolist())
+    """One shuffle of 1..n cut into consecutive cycles of the given lengths,
+    as an image: each label maps to the next in its block, the last to the first."""
+    labels = list(range(1, sum(lengths) + 1))
+    rng.shuffle(labels)
+    succ, end = labels[1:] + labels[:1], 0
+    for length in lengths:
+        end += length
+        succ[end - 1] = labels[end - length]
+    image = [0] * len(labels)
+    for label, image_of in zip(labels, succ):
+        image[label - 1] = image_of
+    return tuple(image)
 
 
 def _sample_rows(theta: WeightSequence, n: int, seed: int, count: Optional[int],
@@ -431,14 +433,12 @@ def _sample_rows(theta: WeightSequence, n: int, seed: int, count: Optional[int],
     draws = 1 if count is None else count
     if not isinstance(draws, int) or draws < 1:
         raise UsageError(f"count must be a positive integer, got {count!r}")
-    import numpy as np
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    batches = iter(lambda: rng.random(4096).tolist(), None)  # endless: a list is not None
-    uniform = chain.from_iterable(batches).__next__
+    import random
+    rng = random.Random(seed)
     draw = _length_drawer(theta, n)
     if cycle_type_only:
-        return (sorted(draw(uniform), reverse=True) for _ in range(draws))
-    return (_permutation_of_type(draw(uniform), rng) for _ in range(draws))
+        return (sorted(draw(rng.random), reverse=True) for _ in range(draws))
+    return (_permutation_of_type(draw(rng.random), rng) for _ in range(draws))
 
 
 def sample_cycle_type(theta: WeightSequence, n: int, seed: int = 0,

@@ -181,6 +181,12 @@ def test_mod_poisson_limit_continuous_at_gamma_pole():
     assert abs(value) <= 1e-12
 
 
+def test_mod_poisson_limit_overflow_is_a_usage_error():
+    # both Gamma factors are finite at theta = 140, s = 2; their product is not
+    with pytest.raises(UsageError, match=r"overflows at theta=140, s=2"):
+        mod_poisson_limit(140, 2)
+
+
 # -- large deviations --------------------------------------------------------
 
 

@@ -5,12 +5,12 @@ A module's imports may be read anywhere in its file, a function's only in
 that function's body.  __init__.py is skipped: its imports are the
 package's re-exports.  numpy is imported inside the functions that run
 double series past the exact-double cut, the joint-law blocks of the
-poisson-vector report, diagnostics, sampling or the generalized lattice,
-so the package, the CLI module, exact commands of weighted and exp-poly
-families and double hn and dist commands (either target) up to the cut
-never load it; each of those runs in a fresh interpreter.  json is
-imported only by the serializer's int-row branch, so the CLI module
-starts without it.
+poisson-vector report, diagnostics or the generalized lattice, so the
+package, the CLI module, exact commands of weighted and exp-poly
+families and double hn, dist (either target) and sample commands up to
+the cut never load it, and no sample command loads numpy.random; each
+of those runs in a fresh interpreter.  json is imported only by the
+serializer's int-row branch, so the CLI module starts without it.
 """
 
 import ast
@@ -132,6 +132,18 @@ def test_exact_paths_do_not_load_numpy(code):
     if "main" in code:
         backend = "double" if "double" in code or "polylog" in code else "exact"
         assert f'"backend": "{backend}"' in res.stdout
+
+
+@pytest.mark.parametrize("flags", [(), ("--cycle-type-only",)], ids=["permutation", "cycle-type"])
+@pytest.mark.parametrize("n", [1, 8, 48, 60])
+def test_sample_loads_no_numpy_random(n, flags):
+    # random.Random draws; only h_n past the exact-double cut needs numpy
+    code = _cli("sample", *EWENS, "--n", str(n), "--count", "3", "--seed", "7", *flags)
+    for module, loaded in (("numpy", n > 48), ("numpy.random", False)):
+        res = _loads(code, module)
+        assert res.returncode == 0, res.stderr
+        assert '"command": "sample"' in res.stdout
+        assert res.stderr.splitlines()[-1] == str(loaded)
 
 
 def test_cli_import_leaves_json_unloaded():
