@@ -26,7 +26,7 @@ import os
 import re
 import sys
 import warnings
-from itertools import islice
+from itertools import chain, islice
 
 from .asymptotics import WeightFamily, asymptotic_hn
 from .catalog import KINDS, family_flags, family_from_request
@@ -63,7 +63,6 @@ def _family_parent() -> argparse.ArgumentParser:
     for dest, text in family_flags().items():
         p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=text)
     p.add_argument("--config", help="INI file defining named families")
-    p.add_argument("--backend", choices=("auto", "exact", "double"), default="auto")
     p.add_argument("--output", help="write to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     return p
@@ -86,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--b", type=int, default=1)
     p_dist.add_argument("--oracle", action="store_true",
                         help="cross-check against the partition oracle")
+    for p in (p_hn, p_dist):  # reports and sample always run doubles
+        p.add_argument("--backend", choices=("auto", "exact", "double"), default="auto")
 
     p_sample = sub.add_parser("sample", parents=[fam], help="seeded sampling")
     p_sample.add_argument("--n", type=int, required=True)
@@ -144,7 +145,7 @@ def _pmf_out(pmf, backend: str) -> tuple:
 
 # -- subcommand implementations ---------------------------------------------
 # Each runner returns (JSON document, CSV rows); main renders one of them.
-# The sample runner's rows are an iterator, drawn as main writes them.
+# The dist and sample runners' rows are iterators, read only as main writes them.
 
 
 def _run_hn(args) -> tuple:
@@ -193,7 +194,7 @@ def _run_dist(args) -> tuple:
     doc = {"command": "dist", "family": args.family, "target": args.target,
            "n": args.n, "b": args.b if args.target == "cycles" else None,
            "backend": backend, "oracle": oracle, "support": support, "mass": mass}
-    return doc, [["support", "mass"]] + [list(pair) for pair in zip(support, mass)]
+    return doc, chain([["support", "mass"]], map(list, zip(support, mass)))
 
 
 def _run_sample(args) -> tuple:

@@ -14,7 +14,7 @@ Infinite reference laws are truncated once their cumulative mass is
 within 1e-15 of 1; the discarded tail is carried on the Pmf and added to
 every distance as an upper-bound correction, so reported values are
 honest upper estimates.  The clt, poisson-k and large-dev laws of K_n
-are truncated the same way, at the K_TAIL certified by
+are truncated the same way, at the measure.K_TAIL certified by
 total_cycles_pmf_many; mod-poisson keeps every atom, as its references
 pin that kernel's rounding.
 """
@@ -22,7 +22,7 @@ pin that kernel's rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -30,10 +30,10 @@ from .asymptotics import WeightFamily, large_deviation_estimate, mod_poisson_lim
 from .errors import ResourceError, UsageError
 from .measure import joint_cycle_blocks, total_cycles_pmf_many
 from .pmf import Pmf
+from .series import DOUBLE, pmf_tol
 from .specfun import normal_cdf, poisson_pmf
 
 POISSON_TAIL = 1e-15
-K_TAIL = 1e-18  # mass a report's K_n law may leave out, far below double resolution
 _POISSON_LAM_MAX = 1e7  # about lam atoms are tabulated, some 10 s at this size
 
 
@@ -52,7 +52,7 @@ def truncated_poisson(lam: float) -> Pmf:
         mass[k] = p
         cumulative += p
         k += 1
-    return Pmf(mass, tol=1e-9, tail_bound=max(0.0, 1.0 - cumulative))
+    return Pmf(mass, tol=pmf_tol(DOUBLE), tail_bound=max(0.0, 1.0 - cumulative))
 
 
 def _int_keys(p: Pmf, name: str) -> None:
@@ -104,8 +104,11 @@ class ComparisonReport:
     values: list
     reference_rate: str
     reference_values: list
-    fitted_slope: Optional[float]
     label: str = ""
+    fitted_slope: Optional[float] = field(init=False)
+
+    def __post_init__(self):
+        self.fitted_slope = _fit_slope(self.n_values, self.values)
 
     def metric_label(self) -> str:
         return f"{self.metric}({self.label})" if self.label else self.metric
@@ -178,9 +181,8 @@ def poisson_vector_report(family: WeightFamily, b: int,
         loc_values.append(max(max_diff, outside))
     rate, ref = _reference(family, ns)
     return [
-        ComparisonReport("tv", ns, tv_values, rate, ref, _fit_slope(ns, tv_values)),
-        ComparisonReport("d_loc", ns, loc_values, rate, ref, _fit_slope(ns, loc_values),
-                         label="vector-pointwise"),
+        ComparisonReport("tv", ns, tv_values, rate, ref),
+        ComparisonReport("d_loc", ns, loc_values, rate, ref, label="vector-pointwise"),
     ]
 
 
@@ -228,9 +230,9 @@ def mod_poisson_report(family: WeightFamily, n_values: Sequence[int],
     rate, ref = _reference(family, ns)
     return [
         ComparisonReport("sup-char-fn", ns, values_primary, rate, ref,
-                         _fit_slope(ns, values_primary), label="lambda=K+theta*log(n)"),
+                         label="lambda=K+theta*log(n)"),
         ComparisonReport("sup-char-fn", ns, values_bare, rate, ref,
-                         _fit_slope(ns, values_bare), label="lambda=theta*log(n)"),
+                         label="lambda=theta*log(n)"),
     ]
 
 
@@ -245,7 +247,7 @@ def clt_report(family: WeightFamily, n_values: Sequence[int]) -> list:
     if cls.theta <= 0:
         raise UsageError("CLT normalization needs theta > 0")
     ns = _check_grid(n_values)
-    pmfs = total_cycles_pmf_many(family.weights, ns, "double", max_tail=K_TAIL)
+    pmfs = total_cycles_pmf_many(family.weights, ns, "double", keep_k=0)
     primary = []
     alt = []
     for n in ns:
@@ -256,9 +258,9 @@ def clt_report(family: WeightFamily, n_values: Sequence[int]) -> list:
     ref_rate = "1/sqrt(log n)"
     ref = [1.0 / math.sqrt(math.log(n)) for n in ns]
     return [
-        ComparisonReport("d_K", ns, primary, ref_rate, ref, _fit_slope(ns, primary),
+        ComparisonReport("d_K", ns, primary, ref_rate, ref,
                          label="normalization=sqrt(theta*log n)"),
-        ComparisonReport("d_K", ns, alt, ref_rate, ref, _fit_slope(ns, alt),
+        ComparisonReport("d_K", ns, alt, ref_rate, ref,
                          label="normalization=theta*sqrt(log n)"),
     ]
 
@@ -283,7 +285,7 @@ def poisson_k_approx_report(family: WeightFamily, n_values: Sequence[int]) -> li
     if cls.theta <= 0:
         raise UsageError("Poisson approximation needs theta > 0")
     ns = _check_grid(n_values)
-    pmfs = total_cycles_pmf_many(family.weights, ns, "double", max_tail=K_TAIL)
+    pmfs = total_cycles_pmf_many(family.weights, ns, "double", keep_k=0)
     loc_values = []
     kol_values = []
     for n in ns:
@@ -293,10 +295,9 @@ def poisson_k_approx_report(family: WeightFamily, n_values: Sequence[int]) -> li
         kol_values.append(d_K(pmfs[n], reference))
     return [
         ComparisonReport("d_loc", ns, loc_values, "1/log(n)",
-                         [1.0 / math.log(n) for n in ns], _fit_slope(ns, loc_values)),
+                         [1.0 / math.log(n) for n in ns]),
         ComparisonReport("d_K", ns, kol_values, "1/sqrt(log(n))",
-                         [1.0 / math.sqrt(math.log(n)) for n in ns],
-                         _fit_slope(ns, kol_values)),
+                         [1.0 / math.sqrt(math.log(n)) for n in ns]),
     ]
 
 
@@ -306,17 +307,14 @@ def large_deviation_table(family: WeightFamily, n: int, k: Optional[int] = None,
 
     k defaults to round(E[K_n] + sigmas * sd), a point out in the upper
     tail; pass k explicitly to pin the evaluation spot instead.  The law
-    of K_n is truncated at K_TAIL, keeping its atoms through k.
+    of K_n is truncated at measure.K_TAIL, keeping its atoms through k.
     """
     cls = family.require_class()
     if cls.theta <= 0:
         raise UsageError("large-deviation estimate needs theta > 0")
 
-    def law(keep_k: int) -> Pmf:
-        return total_cycles_pmf_many(family.weights, [n], "double", max_tail=K_TAIL,
-                                     keep_k=keep_k)[n]
-
-    pmf = law(k if k is not None and 1 <= k <= n else 0)
+    keep_k = k if k is not None and 1 <= k <= n else 0
+    pmf = total_cycles_pmf_many(family.weights, [n], "double", keep_k)[n]
     mean = float(pmf.mean())
     sd = math.sqrt(float(pmf.variance()))
     if k is None:
@@ -324,7 +322,7 @@ def large_deviation_table(family: WeightFamily, n: int, k: Optional[int] = None,
     if not 1 <= k <= n:
         raise UsageError(f"k = {k} outside support 1..{n}")
     if k not in pmf:  # a default k past the certified columns
-        pmf = law(k)
+        pmf = total_cycles_pmf_many(family.weights, [n], "double", k)[n]
     est = large_deviation_estimate(cls.theta, cls.K, n, k)
     exact = float(pmf[k])
     rel = abs(est.estimate - exact) / exact if exact > 0 else math.inf

@@ -27,7 +27,7 @@ Laws provided exactly (rational or double backend):
                               the poisson-vector report;
 * total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
 * total_cycles_pmf_many    -- laws of K_n along a grid of n; double ones may
-                              stop at a certified tail bound (k_max columns);
+                              stop at the certified tail bound K_TAIL (k_max columns);
 * expected_cycle_counts    -- E[C_m] = (theta_m/m) h_{n-m}/h_n.
 
 Sampling draws cycle lengths one by one: with s points left, the next
@@ -56,6 +56,7 @@ from .series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, check_kind,
 _JOINT_SUPPORT_CAP = 5_000_000
 _JOINT_BLOCK = 1 << 14  # rows per block of a double joint law
 _CHERNOFF_X = (2.0, 4.0, 8.0)  # the points x of _certified_cols' bound
+K_TAIL = 1e-18  # mass a truncated K_n law may leave out, far below double resolution
 
 
 class _WeightRule:
@@ -293,38 +294,37 @@ def total_cycles_pmf(theta, n: int, backend: str = EXACT) -> Pmf:
     return total_cycles_pmf_many(theta, [n], backend)[n]
 
 
-def total_cycles_pmf_many(theta, n_values: Sequence[int],
-                          backend: str = EXACT, max_tail: Optional[float] = None,
-                          keep_k: int = 0) -> dict:
+def total_cycles_pmf_many(theta, n_values: Sequence[int], backend: str = EXACT,
+                          keep_k: Optional[int] = None) -> dict:
     """Laws of K_n for several n from one bivariate computation.
 
     The coefficient rows of exp(sum_j w^j g_j(t)) at every t-order up to max(n)
     are produced by a single triangular recurrence, so asking for a grid
     of n values costs the same as asking for the largest one.
 
-    Given max_tail (double only), it keeps the w-columns 0..k_max - 1 and
-    no more, k_max > keep_k the least k with P(K_n >= k) <= max_tail for
-    every n of the grid by the Chernoff bound of _certified_cols.  Each
-    law then holds atoms 1..min(n, k_max - 1), normalized by their own
-    sum, with that bound as its tail_bound: O(n * k_max) work and memory
-    instead of the (n+1)^2 triangle.
+    keep_k None gives the full band.  Given keep_k (double only), it keeps
+    the w-columns 0..k_max - 1 and no more, k_max > keep_k the least k with
+    P(K_n >= k) <= K_TAIL for every n of the grid by the Chernoff bound of
+    _certified_cols.  Each law then holds atoms 1..min(n, k_max - 1),
+    normalized by their own sum, with that bound as its tail_bound:
+    O(n * k_max) work and memory instead of the (n+1)^2 triangle.
     """
     check_kind(backend)
     ns = list(n_values)
     if not ns or any((not isinstance(n, int)) or n < 1 for n in ns):
         raise UsageError(f"n values must be positive integers, got {n_values!r}")
-    if max_tail is not None and not (backend == DOUBLE and 0 < max_tail < 1):
-        raise UsageError(f"a truncated K_n law needs the double backend and "
-                         f"0 < max_tail < 1, got {backend!r} and {max_tail!r}")
+    if keep_k is not None and (backend != DOUBLE or not isinstance(keep_k, int) or keep_k < 0):
+        raise UsageError(f"a truncated K_n law needs the double backend and an "
+                         f"integer keep_k >= 0, got {backend!r} and {keep_k!r}")
     parts = theta.log_series(max(ns), backend)
-    cols, bounds = ((None, dict.fromkeys(ns, 0)) if max_tail is None
-                    else _certified_cols(parts, ns, max_tail, keep_k))
+    cols, bounds = ((None, dict.fromkeys(ns, 0)) if keep_k is None
+                    else _certified_cols(parts, ns, keep_k))
     rows = bv_exp_wg(*parts, cols=cols)
     return {n: _k_pmf(rows[n], n, backend, bounds[n]) for n in ns}
 
 
-def _certified_cols(parts: tuple, ns: list, max_tail: float, keep_k: int) -> tuple:
-    """(cols, {n: tail bound}): the w-columns that leave at most max_tail of
+def _certified_cols(parts: tuple, ns: list, keep_k: int) -> tuple:
+    """(cols, {n: tail bound}): the w-columns that leave at most K_TAIL of
     each law of K_n out, and the mass each law leaves out.  E[x^K_n] =
     h_n(x)/h_n(1), h_n(x) = [t^n] exp(sum_j x^j g_j), so for x > 1
 
@@ -341,7 +341,7 @@ def _certified_cols(parts: tuple, ns: list, max_tail: float, keep_k: int) -> tup
                  for n in ns}
     if not all(log_ratio.values()):
         return n_max + 1, dict.fromkeys(ns, 0.0)
-    need = max(keep_k + 1, *(min(math.ceil((r - math.log(max_tail)) / math.log(x))
+    need = max(keep_k + 1, *(min(math.ceil((r - math.log(K_TAIL)) / math.log(x))
                                  for x, r in log_ratio[n].items()) for n in ns))
     if need >= n_max:
         return n_max + 1, dict.fromkeys(ns, 0.0)

@@ -15,9 +15,8 @@ import pytest
 from cyclemeter.asymptotics import (asymptotic_hn, ewens_family,
                                     large_deviation_estimate, lindelof_eval,
                                     polylog_family, theta_shift_family)
-from cyclemeter.diagnostics import (K_TAIL, clt_report, d_K, d_loc,
-                                    mod_poisson_report, poisson_vector_report,
-                                    truncated_poisson)
+from cyclemeter.diagnostics import (clt_report, d_K, d_loc, mod_poisson_report,
+                                    poisson_vector_report, truncated_poisson)
 from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
                                     exp_polynomial_log_series,
                                     exp_polynomial_weights,
@@ -47,7 +46,7 @@ def unit_weight_k_laws():
     # The laws stop where at most K_TAIL of mass is left, as in the
     # reports; d_loc and d_K add that bound back.
     fam = ewens_family(1)
-    return total_cycles_pmf_many(fam.weights, list(GRID_N), "double", max_tail=K_TAIL)
+    return total_cycles_pmf_many(fam.weights, list(GRID_N), "double", keep_k=0)
 
 
 def spatial_two_point():

@@ -577,6 +577,18 @@ def test_auto_backend_follows_exact_rule(capsys, flags, backend):
     assert json.loads(out)["backend"] == "double"
 
 
+@pytest.mark.parametrize("backend", ["exact", "double"])
+@pytest.mark.parametrize("argv", [
+    ("report", "--family", "ewens", "--theta", "1", "--kind", "clt", "--n-grid", "10,20"),
+    ("sample", "--family", "ewens", "--theta", "2", "--n", "5"),
+], ids=["report", "sample"])
+def test_backend_is_refused_where_it_has_no_effect(capsys, argv, backend):
+    # reports and sample always run doubles; only hn and dist take --backend
+    code, out, err = run_cli(capsys, *argv, "--backend", backend)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --backend" in err
+
+
 def test_flags_override_config_values(tmp_path, capsys):
     cfg = tmp_path / "families.ini"
     cfg.write_text("[bent]\nkind = theta-shift\ntheta = 1\namp = 1\npower = 2\n")

@@ -164,8 +164,7 @@ def test_serializer_refusals_are_kept(doc):
 def sample_report():
     return ComparisonReport(metric="tv", n_values=[10, 20],
                             values=[0.25, 0.125], reference_rate="1/n",
-                            reference_values=[0.1, 0.05],
-                            fitted_slope=-1.0, label="demo")
+                            reference_values=[0.1, 0.05], label="demo")
 
 
 def test_report_serialization_deterministic():
@@ -183,6 +182,14 @@ def test_report_to_dict_keys():
     d = sample_report().to_dict()
     assert set(d) == {"metric", "label", "n_values", "values",
                       "reference_rate", "reference_values", "fitted_slope"}
+
+
+def test_report_fits_its_own_slope():
+    # values halving as n doubles have log-log slope -1; one distinct n has none
+    assert sample_report().fitted_slope == pytest.approx(-1.0, rel=1e-12)
+    assert ComparisonReport("tv", [10, 10], [0.5, 0.25], "1/n", [0.1, 0.1]).fitted_slope is None
+    with pytest.raises(TypeError):
+        ComparisonReport("tv", [10, 20], [0.5, 0.25], "1/n", [0.1, 0.05], fitted_slope=-1.0)
 
 
 def reference_poisson_vector(family, b, n):

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemeter.asymptotics import theta_shift_family
-from cyclemeter.diagnostics import K_TAIL
 from cyclemeter.errors import DegenerateMeasureError, UsageError
 from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
                                     eg_series, exp_polynomial_log_series,
@@ -27,7 +26,7 @@ from cyclemeter.generalized import (GeneralizedWeights, SpatialModel,
                                     generalized_total_cycles_pmf, spatial_F,
                                     spatial_class_params,
                                     spatial_effective_weights)
-from cyclemeter.measure import (WeightSequence, joint_cycle_pmf,
+from cyclemeter.measure import (K_TAIL, WeightSequence, joint_cycle_pmf,
                                 normalization_constants, total_cycles_pmf,
                                 total_cycles_pmf_many)
 from cyclemeter.partitions import (brute_force_cycle_counts_pmf,
@@ -335,7 +334,7 @@ def test_truncated_exp_polynomial_k_law_matches_full_law(theta, higher, ns):
     # band's law, and their tail bound covers the mass the cut leaves out.
     fw = exp_polynomial_weights(theta, higher)
     full = total_cycles_pmf_many(fw, ns, "double")
-    cut = total_cycles_pmf_many(fw, ns, "double", max_tail=K_TAIL)
+    cut = total_cycles_pmf_many(fw, ns, "double", keep_k=0)
     for n in ns:
         assert len(cut[n]) < n and cut[n].support() == tuple(range(1, len(cut[n]) + 1))
         for k, p in cut[n].items():

@@ -18,11 +18,10 @@ from scipy import stats
 
 from cyclemeter import measure
 from cyclemeter.asymptotics import ewens_family, polylog_family, theta_shift_family
-from cyclemeter.diagnostics import K_TAIL
 from cyclemeter.errors import DegenerateMeasureError, ResourceError, UsageError
 from cyclemeter.generalized import (GeneralizedWeights, _eg_product,
                                     exp_polynomial_weights, generalized_joint_cycle_pmf)
-from cyclemeter.measure import (WeightSequence, expected_cycle_counts,
+from cyclemeter.measure import (K_TAIL, WeightSequence, expected_cycle_counts,
                                 joint_cycle_pmf, normalization_constants,
                                 sample_cycle_type, sample_permutation,
                                 total_cycles_pmf, total_cycles_pmf_many)
@@ -254,7 +253,7 @@ def test_truncated_k_law_matches_full_law(weights):
     # the normalization by their own sum, and leave out at most K_TAIL.
     ns = [100, 400, 1000]
     full = total_cycles_pmf_many(weights, ns, "double")
-    cut = total_cycles_pmf_many(weights, ns, "double", max_tail=K_TAIL)
+    cut = total_cycles_pmf_many(weights, ns, "double", keep_k=0)
     for n in ns:
         assert 0 <= cut[n].tail_bound <= 1.01 * K_TAIL
         assert cut[n].support() == tuple(range(1, len(cut[n]) + 1))
@@ -269,7 +268,7 @@ def test_truncated_k_law_matches_full_law(weights):
 ], ids=["ewens-1/2", "ewens-2", "theta-shift"])
 def test_truncated_k_law_tail_bound_covers_exact_dropped_mass(weights):
     ns = [20, 40, 60]
-    cut = total_cycles_pmf_many(weights, ns, "double", max_tail=K_TAIL)
+    cut = total_cycles_pmf_many(weights, ns, "double", keep_k=0)
     for n in ns:
         exact = total_cycles_pmf(weights, n)
         kept = len(cut[n])
@@ -287,15 +286,21 @@ def test_truncated_k_law_falls_back_to_full_width():
     ewens = total_cycles_pmf(WeightSequence.constant(2), 1000, "double")
     for r, atoms in ((2.0, 1000), (1.5, None)):
         law = total_cycles_pmf_many(WeightSequence(lambda m: 2 * r**m), [1000], "double",
-                                    max_tail=K_TAIL)[1000]
+                                    keep_k=0)[1000]
         assert len(law) == atoms if atoms else len(law) < 100
         assert law.tail_bound == 0 if atoms else law.tail_bound > 0
         for k, p in law.items():
             assert abs(p - ewens[k]) <= 1e-12 * ewens[k]
-    small = total_cycles_pmf_many(ewens_family(1).weights, [10], "double", max_tail=K_TAIL)[10]
+    small = total_cycles_pmf_many(ewens_family(1).weights, [10], "double", keep_k=0)[10]
     assert small.support() == tuple(range(1, 11)) and small.tail_bound == 0
     with pytest.raises(UsageError, match="double backend"):
-        total_cycles_pmf_many(WeightSequence.constant(1), [10], max_tail=K_TAIL)
+        total_cycles_pmf_many(WeightSequence.constant(1), [10], keep_k=0)
+
+
+@pytest.mark.parametrize("keep_k", [-1, 1.5])
+def test_truncated_k_law_refuses_a_bad_keep_k(keep_k):
+    with pytest.raises(UsageError, match="keep_k"):
+        total_cycles_pmf_many(WeightSequence.constant(1), [10], "double", keep_k=keep_k)
 
 
 def rising(theta, n):
