@@ -17,6 +17,8 @@ floats carry 17 significant digits.  `sample` draws and writes its rows
 in blocks of about 2^14 integers, so its memory does not depend on
 --count; every refusal comes before the first draw and writes nothing,
 but a draw that fails later (exit 3) leaves the blocks already written.
+`dist` walks its law anew to check it (and --oracle) and to write it in
+blocks of 2^14 / n atoms, holding no copy; a failed check writes nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import re
 import sys
 import warnings
+from collections.abc import Iterator
 from itertools import chain, islice
 
 from .asymptotics import WeightFamily, asymptotic_hn
@@ -37,9 +40,9 @@ from .diagnostics import (clt_report, dumps_csv, dumps_deterministic,
 from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
                      ResourceError, UnsupportedClassError, UsageError)
 from .generalized import GeneralizedWeights
-from .measure import (_sample_rows, joint_cycle_pmf, normalization_constants,
-                      total_cycles_pmf)
+from .measure import _joint_law, _sample_rows, normalization_constants, total_cycles_pmf
 from .partitions import brute_force_cycle_counts_pmf, brute_force_k_pmf, check_partition_cap
+from .pmf import check_masses
 from .series import EXACT, auto_kind, pmf_tol, to_kind
 
 EXIT_OK = 0
@@ -49,7 +52,7 @@ EXIT_TREND = 4
 
 _REPORT_KINDS = ("poisson-vector", "mod-poisson", "clt", "poisson-k", "large-dev")
 _DEFAULT_S_GRID = "0,0.5,-0.5,1,-1,2,-2"
-_SAMPLE_BLOCK = 1 << 14  # integers per block of sample output
+_BLOCK = 1 << 14  # integers (sample) or exact digits (dist, ~6n a mass) per block
 
 
 class _TrendFailure(Exception):
@@ -139,13 +142,9 @@ def _scalar_out(value, backend: str):
     return str(value) if backend == EXACT else value
 
 
-def _pmf_out(pmf, backend: str) -> tuple:
-    return pmf.support(), [_scalar_out(value, backend) for _, value in pmf.items()]
-
-
 # -- subcommand implementations ---------------------------------------------
 # Each runner returns (JSON document, CSV rows); main renders one of them.
-# The dist and sample runners' rows are iterators, read only as main writes them.
+# The dist and sample runners' rows and last lists are iterators, read as main writes them.
 
 
 def _run_hn(args) -> tuple:
@@ -170,11 +169,11 @@ def _run_hn(args) -> tuple:
     return doc, [["n", "h", "asymptotic", "ratio"]] + [list(row.values()) for row in rows]
 
 
-def _oracle_check(pmf, weights, args, backend: str) -> None:
+def _oracle_check(law, weights, args, backend: str) -> None:
     # the oracles are read from this module per call, so a wrapper installed here is used
     ref_law = (brute_force_k_pmf(weights, args.n, backend) if args.target == "k"
                else brute_force_cycle_counts_pmf(weights, args.n, args.b, backend))
-    for key, value in pmf.items():
+    for key, value in law.items():
         ref = ref_law[key]
         if abs(value - ref) > pmf_tol(backend) * max(1, abs(ref)):
             raise DegenerateMeasureError(f"oracle mismatch at {key!r}: {value} vs {ref}")
@@ -185,16 +184,16 @@ def _run_dist(args) -> tuple:
     backend = _resolve_backend(args, weights, args.n)
     if args.oracle:  # the oracle's own refusal comes before the engine law
         check_partition_cap(args.n)
-    pmf = (total_cycles_pmf(weights, args.n, backend) if args.target == "k"
-           else joint_cycle_pmf(weights, args.n, args.b, backend))
+    law = (total_cycles_pmf(weights, args.n, backend) if args.target == "k"
+           else _joint_law(weights, args.n, args.b, backend))
+    check_masses(law.items(), pmf_tol(backend))  # each check walks the law before any output
     if args.oracle:
-        _oracle_check(pmf, weights, args, backend)
-    oracle = "match" if args.oracle else None
-    support, mass = _pmf_out(pmf, backend)
+        _oracle_check(law, weights, args, backend)
     doc = {"command": "dist", "family": args.family, "target": args.target,
            "n": args.n, "b": args.b if args.target == "cycles" else None,
-           "backend": backend, "oracle": oracle, "support": support, "mass": mass}
-    return doc, chain([["support", "mass"]], map(list, zip(support, mass)))
+           "backend": backend, "oracle": "match" if args.oracle else None,
+           "support": law.support(), "mass": (_scalar_out(v, backend) for _, v in law.items())}
+    return doc, chain([["support", "mass"]], ([k, _scalar_out(v, backend)] for k, v in law.items()))
 
 
 def _run_sample(args) -> tuple:
@@ -207,21 +206,25 @@ def _run_sample(args) -> tuple:
     return doc, samples
 
 
-def _sample_chunks(doc: dict, csv: bool):
-    """The sample output in pieces, drawing max(1, _SAMPLE_BLOCK // n) rows
-    at a time so that one block is held.  Each piece is cut from the
-    serializers' output for the whole document, so the pieces join to its
-    bytes."""
-    size = max(1, _SAMPLE_BLOCK // doc["n"])
-    blocks = iter(lambda: list(islice(doc["samples"], size)), [])
+def _chunks(doc: dict, rows, csv: bool, size: int):
+    """The output in pieces cut from the serializers' output for the whole document, so
+    they join to its bytes.  Iterator rows, and the iterator lists that close the document,
+    are read size at a time, so that one block is held; the first piece holds the rest."""
+    def blocks(items):
+        return iter(lambda: list(islice(items, size)), [])
+
     if csv:
-        yield from map(dumps_csv, blocks)
+        yield from [dumps_csv(rows)] if isinstance(rows, list) else map(dumps_csv, blocks(rows))
         return
-    assert list(doc)[-1] == "samples"  # the rows close the document
-    yield dumps_deterministic({**doc, "samples": []})[:-2]
-    for i, block in enumerate(blocks):
-        yield (", " if i else "") + dumps_deterministic(block)[1:-1]
-    yield "]}\n"
+    streamed = [key for key, value in doc.items() if isinstance(value, Iterator)]
+    *pieces, end = dumps_deterministic({**doc, **dict.fromkeys(streamed, [])}).rsplit(
+        "[]", len(streamed))
+    for piece, key in zip(pieces, streamed):
+        yield piece + "["
+        for i, block in enumerate(blocks(doc[key])):
+            yield (", " if i else "") + dumps_deterministic(block)[1:-1]
+        yield "]"
+    yield end + "\n"
 
 
 def _parse_k_spec(text: str):
@@ -299,9 +302,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             doc, rows = _RUNNERS[args.command](args)
-            csv = args.format == "csv"
-            chunks = (_sample_chunks(doc, csv) if args.command == "sample" else
-                      [dumps_csv(rows) if csv else dumps_deterministic(doc) + "\n"])
+            chunks = _chunks(doc, rows, args.format == "csv", max(1, _BLOCK // (args.n or 1)))
+            chunks = chain([next(chunks, "")], chunks)  # rendered before --output opens
             if args.output:
                 try:
                     with open(args.output, "w") as fh:

@@ -39,9 +39,9 @@ from typing import Callable, Optional, Sequence
 
 from .asymptotics import SingularityClass
 from .errors import UsageError
-from .measure import WeightSequence, _WeightRule, _h_or_degenerate, _joint_pmf, _k_pmf
+from .measure import WeightSequence, _WeightRule, _h_or_degenerate, _joint_walk, _k_pmf
 from .pmf import Pmf
-from .series import EXACT, TruncatedSeries, check_kind, to_fraction, to_kind
+from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_fraction, to_kind
 
 
 class GeneralizedWeights(_WeightRule):
@@ -192,7 +192,7 @@ def generalized_joint_cycle_pmf(fweights, n: int, b: int, backend: str = EXACT) 
         factors = [fweights.cycle_factors(m, n // m, backend) for m in range(1, b + 1)]
         return factors, tail, hn
 
-    return _joint_pmf(n, b, backend, tables)
+    return Pmf(dict(_joint_walk(n, b, backend, tables)), tol=pmf_tol(backend))
 
 
 def generalized_total_cycles_pmf(fweights, n: int, backend: str = EXACT) -> Pmf:

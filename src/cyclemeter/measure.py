@@ -21,11 +21,11 @@ Laws provided exactly (rational or double backend):
 
 * normalization_constants  -- h_0..h_N;
 * joint_cycle_pmf          -- law of (C_1, ..., C_b), tuples in lexicographic order,
-                              filled one scalar per tuple for both kinds;
+                              the pairs of _joint_walk, which dist streams;
 * joint_cycle_blocks       -- its double law as (counts, mass) numpy blocks of at
                               most _JOINT_BLOCK tuples, in the same order, for
                               the poisson-vector report;
-* total_cycles_pmf         -- law of K_n = C_1 + ... + C_n;
+* total_cycles_pmf         -- law of K_n = C_1 + ... + C_n, one Fraction per exact atom;
 * total_cycles_pmf_many    -- laws of K_n along a grid of n; double ones may
                               stop at the certified tail bound K_TAIL (k_max columns);
 * expected_cycle_counts    -- E[C_m] = (theta_m/m) h_{n-m}/h_n.
@@ -45,6 +45,8 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateMeasureError, ResourceError, UsageError
@@ -184,7 +186,8 @@ def joint_cycle_pmf(theta, n: int, b: int, backend: str = EXACT) -> Pmf:
     Support: every tuple with sum_m m*c_m <= n, including zero-mass ones.
     """
     check_kind(backend)
-    return _joint_pmf(n, b, backend, lambda: _joint_tables(theta, n, b, backend))
+    walk = _joint_walk(n, b, backend, lambda: _joint_tables(theta, n, b, backend))
+    return Pmf(dict(walk), tol=pmf_tol(backend))
 
 
 def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
@@ -194,8 +197,9 @@ def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
     return factors, tail, hn
 
 
-def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
-    """Law of (C_1, ..., C_b) on S_n from per-length factor tables.
+def _joint_walk(n: int, b: int, kind: str, tables: Callable):
+    """Law of (C_1, ..., C_b) on S_n from per-length factor tables, as (c, P[c])
+    pairs in lexicographic order of c, each computed when it is read.
 
     tables() returns (factors, tail, hn): factors[m-1][c] weighs c cycles
     of length m, tail[s] weighs the s points left to cycles longer than
@@ -203,24 +207,35 @@ def _joint_pmf(n: int, b: int, kind: str, tables: Callable) -> Pmf:
 
         P[c] = prod_{m<=b} factors[m-1][c_m] * tail[n - sum m c_m] / hn.
 
-    Both kinds fill one scalar per tuple, with no numpy.  Keys are
-    lexicographic, and the double products run in the order of
+    Both kinds compute one scalar per tuple, with no numpy, and hold only
+    the current prefix.  The double products run in the order of
     joint_cycle_blocks, so both give every mass the same bits.
     """
     _guard_joint_support(n, b)
     factors, tail, hn = tables()
-    mass: dict = {}
+    if kind == EXACT:  # the same values with one Fraction product fewer per tuple
+        tail, hn = [t / hn for t in tail], 1
 
     def fill(m: int, budget: int, prefix: tuple, weight):
-        if m > b:
-            mass[prefix] = weight * tail[budget] / hn
-            return
         table = factors[m - 1]
+        if m < b:
+            for count in range(budget // m + 1):
+                yield from fill(m + 1, budget - m * count, prefix + (count,),
+                                weight * table[count])
+            return
         for count in range(budget // m + 1):
-            fill(m + 1, budget - m * count, prefix + (count,), weight * table[count])
+            yield prefix + (count,), weight * table[count] * tail[budget - m * count] / hn
 
-    fill(1, n, (), to_kind(1, kind))
-    return Pmf(mass, tol=pmf_tol(kind))
+    return fill(1, n, (), 1)
+
+
+def _joint_law(theta, n: int, b: int, kind: str) -> SimpleNamespace:
+    """joint_cycle_pmf's law unchecked, read as a Pmf: support() and items() each start
+    a new walk, of the tuples on unit double tables or of the pairs on the law's own."""
+    ones = ([[1.0] * (n // m + 1) for m in range(1, b + 1)], [1.0] * (n + 1), 1.0)
+    tables = cache(lambda: _joint_tables(theta, n, b, kind))
+    return SimpleNamespace(items=lambda: _joint_walk(n, b, kind, tables), support=lambda: (
+        key for key, _ in _joint_walk(n, b, DOUBLE, lambda: ones)))
 
 
 def joint_cycle_blocks(theta, n: int, b: int):
@@ -228,7 +243,7 @@ def joint_cycle_blocks(theta, n: int, b: int):
     _JOINT_BLOCK rows, the rows of counts its tuples in lexicographic order.
 
     Per m, a row with budget points left repeats budget//m + 1 times and
-    takes factors[m-1][c_m], so each mass has _joint_pmf's product and
+    takes factors[m-1][c_m], so each mass has _joint_walk's product and
     bits.  Rows whose repeats would pass _JOINT_BLOCK are expanded half at
     a time, and the repeats of a single such row _JOINT_BLOCK at a time.
     Each block is checked finite and >= 0, and the total after the last one.
@@ -319,8 +334,9 @@ def total_cycles_pmf_many(theta, n_values: Sequence[int], backend: str = EXACT,
     parts = theta.log_series(max(ns), backend)
     cols, bounds = ((None, dict.fromkeys(ns, 0)) if keep_k is None
                     else _certified_cols(parts, ns, keep_k))
-    rows = bv_exp_wg(*parts, cols=cols)
-    return {n: _k_pmf(rows[n], n, backend, bounds[n]) for n in ns}
+    rows = bv_exp_wg(*parts, cols=cols)  # exact: read as the integer numerators of row n
+    return {n: _k_pmf(rows.raw[n][0] if backend == EXACT else rows[n], n, backend, bounds[n])
+            for n in ns}
 
 
 def _certified_cols(parts: tuple, ns: list, keep_k: int) -> tuple:
@@ -351,12 +367,12 @@ def _certified_cols(parts: tuple, ns: list, keep_k: int) -> tuple:
 
 
 def _k_pmf(row, n: int, backend: str, tail_bound=0) -> Pmf:
-    """Law of K_n from a bv_exp_wg row, the w-coefficients of [t^n] (all of them,
-    or the first ones with tail_bound covering the rest): exact, list or numpy."""
+    """Law of K_n from the w-coefficients of [t^n] (all, or the first ones with tail_bound
+    covering the rest): exact numerators or Fractions, one Fraction per atom, or doubles."""
     row = row[: n + 1]
     hn = _h_or_degenerate(float(row.sum()) if hasattr(row, "sum") else sum(row), n)
-    return Pmf({k: row[k] / hn for k in range(1, len(row))}, tol=pmf_tol(backend),
-               tail_bound=tail_bound)
+    return Pmf({k: row[k] / hn if backend == DOUBLE else Fraction(row[k], hn)
+                for k in range(1, len(row))}, tol=pmf_tol(backend), tail_bound=tail_bound)
 
 
 def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -> list:

@@ -17,23 +17,30 @@ import math
 from .errors import UsageError
 
 
+def check_masses(items, tol=0, tail_bound=0) -> None:
+    """UsageError unless tail_bound and every value of the (key, value) items are
+    finite and >= 0, and, added to tail_bound in order, they sum to 1 within tol."""
+    if not 0 <= tail_bound < math.inf:
+        raise UsageError("tail_bound must be finite and >= 0")
+    total = tail_bound
+    for key, value in items:
+        if not 0 <= value < math.inf:
+            raise UsageError(f"mass {value} at {key!r} must be finite and >= 0")
+        total += value
+    if tol == 0:
+        if total != 1:
+            raise UsageError(f"mass must sum to 1 exactly, got {total}")
+    elif not abs(total - 1) <= tol:
+        raise UsageError(f"mass sums to {total}, outside 1 +/- {tol}")
+
+
 class Pmf:
     __slots__ = ("_mass", "tol", "tail_bound")
 
     def __init__(self, mass: dict, tol=0, tail_bound=0):
         if not isinstance(mass, dict) or not mass:
             raise UsageError("mass must be a nonempty dict")
-        for key, value in mass.items():
-            if not 0 <= value < math.inf:
-                raise UsageError(f"mass {value} at {key!r} must be finite and >= 0")
-        if not 0 <= tail_bound < math.inf:
-            raise UsageError("tail_bound must be finite and >= 0")
-        total = sum(mass.values()) + tail_bound
-        if tol == 0:
-            if total != 1:
-                raise UsageError(f"mass must sum to 1 exactly, got {total}")
-        elif not abs(total - 1) <= tol:
-            raise UsageError(f"mass sums to {total}, outside 1 +/- {tol}")
+        check_masses(mass.items(), tol, tail_bound)
         self._mass = dict(sorted(mass.items()))
         self.tol = tol
         self.tail_bound = tail_bound

@@ -34,7 +34,7 @@ up to order _EXACT_DOUBLE_MAX_N, the rows of one numpy array past it.
 
 The exact recurrences run on Python ints: each row (the scalar h_n, or
 the w-coefficients of [t^n]) is a list of integer numerators over one
-reduced denominator, and Fractions are built only from the finished rows.
+reduced denominator, and Fractions are built only from finished rows, as read.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
         for n in range(1, n_max + 1):
             hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
         return TruncatedSeries(hr[::-1].tolist(), DOUBLE)
-    return TruncatedSeries([row[0] for row in _exact_rows((g,), 0)], g.kind)
+    return TruncatedSeries([_scalar(num[0], q, g.kind) for num, q in _exact_rows((g,), 0)], g.kind)
 
 
 def ts_log(h: TruncatedSeries) -> TruncatedSeries:
@@ -226,7 +226,8 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
         _require(isinstance(cols, int) and 1 <= cols <= n_max + 1,
                  f"cols must be an integer in 1..{n_max + 1}, got {cols!r}")
         if _on_exact_kernel(gs):
-            return [row[:cols] + [0.0] * (cols - len(row)) for row in _exact_rows(gs, 1)]
+            return [[_scalar(v, q, DOUBLE) for v in nums[:cols]] + [0.0] * (cols - len(nums))
+                    for nums, q in _exact_rows(gs, 1)]
         if (n_max + 1) * cols * 8 > BAND_BYTES_MAX:
             raise ResourceError(f"a {n_max + 1} x {cols} double array passes the "
                                 f"{BAND_BYTES_MAX} byte budget of bv_exp_wg")
@@ -248,7 +249,21 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
                 top -= 1
             width = top + 1
         return arr
-    return [tuple(row) for row in _exact_rows(gs, 1)]
+    return _ExactRows(_exact_rows(gs, 1))
+
+
+class _ExactRows(Sequence):
+    """Exact bv_exp_wg rows, raw[n] = (integer numerators, q), read as Fraction tuples."""
+
+    def __init__(self, raw: list):
+        self.raw = raw
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, n: int) -> tuple:
+        nums, q = self.raw[n]
+        return tuple(Fraction(v, q) for v in nums)
 
 
 def _on_exact_kernel(gs: tuple) -> bool:  # exact, or finite doubles up to the cut
@@ -264,8 +279,8 @@ def _scalar(v: int, q: int, kind: str) -> Scalar:
 
 
 def _exact_rows(gs: tuple, shift: int) -> list:
-    """Rows n = 0..N of exp(sum_j w^{shift+j} gs[j]) (shift 0 or 1) in gs' kind,
-    [t^n] = sum_i numerators[i] w^i / q on ints divided once.  With k*g_{j,k}
+    """Rows n = 0..N of exp(sum_j w^{shift+j} gs[j]) (shift 0 or 1) as pairs
+    (numerators, q), [t^n] = sum_i numerators[i] w^i / q on ints.  With k*g_{j,k}
     = a/d, row n lies over n*e*Q_n, Q_n = lcm(q_0..q_{n-1}) and e the least
     factor with every d*q_{n-k} | e*Q_n; one gcd pass reduces the row."""
     # keep only nonzero terms; tails of sparse polynomials stay cheap
@@ -284,4 +299,4 @@ def _exact_rows(gs: tuple, shift: int) -> list:
                 acc[i] += c * v
         div = math.gcd(n * e * big_q, *acc)
         rows.append(([v // div for v in acc], n * e * big_q // div))
-    return [[_scalar(v, q, gs[0].kind) for v in nums] for nums, q in rows]
+    return rows

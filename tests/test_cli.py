@@ -249,7 +249,7 @@ def test_sample_failing_draw_leaves_the_blocks_written(monkeypatch, capsys):
             return draw(uniform)
         return flaky
 
-    monkeypatch.setattr(cli_mod, "_SAMPLE_BLOCK", 3)
+    monkeypatch.setattr(cli_mod, "_BLOCK", 3)
     monkeypatch.setattr(measure_mod, "_length_drawer", failing_drawer)
     argv = ("sample", "--family", "ewens", "--theta", "1", "--n", "1", "--count", "9")
     err = "error: reached remainder size 1 with h_1 = 0\n"
@@ -266,7 +266,7 @@ def test_sample_blocks_join_to_the_whole_document(monkeypatch, capsys, n, cycle_
     # checked against the whole document rendered at once from the library's draws.
     import cyclemeter.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "_SAMPLE_BLOCK", 3)
+    monkeypatch.setattr(cli_mod, "_BLOCK", 3)
     block = max(1, 3 // n)
     draw, kind, flags = ((sample_cycle_type, "cycle-type", ["--cycle-type-only"])
                          if cycle_type_only else (sample_permutation, "permutation", []))
@@ -330,6 +330,84 @@ def test_sample_closed_stdout_gives_no_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == EXIT_OK
     assert b"Traceback" not in err and err == b""
+
+
+@pytest.mark.parametrize("block", [3, 1 << 14])  # one atom per block, or every atom in one
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("backend", ["exact", "double"])
+@pytest.mark.parametrize("target", ["k", "cycles"])
+def test_dist_blocks_join_to_the_library_law(monkeypatch, capsys, tmp_path, target, backend,
+                                            oracle, block):
+    # dist writes its law from walks, block by block; the bytes are those of
+    # the whole document built from the library's Pmf, on stdout and in --output.
+    import cyclemeter.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_BLOCK", block)
+    weights, n, b = ewens_family(Fraction(1, 2)).weights, 7, 2
+    law = (total_cycles_pmf(weights, n, backend) if target == "k"
+           else joint_cycle_pmf(weights, n, b, backend))
+    mass = [str(v) if backend == "exact" else float(v) for _, v in law.items()]
+    doc = {"command": "dist", "family": "ewens", "target": target, "n": n,
+           "b": b if target == "cycles" else None, "backend": backend,
+           "oracle": "match" if oracle else None, "support": list(law.support()), "mass": mass}
+    argv = ["dist", "--family", "ewens", "--theta", "1/2", "--target", target, "--n", str(n),
+            "--b", str(b), "--backend", backend] + ["--oracle"] * oracle
+    csv_rows = [["support", "mass"]] + [list(pair) for pair in zip(law.support(), mass)]
+    for flags, want in (([], dumps_deterministic(doc) + "\n"),
+                        (["--format", "csv"], dumps_csv(csv_rows))):
+        assert run_cli(capsys, *argv, *flags) == (EXIT_OK, want, "")
+        path = tmp_path / "out"
+        assert run_cli(capsys, *argv, *flags, "--output", str(path)) == (EXIT_OK, "", "")
+        assert path.read_text() == want
+
+
+def _doubled_last_tail(tables):
+    def doubled(*args):
+        factors, tail, hn = tables(*args)
+        return factors, [*tail[:-1], 2 * tail[-1]], hn
+    return doubled
+
+
+@pytest.mark.parametrize("backend", ["exact", "double"])
+@pytest.mark.parametrize("fault, code", [("mass sum", EXIT_USAGE), ("oracle", EXIT_MATH)])
+def test_failed_dist_check_writes_nothing(monkeypatch, capsys, tmp_path, backend, fault, code):
+    # Every check walks the law before the first byte: a law whose masses
+    # do not sum to 1 (the all-zero tuple's tail weight doubled), or that
+    # the oracle disputes, leaves stdout empty and --output unwritten.
+    import cyclemeter.cli as cli_mod
+    import cyclemeter.measure as measure_mod
+    from cyclemeter.pmf import Pmf
+
+    if fault == "oracle":
+        monkeypatch.setattr(cli_mod, "brute_force_cycle_counts_pmf",
+                            lambda weights, n, b, kind: Pmf({(n, 0): Fraction(1)}))
+    else:
+        monkeypatch.setattr(measure_mod, "_joint_tables",
+                            _doubled_last_tail(measure_mod._joint_tables))
+    argv = ("dist", "--family", "ewens", "--theta", "1", "--target", "cycles", "--b", "2",
+            "--n", "6", "--backend", backend, "--oracle")
+    path = tmp_path / "out"
+    for flags in ((), ("--format", "csv"), ("--output", str(path))):
+        got, out, err = run_cli(capsys, *argv, *flags)
+        assert (got, out) == (code, "") and err.startswith("error: ")
+        assert ("mismatch" if fault == "oracle" else "mass") in err
+        assert not path.exists()
+
+
+def test_dist_memory_holds_no_copy_of_the_law():
+    # tracemalloc's peak over one exact joint law of 7,106 tuples: the
+    # walks hold one prefix and one block of output.  Holding the law, its
+    # strings and the whole document read 13.9 MB; streaming reads 0.6 MB.
+    argv = ["dist", "--family", "theta-shift", "--theta", "1", "--target", "cycles",
+            "--b", "3", "--output", os.devnull]
+    assert main([*argv, "--n", "8"]) == EXIT_OK  # imports and caches, untraced
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--n", "60"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, peak
 
 
 def test_report_without_class_is_usage_error(capsys):
@@ -895,7 +973,7 @@ def test_oracle_cap_is_met_before_the_engine_law(capsys, monkeypatch, target):
         raise AssertionError("built the engine law")
 
     monkeypatch.setattr(cli_mod, "total_cycles_pmf", no_law)
-    monkeypatch.setattr(cli_mod, "joint_cycle_pmf", no_law)
+    monkeypatch.setattr(cli_mod, "_joint_law", no_law)
     code, out, err = run_cli(capsys, "dist", "--family", "ewens", "--theta", "1",
                              "--target", target, "--n", "3000", "--oracle")
     assert (code, out) == (EXIT_USAGE, "")

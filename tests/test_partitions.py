@@ -184,7 +184,7 @@ def test_oracle_shares_no_kernel_with_engine():
     kernels = {"ts_exp": series.ts_exp, "ts_log": series.ts_log,
                "ts_mul": series.ts_mul, "bv_exp_wg": series.bv_exp_wg,
                "_eg_product": generalized._eg_product,
-               "_joint_pmf": measure._joint_pmf}
+               "_joint_walk": measure._joint_walk}
     namespace = vars(partitions)
     assert not set(kernels) & set(namespace)
     assert not any(value is kernel for value in namespace.values()
