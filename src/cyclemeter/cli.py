@@ -29,6 +29,7 @@ import re
 import sys
 import warnings
 from collections.abc import Iterator
+from fractions import Fraction
 from itertools import chain, islice
 
 from .asymptotics import WeightFamily, asymptotic_hn
@@ -169,14 +170,17 @@ def _run_hn(args) -> tuple:
     return doc, [["n", "h", "asymptotic", "ratio"]] + [list(row.values()) for row in rows]
 
 
-def _oracle_check(law, weights, args, backend: str) -> None:
+def _oracle_check(masses, weights, args, backend: str) -> None:
     # the oracles are read from this module per call, so a wrapper installed here is used
     ref_law = (brute_force_k_pmf(weights, args.n, backend) if args.target == "k"
                else brute_force_cycle_counts_pmf(weights, args.n, args.b, backend))
-    for key, value in law.items():
+    den, pairs = masses()
+    for key, value in pairs:
         ref = ref_law[key]
-        if abs(value - ref) > pmf_tol(backend) * max(1, abs(ref)):
-            raise DegenerateMeasureError(f"oracle mismatch at {key!r}: {value} vs {ref}")
+        if (value * ref.denominator != ref.numerator * den if backend == EXACT
+                else abs(value - ref) > pmf_tol(backend) * max(1, abs(ref))):
+            shown = value if den == 1 else Fraction(value, den)
+            raise DegenerateMeasureError(f"oracle mismatch at {key!r}: {shown} vs {ref}")
 
 
 def _run_dist(args) -> tuple:
@@ -186,9 +190,13 @@ def _run_dist(args) -> tuple:
         check_partition_cap(args.n)
     law = (total_cycles_pmf(weights, args.n, backend) if args.target == "k"
            else _joint_law(weights, args.n, args.b, backend))
-    check_masses(law.items(), pmf_tol(backend))  # each check walks the law before any output
+    # each check walks the law before any output, exact joint laws on integer numerators
+    masses = (law.numerators if backend == EXACT and args.target == "cycles"
+              else lambda: (1, law.items()))
+    den, pairs = masses()
+    check_masses(pairs, pmf_tol(backend), den=den)
     if args.oracle:
-        _oracle_check(law, weights, args, backend)
+        _oracle_check(masses, weights, args, backend)
     doc = {"command": "dist", "family": args.family, "target": args.target,
            "n": args.n, "b": args.b if args.target == "cycles" else None,
            "backend": backend, "oracle": "match" if args.oracle else None,

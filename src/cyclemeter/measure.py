@@ -197,7 +197,7 @@ def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
     return factors, tail, hn
 
 
-def _joint_walk(n: int, b: int, kind: str, tables: Callable):
+def _joint_walk(n: int, b: int, kind: str, tables: Callable, raw: bool = False):
     """Law of (C_1, ..., C_b) on S_n from per-length factor tables, as (c, P[c])
     pairs in lexicographic order of c, each computed when it is read.
 
@@ -209,12 +209,20 @@ def _joint_walk(n: int, b: int, kind: str, tables: Callable):
 
     Both kinds compute one scalar per tuple, with no numpy, and hold only
     the current prefix.  The double products run in the order of
-    joint_cycle_blocks, so both give every mass the same bits.
+    joint_cycle_blocks, so both give every mass the same bits.  Exact masses
+    are integer products num over D, each factor table and tail/hn over its own
+    lcm: Fraction(num, D), or with raw (D, the pairs (c, num)), no Fraction.
     """
     _guard_joint_support(n, b)
     factors, tail, hn = tables()
-    if kind == EXACT:  # the same values with one Fraction product fewer per tuple
-        tail, hn = [t / hn for t in tail], 1
+    den = 1
+    if kind == EXACT:
+        exact = [[t / hn for t in tail], *factors]
+        dens = [math.lcm(*[v.denominator for v in table]) for table in exact]
+        tail, *factors = [[v.numerator * (d // v.denominator) for v in table]
+                          for table, d in zip(exact, dens)]
+        den = math.prod(dens)
+        hn = None if raw else Fraction(den)
 
     def fill(m: int, budget: int, prefix: tuple, weight):
         table = factors[m - 1]
@@ -224,18 +232,20 @@ def _joint_walk(n: int, b: int, kind: str, tables: Callable):
                                 weight * table[count])
             return
         for count in range(budget // m + 1):
-            yield prefix + (count,), weight * table[count] * tail[budget - m * count] / hn
+            mass = weight * table[count] * tail[budget - m * count]
+            yield prefix + (count,), mass if hn is None else mass / hn
 
-    return fill(1, n, (), 1)
+    return (den, fill(1, n, (), 1)) if raw else fill(1, n, (), 1)
 
 
 def _joint_law(theta, n: int, b: int, kind: str) -> SimpleNamespace:
-    """joint_cycle_pmf's law unchecked, read as a Pmf: support() and items() each start
-    a new walk, of the tuples on unit double tables or of the pairs on the law's own."""
+    """joint_cycle_pmf's law unchecked, read as a Pmf: support(), items() and numerators()
+    each start a new walk, of the tuples on unit double tables or of the raw or plain pairs."""
     ones = ([[1.0] * (n // m + 1) for m in range(1, b + 1)], [1.0] * (n + 1), 1.0)
     tables = cache(lambda: _joint_tables(theta, n, b, kind))
     return SimpleNamespace(items=lambda: _joint_walk(n, b, kind, tables), support=lambda: (
-        key for key, _ in _joint_walk(n, b, DOUBLE, lambda: ones)))
+        key for key, _ in _joint_walk(n, b, DOUBLE, lambda: ones)),
+        numerators=lambda: _joint_walk(n, b, kind, tables, raw=True))
 
 
 def joint_cycle_blocks(theta, n: int, b: int):

@@ -13,23 +13,25 @@ it back as an upper-bound correction.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import UsageError
 
 
-def check_masses(items, tol=0, tail_bound=0) -> None:
+def check_masses(items, tol=0, tail_bound=0, den=1) -> None:
     """UsageError unless tail_bound and every value of the (key, value) items are
-    finite and >= 0, and, added to tail_bound in order, they sum to 1 within tol."""
+    finite and >= 0, and, added to tail_bound in order, they sum to 1 within tol.
+    Exact values may be integer numerators over den, which then sum to den."""
     if not 0 <= tail_bound < math.inf:
         raise UsageError("tail_bound must be finite and >= 0")
-    total = tail_bound
+    total, shown = tail_bound, lambda value: value if den == 1 else Fraction(value, den)
     for key, value in items:
         if not 0 <= value < math.inf:
-            raise UsageError(f"mass {value} at {key!r} must be finite and >= 0")
+            raise UsageError(f"mass {shown(value)} at {key!r} must be finite and >= 0")
         total += value
     if tol == 0:
-        if total != 1:
-            raise UsageError(f"mass must sum to 1 exactly, got {total}")
+        if total != den:
+            raise UsageError(f"mass must sum to 1 exactly, got {shown(total)}")
     elif not abs(total - 1) <= tol:
         raise UsageError(f"mass sums to {total}, outside 1 +/- {tol}")
 

@@ -32,9 +32,10 @@ w-coefficients per t-order: tuples of length n + 1 (exact), or float rows
 of degrees 0..cols - 1 (cols defaults to N + 1), zero past degree n: lists
 up to order _EXACT_DOUBLE_MAX_N, the rows of one numpy array past it.
 
-The exact recurrences run on Python ints: each row (the scalar h_n, or
-the w-coefficients of [t^n]) is a list of integer numerators over one
-reduced denominator, and Fractions are built only from finished rows, as read.
+The exact recurrences run on Python ints: ts_exp keeps h_0..h_{n-1} over one
+running common denominator (one integer dot and one gcd per h_n), bv_exp_wg
+each row of w-coefficients of [t^n] over its own reduced denominator, and
+Fractions are built only from finished rows, as read.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import ResourceError, UsageError
@@ -55,10 +57,11 @@ _KINDS = (EXACT, DOUBLE)
 # ones at n = 200 and 1200x at n = 400 (Ewens 1/2).
 _AUTO_EXACT_MAX_N = 200
 
-# Double series up to this order run on _exact_rows.  The slowest catalog
-# family's band (exp-weight) costs 10/23/48/95/165 ms at N = 32/40/48/56/64 on
-# one Xeon core; 48 is the largest N within a third of the numpy import it saves
-# (median 0.16 s, 13 MB), and below 50, where bench references pin numpy's bits.
+# Double series up to this order run on the integer kernels.  The slowest catalog
+# family (exp-weight) costs 10/23/48/95/165 ms in its band (_exact_rows) at
+# N = 32/40/48/56/64 on one Xeon core, and 2 ms in its h_n (_exact_h) at 48; 48 is
+# the largest N within a third of the numpy import it saves (median 0.16 s, 13 MB),
+# and below 50, where bench references pin numpy's bits.
 _EXACT_DOUBLE_MAX_N = 48
 
 # The double bv_exp_wg refuses an array larger than this, before allocating:
@@ -175,7 +178,7 @@ def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
         for n in range(1, n_max + 1):
             hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
         return TruncatedSeries(hr[::-1].tolist(), DOUBLE)
-    return TruncatedSeries([_scalar(num[0], q, g.kind) for num, q in _exact_rows((g,), 0)], g.kind)
+    return TruncatedSeries(_exact_h(g), g.kind)
 
 
 def ts_log(h: TruncatedSeries) -> TruncatedSeries:
@@ -227,7 +230,7 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
                  f"cols must be an integer in 1..{n_max + 1}, got {cols!r}")
         if _on_exact_kernel(gs):
             return [[_scalar(v, q, DOUBLE) for v in nums[:cols]] + [0.0] * (cols - len(nums))
-                    for nums, q in _exact_rows(gs, 1)]
+                    for nums, q in _exact_rows(gs)]
         if (n_max + 1) * cols * 8 > BAND_BYTES_MAX:
             raise ResourceError(f"a {n_max + 1} x {cols} double array passes the "
                                 f"{BAND_BYTES_MAX} byte budget of bv_exp_wg")
@@ -249,7 +252,7 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
                 top -= 1
             width = top + 1
         return arr
-    return _ExactRows(_exact_rows(gs, 1))
+    return _ExactRows(_exact_rows(gs))
 
 
 class _ExactRows(Sequence):
@@ -278,21 +281,38 @@ def _scalar(v: int, q: int, kind: str) -> Scalar:
         return math.inf if v > 0 else -math.inf
 
 
-def _exact_rows(gs: tuple, shift: int) -> list:
-    """Rows n = 0..N of exp(sum_j w^{shift+j} gs[j]) (shift 0 or 1) as pairs
-    (numerators, q), [t^n] = sum_i numerators[i] w^i / q on ints.  With k*g_{j,k}
-    = a/d, row n lies over n*e*Q_n, Q_n = lcm(q_0..q_{n-1}) and e the least
-    factor with every d*q_{n-k} | e*Q_n; one gcd pass reduces the row."""
+def _exact_h(g: TruncatedSeries) -> list:
+    """h_0..h_N of exp(g), in g's kind, from h_j = P[j] / Q on ints.  With A_k = L*k*g_k
+    over their lcm L, n*h_n = sum_k A_k P[n-k] / (L*Q) is one dot s and one gcd; Q (and
+    every P) grows only by what h_n's reduced denominator lacks: Q = lcm of theirs."""
+    kg = [k * Fraction(c) for k, c in enumerate(g.coeffs) if k]
+    big_l = math.lcm(*[c.denominator for c in kg])
+    a = [c.numerator * (big_l // c.denominator) for c in kg]
+    nums, q = [1], 1
+    for n in range(1, len(g.coeffs)):
+        s = sum(map(mul, a, reversed(nums)))
+        div = math.gcd(s, n * big_l)
+        if (r := n * big_l // div) > 1:  # h_n = s / (n*L*q) needs q * r
+            nums, q = [v * r for v in nums], q * r
+        nums.append(s // div)
+    return [_scalar(v, q, g.kind) for v in nums]
+
+
+def _exact_rows(gs: tuple) -> list:
+    """Rows n = 0..N of exp(sum_j w^j gs[j-1]) as pairs (numerators, q),
+    [t^n] = sum_i numerators[i] w^i / q on ints.  With k*g_{j,k} = a/d, row n
+    lies over n*e*Q_n, Q_n = lcm(q_0..q_{n-1}) and e the least factor with
+    every d*q_{n-k} | e*Q_n; one gcd pass reduces the row."""
     # keep only nonzero terms; tails of sparse polynomials stay cheap
     terms = [(k, j, *(k * Fraction(gk)).as_integer_ratio())
-             for j, s in enumerate(gs, shift) for k, gk in enumerate(s.coeffs) if k and gk]
+             for j, s in enumerate(gs, 1) for k, gk in enumerate(s.coeffs) if k and gk]
     rows, big_q = [([1], 1)], 1
     for n in range(1, len(gs[0].coeffs)):
         big_q = math.lcm(big_q, rows[-1][1])
         live = [(j, a, d, prev, big_q // q) for k, j, a, d in terms if k <= n
                 for prev, q in [rows[n - k]]]
         e = math.lcm(*[d // math.gcd(d, r) for _, _, d, _, r in live])
-        acc = [0] * (shift * n + 1)
+        acc = [0] * (n + 1)
         for j, a, d, prev, r in live:
             c = a * (r * e // d)
             for i, v in enumerate(prev, j):

@@ -361,19 +361,23 @@ def test_dist_blocks_join_to_the_library_law(monkeypatch, capsys, tmp_path, targ
         assert path.read_text() == want
 
 
-def _doubled_last_tail(tables):
-    def doubled(*args):
+def _faulty_tables(tables, fault):
+    def faulty(*args):
         factors, tail, hn = tables(*args)
-        return factors, [*tail[:-1], 2 * tail[-1]], hn
-    return doubled
+        if fault == "mass sum":  # the all-zero tuple's tail weight doubled
+            return factors, [*tail[:-1], 2 * tail[-1]], hn
+        return [[-factors[0][0], *factors[0][1:]], *factors[1:]], tail, hn
+    return faulty
 
 
 @pytest.mark.parametrize("backend", ["exact", "double"])
-@pytest.mark.parametrize("fault, code", [("mass sum", EXIT_USAGE), ("oracle", EXIT_MATH)])
+@pytest.mark.parametrize("fault, code", [("mass sum", EXIT_USAGE), ("negative mass", EXIT_USAGE),
+                                         ("oracle", EXIT_MATH)])
 def test_failed_dist_check_writes_nothing(monkeypatch, capsys, tmp_path, backend, fault, code):
     # Every check walks the law before the first byte: a law whose masses
-    # do not sum to 1 (the all-zero tuple's tail weight doubled), or that
-    # the oracle disputes, leaves stdout empty and --output unwritten.
+    # do not sum to 1, that has a negative mass (a negative factor-table
+    # entry), or that the oracle disputes, leaves stdout empty and --output
+    # unwritten.  The exact checks walk integer numerators only.
     import cyclemeter.cli as cli_mod
     import cyclemeter.measure as measure_mod
     from cyclemeter.pmf import Pmf
@@ -383,15 +387,20 @@ def test_failed_dist_check_writes_nothing(monkeypatch, capsys, tmp_path, backend
                             lambda weights, n, b, kind: Pmf({(n, 0): Fraction(1)}))
     else:
         monkeypatch.setattr(measure_mod, "_joint_tables",
-                            _doubled_last_tail(measure_mod._joint_tables))
+                            _faulty_tables(measure_mod._joint_tables, fault))
+    walks, walk = [], measure_mod._joint_walk
+    monkeypatch.setattr(measure_mod, "_joint_walk", lambda *args, raw=False: (
+        walks.append((args[2], raw)) or walk(*args, raw=raw)))
     argv = ("dist", "--family", "ewens", "--theta", "1", "--target", "cycles", "--b", "2",
             "--n", "6", "--backend", backend, "--oracle")
     path = tmp_path / "out"
     for flags in ((), ("--format", "csv"), ("--output", str(path))):
+        walks.clear()
         got, out, err = run_cli(capsys, *argv, *flags)
         assert (got, out) == (code, "") and err.startswith("error: ")
         assert ("mismatch" if fault == "oracle" else "mass") in err
         assert not path.exists()
+        assert walks == [(backend, backend == "exact")] * (1 + (fault == "oracle"))
 
 
 def test_dist_memory_holds_no_copy_of_the_law():

@@ -298,6 +298,33 @@ def rounded(value: Fraction) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def plain_exp(coeffs) -> list:
+    # n h_n = sum_k k g_k h_{n-k}, term by term on Fractions of the inputs
+    h = [Fraction(1)]
+    for n in range(1, len(coeffs)):
+        h.append(sum(k * Fraction(coeffs[k]) * h[n - k] for k in range(1, n + 1)) / n)
+    return h
+
+
+# exp-poly with b2 < 0: log-series parts of both signs, F_m(c) > 0 up to order 60
+_SIGNED_EXP_POLY = [("exp-poly", {"theta": "2", "b2": "-1/200"}),
+                    ("exp-poly", {"theta": "2", "b2": "-1/5", "b3": "1/7"})]
+
+
+@pytest.mark.parametrize("kind, params", [*_KIND_PARAMS.items(), *_SIGNED_EXP_POLY])
+def test_exact_exp_is_the_plain_recurrence(kind, params):
+    # every catalog family, on its exact rule or its doubles' binary values
+    g = _at(build_family(kind, params).weights.log_series(60, EXACT))
+    assert list(ts_exp(g).coeffs) == plain_exp(g.coeffs)
+
+
+@pytest.mark.parametrize("kind, params", [*_SIGNED_EXP_POLY, ("ewens", {"theta": "1e-300"})])
+def test_small_double_exp_is_the_plain_recurrence_rounded_once(kind, params):
+    # theta = 1e-300 puts its binary denominator 2^1049 into every h_n's
+    g = _at(build_family(kind, params).weights.log_series(_CUT, DOUBLE))
+    assert ts_exp(g).coeffs == tuple(rounded(c) for c in plain_exp(g.coeffs))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_small_double_series_round_the_exact_ones_once(kind, monkeypatch):
     # At the cut, on the doubles' binary values: bit for bit the exact
@@ -310,8 +337,7 @@ def test_small_double_series_round_the_exact_ones_once(kind, monkeypatch):
                     for n, row in enumerate(bv_exp_wg(*exact))]
     assert bv_exp_wg(*parts, cols=5) == [row[:5] for row in rows]
     h = ts_exp(_at(parts))
-    assert h.coeffs == tuple(rounded(c) for c in
-                             ts_exp(TruncatedSeries(_at(parts).coeffs, EXACT)).coeffs)
+    assert h.coeffs == tuple(rounded(c) for c in plain_exp(_at(parts).coeffs))
     law = total_cycles_pmf(weights, _CUT, DOUBLE)
     monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)  # numpy kernels only
     for a, b in zip(h.coeffs, ts_exp(_at(parts)).coeffs):
