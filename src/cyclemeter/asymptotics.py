@@ -48,24 +48,24 @@ STATUS_ENTIRE = "entire"
 
 @dataclass(frozen=True)
 class SingularityClass:
-    """F(r, theta) or eF(r, theta, gamma) data with the constant K."""
+    """F(r, theta) or, given gamma, eF(r, theta, gamma) data with the constant K."""
 
-    kind: str
     r: float
     theta: float
     K: float
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("F", "eF"):
-            raise UsageError(f"kind must be 'F' or 'eF', got {self.kind!r}")
         if not (self.r > 0 and math.isfinite(self.r)):
             raise UsageError(f"radius must be finite and > 0, got {self.r}")
         if self.theta < 0:
             raise UsageError(f"log-singularity strength must be >= 0, got {self.theta}")
-        if self.kind == "eF":
-            if self.gamma is None or not 0 < self.gamma <= 1:
-                raise UsageError(f"class eF needs gamma in (0, 1], got {self.gamma}")
+        if self.gamma is not None and not 0 < self.gamma <= 1:
+            raise UsageError(f"class eF needs gamma in (0, 1], got {self.gamma}")
+
+    @property
+    def kind(self) -> str:
+        return "F" if self.gamma is None else "eF"
 
     @property
     def main_term_zero(self) -> bool:
@@ -101,7 +101,7 @@ def ewens_family(theta) -> WeightFamily:
     if frac <= 0:
         raise UsageError(f"constant weight must be > 0, got {theta}")
     weights = WeightSequence.constant(frac, name=f"ewens({theta})")
-    cls = SingularityClass("F", 1.0, float(frac), 0.0)
+    cls = SingularityClass(1.0, float(frac), 0.0)
     return WeightFamily(weights, cls, "ewens")
 
 
@@ -132,8 +132,8 @@ def theta_shift_family(theta, amp=1, power=2) -> WeightFamily:
     weights = WeightSequence(eval_fn, name=f"theta-shift({theta},{amp},{power})",
                              exact_fn=exact_fn)
     gamma = min(power_f, 1.0)
-    K = float(amp_f) * riemann_zeta(1.0 + power_f, s_minus_1=power_f)
-    cls = SingularityClass("eF", 1.0, float(theta_f), K, gamma=gamma)
+    K = float(amp_f) * riemann_zeta(1 + Fraction(power_f))
+    cls = SingularityClass(1.0, float(theta_f), K, gamma=gamma)
     return WeightFamily(weights, cls, "theta-shift")
 
 
@@ -162,7 +162,7 @@ def polylog_family(delta) -> WeightFamily:
 
     weights = WeightSequence(eval_fn, name=f"polylog({delta})", exact_fn=exact_fn)
     if delta_f > 0:
-        cls = SingularityClass("F", 1.0, 0.0, riemann_zeta(1.0 + delta_f, s_minus_1=delta_f))
+        cls = SingularityClass(1.0, 0.0, riemann_zeta(1 + Fraction(delta_f)))
         return WeightFamily(weights, cls, "polylog")
     return WeightFamily(weights, None, "polylog", status=STATUS_UNSUPPORTED,
                         note="g has an algebraic blow-up at 1, outside classes F/eF")
@@ -197,11 +197,11 @@ def exp_weight_family(c, theta_exp) -> WeightFamily:
                             note="g is entire; no dominant singularity to transfer")
 
     if p_f == 1.0:
-        cls = SingularityClass("F", math.exp(-c_f), 1.0, 0.0)
+        cls = SingularityClass(math.exp(-c_f), 1.0, 0.0)
         return WeightFamily(weights, cls, "exp-weight")
 
     if p_f == 0.0:
-        cls = SingularityClass("F", 1.0, math.exp(c_f), 0.0)
+        cls = SingularityClass(1.0, math.exp(c_f), 0.0)
         return WeightFamily(weights, cls, "exp-weight", note="constant weights e^c")
 
     if p_f < 0.0:
@@ -234,7 +234,7 @@ def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
 
     weights = WeightSequence(eval_fn, name=f"alpha-exp({alpha},{amp},{power})")
     if amp_f == 0.0:
-        cls = SingularityClass("F", 1.0, theta_lim, 0.0)
+        cls = SingularityClass(1.0, theta_lim, 0.0)
         return WeightFamily(weights, cls, "alpha-exp")
     if power_f <= 0:
         raise UsageError(f"perturbation power must be > 0, got {power}")
@@ -265,7 +265,7 @@ def _exp_perturbation_class(scale: float, c: float, p: float) -> SingularityClas
     K = math.fsum(math.expm1(c * m**p) / m for m in range(1, head)) + tail
     if not (abs(add) <= 1e-17 * abs(tail) and math.isfinite(K)):
         raise ConvergenceError(f"K for weights exp({c}*m^{p}) did not converge")
-    return SingularityClass("eF", 1.0, scale, scale * K, gamma=min(-p, 1.0))
+    return SingularityClass(1.0, scale, scale * K, gamma=min(-p, 1.0))
 
 
 def theta_shift_constant(theta_seq, theta_limit: float, tol: float = 1e-10,

@@ -7,10 +7,10 @@ Subcommands:
 * sample  -- seeded, reproducible sampling of cycle types/permutations;
 * report  -- limit-law diagnostics along an n-grid.
 
-Exit codes: 0 success; 2 usage or config error, a refused size, or an
-unwritable --output; 3 mathematical inconsistency (oracle mismatch,
-degenerate measure, unusable class); 4 failed trend assertion
-(--assert-trends).
+Exit codes: 0 success; 2 usage or config error (a missing class among them),
+a refused size, or an unwritable --output; 3 mathematical inconsistency
+(oracle mismatch, degenerate measure, Gamma pole, or a class constant K
+that does not converge); 4 failed trend assertion (--assert-trends).
 
 Output is deterministic: identical invocations produce identical bytes;
 floats carry 17 significant digits.  `sample` draws and writes its rows
@@ -44,7 +44,7 @@ from .generalized import GeneralizedWeights
 from .measure import _joint_law, _sample_rows, normalization_constants, total_cycles_pmf
 from .partitions import brute_force_cycle_counts_pmf, brute_force_k_pmf, check_partition_cap
 from .pmf import check_masses
-from .series import EXACT, auto_kind, pmf_tol, to_kind
+from .series import EXACT, auto_kind, pmf_tol
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,9 +138,8 @@ def _parse_grid(args) -> list:
     return values
 
 
-def _scalar_out(value, backend: str):
-    value = to_kind(value, backend)
-    return str(value) if backend == EXACT else value
+def _scalar_out(value):
+    return float(value) if isinstance(value, float) else str(value)
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -164,7 +163,7 @@ def _run_hn(args) -> tuple:
             except UsageError:  # only the estimate overflows; h is still printed
                 asym = None
             ratio = float(h[n]) / asym if asym else None
-        rows.append({"n": n, "h": _scalar_out(h[n], backend),
+        rows.append({"n": n, "h": _scalar_out(h[n]),
                      "asymptotic": asym, "ratio": ratio})
     doc = {"command": "hn", "family": args.family, "backend": backend, "rows": rows}
     return doc, [["n", "h", "asymptotic", "ratio"]] + [list(row.values()) for row in rows]
@@ -194,14 +193,14 @@ def _run_dist(args) -> tuple:
     masses = (law.numerators if backend == EXACT and args.target == "cycles"
               else lambda: (1, law.items()))
     den, pairs = masses()
-    check_masses(pairs, pmf_tol(backend), den=den)
+    check_masses(pairs, den=den)
     if args.oracle:
         _oracle_check(masses, weights, args, backend)
     doc = {"command": "dist", "family": args.family, "target": args.target,
            "n": args.n, "b": args.b if args.target == "cycles" else None,
            "backend": backend, "oracle": "match" if args.oracle else None,
-           "support": law.support(), "mass": (_scalar_out(v, backend) for _, v in law.items())}
-    return doc, chain([["support", "mass"]], ([k, _scalar_out(v, backend)] for k, v in law.items()))
+           "support": law.support(), "mass": (_scalar_out(v) for _, v in law.items())}
+    return doc, chain([["support", "mass"]], ([k, _scalar_out(v)] for k, v in law.items()))
 
 
 def _run_sample(args) -> tuple:

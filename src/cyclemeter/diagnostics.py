@@ -30,7 +30,6 @@ from .asymptotics import WeightFamily, large_deviation_estimate, mod_poisson_lim
 from .errors import ResourceError, UsageError
 from .measure import joint_cycle_blocks, total_cycles_pmf_many
 from .pmf import Pmf
-from .series import DOUBLE, pmf_tol
 from .specfun import normal_cdf, poisson_pmf
 
 POISSON_TAIL = 1e-15
@@ -52,7 +51,7 @@ def truncated_poisson(lam: float) -> Pmf:
         mass[k] = p
         cumulative += p
         k += 1
-    return Pmf(mass, tol=pmf_tol(DOUBLE), tail_bound=max(0.0, 1.0 - cumulative))
+    return Pmf(mass, tail_bound=max(0.0, 1.0 - cumulative))
 
 
 def _int_keys(p: Pmf, name: str) -> None:
@@ -323,9 +322,10 @@ def large_deviation_table(family: WeightFamily, n: int, k: Optional[int] = None,
         raise UsageError(f"k = {k} outside support 1..{n}")
     if k not in pmf:  # a default k past the certified columns
         pmf = total_cycles_pmf_many(family.weights, [n], "double", k)[n]
+    if not (exact := float(pmf[k])):
+        raise UsageError(f"P[K_n = k] underflows to 0 in doubles at n = {n}, k = {k}")
     est = large_deviation_estimate(cls.theta, cls.K, n, k)
-    exact = float(pmf[k])
-    rel = abs(est.estimate - exact) / exact if exact > 0 else math.inf
+    rel = abs(est.estimate - exact) / exact
     return {
         "n": n,
         "k": k,

@@ -41,7 +41,7 @@ from .asymptotics import SingularityClass
 from .errors import UsageError
 from .measure import WeightSequence, _WeightRule, _h_or_degenerate, _joint_walk, _k_pmf
 from .pmf import Pmf
-from .series import EXACT, TruncatedSeries, check_kind, pmf_tol, to_fraction, to_kind
+from .series import EXACT, TruncatedSeries, check_kind, to_fraction, to_kind
 
 
 class GeneralizedWeights(_WeightRule):
@@ -140,10 +140,10 @@ def _eg_product(fweights, lengths, n: int, backend: str,
     """Coefficients t^0..t^n of acc * prod_{m in lengths} EG(F_m, t^m/m),
     acc defaulting to 1, factor m the handle's cycle_factors(m, n // m).
     With marked, every cycle also carries a u: t^d u^c sits at index
-    d*(n+1) + c, and each factor EG(F_m, u t^m/m) steps by m*(n+1) + 1 per
-    cycle.  One slice-update loop serves both kinds, on the arrays of
-    _scaled; an exact product is reduced by one gcd pass per factor, and
-    Fractions are built only at the end."""
+    d*(n+1) + c, each factor EG(F_m, u t^m/m) steps by m*(n+1) + 1 per
+    cycle, and only the t^n row, u^0..u^n, is returned.  One slice-update
+    loop serves both kinds, on the arrays of _scaled; an exact product is
+    reduced by one gcd pass per factor, and Fractions are built only at the end."""
     import numpy as np
     size = (n + 1) ** 2 if marked else n + 1
     if acc is None:
@@ -165,6 +165,7 @@ def _eg_product(fweights, lengths, n: int, backend: str,
         if backend == EXACT:
             div = math.gcd(q, *acc)
             acc, q = acc // div, q // div
+    acc = acc[size - n - 1:]  # all of acc unless marked
     return [Fraction(v, q) for v in acc] if backend == EXACT else acc.tolist()
 
 
@@ -192,7 +193,7 @@ def generalized_joint_cycle_pmf(fweights, n: int, b: int, backend: str = EXACT) 
         factors = [fweights.cycle_factors(m, n // m, backend) for m in range(1, b + 1)]
         return factors, tail, hn
 
-    return Pmf(dict(_joint_walk(n, b, backend, tables)), tol=pmf_tol(backend))
+    return Pmf(dict(_joint_walk(n, b, tables)))
 
 
 def generalized_total_cycles_pmf(fweights, n: int, backend: str = EXACT) -> Pmf:
@@ -201,8 +202,7 @@ def generalized_total_cycles_pmf(fweights, n: int, backend: str = EXACT) -> Pmf:
     check_kind(backend)
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
-    final = _eg_product(fweights, range(1, n + 1), n, backend, marked=True)[n * (n + 1):]
-    return _k_pmf(final, n, backend)
+    return _k_pmf(_eg_product(fweights, range(1, n + 1), n, backend, marked=True), n)
 
 
 # -- exponential-polynomial family ------------------------------------------
@@ -324,4 +324,4 @@ def spatial_class_params(model: SpatialModel) -> SingularityClass:
     qmax = max(decay_floats)
     site = math.exp(-model.alpha)
     K = -site * math.fsum(math.log1p(-q / qmax) for q in decay_floats if q < qmax)
-    return SingularityClass("F", 1.0 / qmax, decay_floats.count(qmax) * site, K)
+    return SingularityClass(1.0 / qmax, decay_floats.count(qmax) * site, K)

@@ -186,8 +186,7 @@ def joint_cycle_pmf(theta, n: int, b: int, backend: str = EXACT) -> Pmf:
     Support: every tuple with sum_m m*c_m <= n, including zero-mass ones.
     """
     check_kind(backend)
-    walk = _joint_walk(n, b, backend, lambda: _joint_tables(theta, n, b, backend))
-    return Pmf(dict(walk), tol=pmf_tol(backend))
+    return Pmf(dict(_joint_walk(n, b, lambda: _joint_tables(theta, n, b, backend))))
 
 
 def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
@@ -197,7 +196,7 @@ def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
     return factors, tail, hn
 
 
-def _joint_walk(n: int, b: int, kind: str, tables: Callable, raw: bool = False):
+def _joint_walk(n: int, b: int, tables: Callable, raw: bool = False):
     """Law of (C_1, ..., C_b) on S_n from per-length factor tables, as (c, P[c])
     pairs in lexicographic order of c, each computed when it is read.
 
@@ -207,8 +206,8 @@ def _joint_walk(n: int, b: int, kind: str, tables: Callable, raw: bool = False):
 
         P[c] = prod_{m<=b} factors[m-1][c_m] * tail[n - sum m c_m] / hn.
 
-    Both kinds compute one scalar per tuple, with no numpy, and hold only
-    the current prefix.  The double products run in the order of
+    Both kinds, read off hn, compute one scalar per tuple, with no numpy, and
+    hold only the current prefix.  The double products run in the order of
     joint_cycle_blocks, so both give every mass the same bits.  Exact masses
     are integer products num over D, each factor table and tail/hn over its own
     lcm: Fraction(num, D), or with raw (D, the pairs (c, num)), no Fraction.
@@ -216,7 +215,7 @@ def _joint_walk(n: int, b: int, kind: str, tables: Callable, raw: bool = False):
     _guard_joint_support(n, b)
     factors, tail, hn = tables()
     den = 1
-    if kind == EXACT:
+    if not isinstance(hn, float):
         exact = [[t / hn for t in tail], *factors]
         dens = [math.lcm(*[v.denominator for v in table]) for table in exact]
         tail, *factors = [[v.numerator * (d // v.denominator) for v in table]
@@ -243,9 +242,9 @@ def _joint_law(theta, n: int, b: int, kind: str) -> SimpleNamespace:
     each start a new walk, of the tuples on unit double tables or of the raw or plain pairs."""
     ones = ([[1.0] * (n // m + 1) for m in range(1, b + 1)], [1.0] * (n + 1), 1.0)
     tables = cache(lambda: _joint_tables(theta, n, b, kind))
-    return SimpleNamespace(items=lambda: _joint_walk(n, b, kind, tables), support=lambda: (
-        key for key, _ in _joint_walk(n, b, DOUBLE, lambda: ones)),
-        numerators=lambda: _joint_walk(n, b, kind, tables, raw=True))
+    return SimpleNamespace(items=lambda: _joint_walk(n, b, tables), support=lambda: (
+        key for key, _ in _joint_walk(n, b, lambda: ones)),
+        numerators=lambda: _joint_walk(n, b, tables, raw=True))
 
 
 def joint_cycle_blocks(theta, n: int, b: int):
@@ -345,7 +344,7 @@ def total_cycles_pmf_many(theta, n_values: Sequence[int], backend: str = EXACT,
     cols, bounds = ((None, dict.fromkeys(ns, 0)) if keep_k is None
                     else _certified_cols(parts, ns, keep_k))
     rows = bv_exp_wg(*parts, cols=cols)  # exact: read as the integer numerators of row n
-    return {n: _k_pmf(rows.raw[n][0] if backend == EXACT else rows[n], n, backend, bounds[n])
+    return {n: _k_pmf(rows.raw[n][0] if backend == EXACT else rows[n], n, bounds[n])
             for n in ns}
 
 
@@ -376,13 +375,13 @@ def _certified_cols(parts: tuple, ns: list, keep_k: int) -> tuple:
                   for n in ns}
 
 
-def _k_pmf(row, n: int, backend: str, tail_bound=0) -> Pmf:
+def _k_pmf(row, n: int, tail_bound=0) -> Pmf:
     """Law of K_n from the w-coefficients of [t^n] (all, or the first ones with tail_bound
     covering the rest): exact numerators or Fractions, one Fraction per atom, or doubles."""
     row = row[: n + 1]
     hn = _h_or_degenerate(float(row.sum()) if hasattr(row, "sum") else sum(row), n)
-    return Pmf({k: row[k] / hn if backend == DOUBLE else Fraction(row[k], hn)
-                for k in range(1, len(row))}, tol=pmf_tol(backend), tail_bound=tail_bound)
+    return Pmf({k: row[k] / hn if isinstance(hn, float) else Fraction(row[k], hn)
+                for k in range(1, len(row))}, tail_bound=tail_bound)
 
 
 def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -> list:

@@ -37,7 +37,7 @@ from itertools import chain, repeat
 from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .pmf import Pmf
 # Only the scalar-kind helpers: the oracle shares no kernel with the engine.
-from .series import EXACT, check_kind, pmf_tol, to_kind
+from .series import EXACT, check_kind, to_kind
 
 # Enumerating all partitions beyond this size is refused.  The unit-weight K
 # law takes 2.2 s at n = 60 and 10.6 s at 70, about 2.5 us a class (one Xeon
@@ -141,7 +141,7 @@ def _law(weights, n: int, backend: str, key) -> tuple:
     mass, total, d = _classes(weights, n, backend, key)
     if total == 0:
         raise DegenerateMeasureError(f"normalization vanishes at n={n}")
-    return Pmf({k: w / total for k, w in mass.items()}, tol=pmf_tol(backend)), total / d
+    return Pmf({k: w / total for k, w in mass.items()}), total / d
 
 
 def brute_force_normalization(weights, n: int, backend: str = "exact"):

@@ -2,8 +2,8 @@
 
 Keys are integers, tuples of integers, or Partition values; values are
 Fractions (exact backend) or floats.  A Pmf must account for all mass:
-stored mass plus the declared tail_bound has to equal 1 within tol.
-tol = 0 therefore demands exact rational normalization.
+stored mass plus the declared tail_bound has to equal 1, exactly for
+int and Fraction masses and within pmf_tol(DOUBLE) for floats.
 
 tail_bound records mass deliberately left outside the stored support
 (truncated reference laws such as Poisson); distance computations add
@@ -16,35 +16,39 @@ import math
 from fractions import Fraction
 
 from .errors import UsageError
+from .series import DOUBLE, pmf_tol
 
 
-def check_masses(items, tol=0, tail_bound=0, den=1) -> None:
+def check_masses(items, tail_bound=0, den=1) -> None:
     """UsageError unless tail_bound and every value of the (key, value) items are
-    finite and >= 0, and, added to tail_bound in order, they sum to 1 within tol.
-    Exact values may be integer numerators over den, which then sum to den."""
+    finite and >= 0 and, added to tail_bound in order, sum to 1: exactly if all are
+    ints or Fractions (or integer numerators over den, then summing to den), within
+    pmf_tol(DOUBLE) if all are floats; a zero tail_bound has no kind."""
     if not 0 <= tail_bound < math.inf:
         raise UsageError("tail_bound must be finite and >= 0")
     total, shown = tail_bound, lambda value: value if den == 1 else Fraction(value, den)
+    floats = {isinstance(tail_bound, float)} if tail_bound else set()
     for key, value in items:
         if not 0 <= value < math.inf:
             raise UsageError(f"mass {shown(value)} at {key!r} must be finite and >= 0")
         total += value
-    if tol == 0:
-        if total != den:
-            raise UsageError(f"mass must sum to 1 exactly, got {shown(total)}")
-    elif not abs(total - 1) <= tol:
-        raise UsageError(f"mass sums to {total}, outside 1 +/- {tol}")
+        floats.add(isinstance(value, float))
+    if floats == {False, True}:
+        raise UsageError("masses and tail_bound must be all exact or all floats")
+    if True not in floats and total != den:
+        raise UsageError(f"mass must sum to 1 exactly, got {shown(total)}")
+    if True in floats and not abs(total - 1) <= pmf_tol(DOUBLE):
+        raise UsageError(f"mass sums to {total}, outside 1 +/- {pmf_tol(DOUBLE)}")
 
 
 class Pmf:
-    __slots__ = ("_mass", "tol", "tail_bound")
+    __slots__ = ("_mass", "tail_bound")
 
-    def __init__(self, mass: dict, tol=0, tail_bound=0):
+    def __init__(self, mass: dict, tail_bound=0):
         if not isinstance(mass, dict) or not mass:
             raise UsageError("mass must be a nonempty dict")
-        check_masses(mass.items(), tol, tail_bound)
+        check_masses(mass.items(), tail_bound)
         self._mass = dict(sorted(mass.items()))
-        self.tol = tol
         self.tail_bound = tail_bound
 
     def __getitem__(self, key):
@@ -87,5 +91,5 @@ class Pmf:
         shown = list(self._mass.items())[:3]
         body = ", ".join(f"{k!r}: {v}" for k, v in shown)
         more = ", ..." if len(self._mass) > 3 else ""
-        return f"Pmf({{{body}{more}}}, tol={self.tol})"
+        return f"Pmf({{{body}{more}}})"
 

@@ -9,7 +9,7 @@ Only what the estimators actually use, implemented directly:
                         value the coefficient asymptotics actually need.
 * riemann_zeta       -- zeta(s) and its tails sum_{k >= start} k^{-s},
                         Euler-Maclaurin with four Bernoulli corrections
-                        for real s > 1, which may be given as 1 + p.
+                        for real s > 1, exact near 1.
 * poisson_log_pmf / poisson_pmf / normal_cdf -- reference laws.
 """
 
@@ -78,17 +78,16 @@ _BERNOULLI = (
 _ZETA_CUTOFF = 30
 
 
-def riemann_zeta(s: float, start: int = 1, s_minus_1=None) -> float:
+def riemann_zeta(s, start: int = 1) -> float:
     """sum_{k >= start} k^{-s} for real s > 1 (zeta(s) at start = 1), by
     Euler-Maclaurin at cutoff M = start + 29.
 
     The first omitted correction is of order M^{-s-9}, below 1e-13 of the
-    sum throughout s > 1.  Near s = 1 the sum is about 1/(s - 1), so pass
-    s_minus_1 = p with s = 1 + p: rounding 1 + p first would cost up to
-    1e-16/p relative.
+    sum throughout s > 1.  Near s = 1 the sum is about 1/(s - 1), so pass an
+    exact s = 1 + Fraction(p): p is taken from it before s is rounded, as
+    rounding 1 + p first would cost up to 1e-16/p relative.
     """
-    s = float(s)
-    p = s - 1.0 if s_minus_1 is None else float(s_minus_1)
+    p, s = float(s - 1), float(s)
     if not p > 0.0:
         raise UsageError(f"riemann_zeta needs real s > 1, got {s}")
     if not (isinstance(start, int) and start >= 1):

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclemeter.asymptotics import (alpha_exp_family, asymptotic_hn,
-                                    ewens_family, exp_weight_family,
+from cyclemeter.asymptotics import (SingularityClass, alpha_exp_family,
+                                    asymptotic_hn, ewens_family, exp_weight_family,
                                     hwang_estimate, large_deviation_estimate,
                                     lindelof_eval, mod_poisson_limit,
                                     polylog_family, theta_shift_constant,
@@ -24,6 +24,13 @@ from cyclemeter.specfun import complex_gamma, riemann_zeta
 
 
 # -- family classification ---------------------------------------------------
+
+
+def test_class_kind_follows_gamma():
+    assert SingularityClass(1.0, 2.0, 0.0).kind == "F"
+    assert SingularityClass(1.0, 2.0, 0.0, gamma=1.0).kind == "eF"
+    with pytest.raises(UsageError):
+        SingularityClass(1.0, 2.0, 0.0, gamma=0.0)
 
 
 def test_ewens_class():

@@ -390,7 +390,7 @@ def test_failed_dist_check_writes_nothing(monkeypatch, capsys, tmp_path, backend
                             _faulty_tables(measure_mod._joint_tables, fault))
     walks, walk = [], measure_mod._joint_walk
     monkeypatch.setattr(measure_mod, "_joint_walk", lambda *args, raw=False: (
-        walks.append((args[2], raw)) or walk(*args, raw=raw)))
+        walks.append(raw) or walk(*args, raw=raw)))
     argv = ("dist", "--family", "ewens", "--theta", "1", "--target", "cycles", "--b", "2",
             "--n", "6", "--backend", backend, "--oracle")
     path = tmp_path / "out"
@@ -400,7 +400,7 @@ def test_failed_dist_check_writes_nothing(monkeypatch, capsys, tmp_path, backend
         assert (got, out) == (code, "") and err.startswith("error: ")
         assert ("mismatch" if fault == "oracle" else "mass") in err
         assert not path.exists()
-        assert walks == [(backend, backend == "exact")] * (1 + (fault == "oracle"))
+        assert walks == [backend == "exact"] * (1 + (fault == "oracle"))
 
 
 def test_dist_memory_holds_no_copy_of_the_law():
@@ -424,6 +424,24 @@ def test_report_without_class_is_usage_error(capsys):
                            "--delta=-1/2", "--kind", "clt",
                            "--n-grid", "20,40")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("clt", "CLT normalization"), ("poisson-k", "Poisson approximation"),
+    ("mod-poisson", "mod-Poisson limit"), ("large-dev", "large-deviation estimate")])
+def test_reports_refuse_a_theta_zero_family(capsys, kind, message):
+    # polylog with delta > 0 has class F with theta = 0: no limit law to compare with
+    code, out, err = run_cli(capsys, "report", "--family", "polylog", "--delta", "3",
+                             "--kind", kind, "--n", "30")
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message} needs theta > 0\n")
+
+
+def test_large_dev_refuses_an_atom_that_underflows(capsys):
+    # P[K_300 = 240] is 0.0 in doubles, so no relative error exists there
+    code, out, err = run_cli(capsys, "report", "--family", "ewens", "--theta", "1",
+                             "--kind", "large-dev", "--n", "300", "--k", "240")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: P[K_n = k] underflows to 0 in doubles at n = 300, k = 240\n"
 
 
 def test_trend_assertion_failure(capsys):

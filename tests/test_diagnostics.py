@@ -48,7 +48,7 @@ def random_integer_pmf(rng, span):
     raw = rng.random(span) + 1e-3
     raw /= raw.sum()
     raw[-1] += 1.0 - raw.sum()
-    return Pmf({k: raw[k] for k in range(span)}, tol=1e-9)
+    return Pmf({k: raw[k] for k in range(span)})
 
 
 def test_distance_inequalities():
@@ -89,7 +89,7 @@ def test_truncated_poisson_tail_counts_in_distances():
     while sum(mass.values()) < 1 - 1e-6:
         mass[k] = poisson_pmf(lam, k)
         k += 1
-    coarse = Pmf(mass, tol=1e-9, tail_bound=1 - sum(mass.values()))
+    coarse = Pmf(mass, tail_bound=1 - sum(mass.values()))
     assert tv_distance(fine, coarse) <= 2e-6
     assert d_K(fine, coarse) <= 2e-6
 

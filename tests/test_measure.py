@@ -50,7 +50,7 @@ def test_pmf_rejects_bad_total():
 
 
 def test_pmf_tail_bound_completes_total():
-    p = Pmf({0: 0.75}, tol=1e-12, tail_bound=0.25)
+    p = Pmf({0: 0.75}, tail_bound=0.25)
     assert p.tail_bound == 0.25
     assert p[1] == 0
 
@@ -59,8 +59,19 @@ def test_pmf_exact_check_stays_exact():
     # The default tail_bound is the integer 0, so an exact sum is compared
     # as a Fraction: 1 - 10^-20 is 1.0 as a double, but not 1.
     with pytest.raises(UsageError, match="exactly"):
-        Pmf({1: 1 - Fraction(1, 10**20)}, tol=0)
+        Pmf({1: 1 - Fraction(1, 10**20)})
     assert Pmf({1: Fraction(1)}).tail_bound == 0
+
+
+def test_pmf_reads_its_tolerance_off_its_masses():
+    # Floats sum to 1 within 1e-9, ints and Fractions exactly; a law of both
+    # kinds, or exact masses with a float tail, has no one rule and is refused.
+    assert Pmf({1: 0.5, 2: 0.5 - 5e-10}).tail_bound == 0
+    with pytest.raises(UsageError, match="all exact or all floats"):
+        Pmf({1: Fraction(1, 2), 2: 0.5})
+    with pytest.raises(UsageError, match="all exact or all floats"):
+        Pmf({1: Fraction(3, 4)}, tail_bound=0.25)
+    assert Pmf({1: Fraction(1), 2: 0}, tail_bound=0.0)[2] == 0
 
 
 def test_pmf_moments():
@@ -530,9 +541,9 @@ def test_weight_sequence_validation():
 def test_pmf_rejects_non_finite_mass(bad):
     # nan < 0 and abs(nan - 1) > tol are both false, so NaN needs its own check
     with pytest.raises(UsageError):
-        Pmf({1: bad}, tol=1e-9)
+        Pmf({1: bad})
     with pytest.raises(UsageError):
-        Pmf({1: 1.0}, tol=1e-9, tail_bound=bad)
+        Pmf({1: 1.0}, tail_bound=bad)
 
 
 @pytest.mark.parametrize("cls, arity", [(WeightSequence, 1), (GeneralizedWeights, 2)])

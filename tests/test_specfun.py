@@ -7,6 +7,7 @@ and two-sided integral brackets for zeta at odd arguments.
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from scipy import special
@@ -126,8 +127,8 @@ def test_zeta_requires_s_above_one():
 ])
 def test_zeta_one_plus_small_p(p, ref):
     # Rounding 1 + p first would cost up to 1e-16/p relative (8e-8 at
-    # p = 1e-10); both classes whose K is zeta(1 + p) pass p itself.
-    assert riemann_zeta(1 + p, s_minus_1=p) == pytest.approx(ref, rel=1e-14, abs=0)
+    # p = 1e-10); both classes whose K is zeta(1 + p) pass s = 1 + p exactly.
+    assert riemann_zeta(1 + Fraction(p)) == pytest.approx(ref, rel=1e-14, abs=0)
     assert theta_shift_family(1, 1, p).cls.K == pytest.approx(ref, rel=1e-14, abs=0)
     assert polylog_family(p).cls.K == pytest.approx(ref, rel=1e-14, abs=0)
 
@@ -135,7 +136,7 @@ def test_zeta_one_plus_small_p(p, ref):
 def test_zeta_one_plus_refuses_overflow():
     for p in (5e-324, 0.0):
         with pytest.raises(UsageError):
-            riemann_zeta(1 + p, s_minus_1=p)
+            riemann_zeta(1 + Fraction(p))
 
 
 def test_poisson_pmf_normalizes():
