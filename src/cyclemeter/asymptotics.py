@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConvergenceError, UnsupportedClassError, UsageError
 from .measure import WeightSequence, _WeightRule
@@ -46,22 +46,19 @@ STATUS_ZERO_RADIUS = "zero-radius"
 STATUS_ENTIRE = "entire"
 
 
-@dataclass(frozen=True)
-class SingularityClass:
+class SingularityClass(namedtuple("SingularityClass", "r theta K gamma")):
     """F(r, theta) or, given gamma, eF(r, theta, gamma) data with the constant K."""
 
-    r: float
-    theta: float
-    K: float
-    gamma: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise UsageError(f"radius must be finite and > 0, got {self.r}")
-        if self.theta < 0:
-            raise UsageError(f"log-singularity strength must be >= 0, got {self.theta}")
-        if self.gamma is not None and not 0 < self.gamma <= 1:
-            raise UsageError(f"class eF needs gamma in (0, 1], got {self.gamma}")
+    def __new__(cls, r: float, theta: float, K: float, gamma: Optional[float] = None):
+        if not (r > 0 and math.isfinite(r)):
+            raise UsageError(f"radius must be finite and > 0, got {r}")
+        if theta < 0:
+            raise UsageError(f"log-singularity strength must be >= 0, got {theta}")
+        if gamma is not None and not 0 < gamma <= 1:
+            raise UsageError(f"class eF needs gamma in (0, 1], got {gamma}")
+        return super().__new__(cls, r, theta, K, gamma)
 
     @property
     def kind(self) -> str:
@@ -73,17 +70,15 @@ class SingularityClass:
         return self.theta == 0
 
 
-@dataclass
 class WeightFamily:
     """Weights with their classification: a weight sequence or, for exp-poly,
     the per-multiplicity GeneralizedWeights (the finite-n laws and the
     partition oracle take either)."""
 
-    weights: _WeightRule
-    cls: Optional[SingularityClass]
-    provenance: str
-    status: str = STATUS_OK
-    note: str = ""
+    def __init__(self, weights: _WeightRule, cls: Optional[SingularityClass],
+                 provenance: str, status: str = STATUS_OK, note: str = ""):
+        self.weights, self.cls, self.provenance = weights, cls, provenance
+        self.status, self.note = status, note
 
     def require_class(self) -> SingularityClass:
         if self.cls is None:
@@ -372,8 +367,7 @@ def mod_poisson_limit(theta: float, s: float) -> complex:
     return value
 
 
-@dataclass(frozen=True)
-class LargeDeviationEstimate:
+class LargeDeviationEstimate(NamedTuple):
     estimate: float
     t_n: float
     x: float
@@ -419,8 +413,7 @@ _LINDELOF_HEIGHT = 24.0
 _LINDELOF_STEP = 0.0625
 
 
-@dataclass(frozen=True)
-class LindelofResult:
+class LindelofResult(NamedTuple):
     value: complex
     error_estimate: float
 

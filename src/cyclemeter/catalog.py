@@ -25,7 +25,6 @@ errors; flags given with a config family override its keys.
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
 from fractions import Fraction
@@ -185,6 +184,7 @@ def build_family(kind: str, params: dict) -> WeightFamily:
 
 def load_config(path: str) -> dict:
     """Parse the INI config into {name: params-dict (with 'kind')}."""
+    import configparser
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

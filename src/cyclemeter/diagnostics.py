@@ -22,7 +22,6 @@ pin that kernel's rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -94,20 +93,15 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
     return 0.5 * acc + _tail_correction(p, q)
 
 
-@dataclass
 class ComparisonReport:
     """One metric tracked along an n-grid against a reference decay rate."""
 
-    metric: str
-    n_values: list
-    values: list
-    reference_rate: str
-    reference_values: list
-    label: str = ""
-    fitted_slope: Optional[float] = field(init=False)
-
-    def __post_init__(self):
-        self.fitted_slope = _fit_slope(self.n_values, self.values)
+    def __init__(self, metric: str, n_values: list, values: list, reference_rate: str,
+                 reference_values: list, label: str = ""):
+        self.metric, self.n_values, self.values = metric, n_values, values
+        self.reference_rate, self.reference_values = reference_rate, reference_values
+        self.label = label
+        self.fitted_slope = _fit_slope(n_values, values)
 
     def metric_label(self) -> str:
         return f"{self.metric}({self.label})" if self.label else self.metric

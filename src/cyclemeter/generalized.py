@@ -33,7 +33,7 @@ Two concrete constructions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -259,28 +259,33 @@ def _poly_series(poly: dict, order: int, backend: str, above: int = 0) -> Trunca
 # -- spatial models ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpatialModel:
+class SpatialModel(namedtuple("SpatialModel", "decays alpha")):
     """Finitely many modes with exact decay factors q_k = e^{-eps_k} in
-    (0, 1], and one site exponent alpha.
+    (0, 1], and one site exponent alpha whose site factor e^{-alpha} is a
+    finite nonzero double.
 
     Built from energies, the decays are the exact binary values of the
     doubles e^{-eps_k}, so the generalized route and the effective-weight
     reduction consume identical numbers.
     """
 
-    decays: tuple
-    alpha: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        decays = tuple(to_fraction(d) for d in self.decays)
+    def __new__(cls, decays: Sequence, alpha: float = 0.0):
+        decays = tuple(to_fraction(d) for d in decays)
         if not decays:
             raise UsageError("a spatial model needs at least one mode")
         # e^{-eps} underflows to 0 for large energies
         if any(not (0 < d <= 1 and float(d) > 0) for d in decays):
             raise UsageError("decay factors must lie in (0, 1] and not underflow a double")
-        object.__setattr__(self, "decays", decays)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        alpha = float(alpha)
+        try:
+            site = math.exp(-alpha)
+        except OverflowError:
+            site = math.inf
+        if not 0 < site < math.inf:  # an exact rule would see 0, or no number
+            raise UsageError(f"site exponent --alpha={alpha} makes e^-alpha {site} as a double")
+        return super().__new__(cls, decays, alpha)
 
     @classmethod
     def from_energies(cls, eps: Sequence, alpha=0.0) -> "SpatialModel":
@@ -299,8 +304,10 @@ def spatial_effective_weights(model: SpatialModel) -> WeightSequence:
     def eval_fn(m: int) -> float:
         return site * sum(q**m for q in decay_floats)
 
+    site_exact = Fraction(site)
+
     def exact_fn(m: int) -> Fraction:
-        return Fraction(site) * sum(q**m for q in model.decays)
+        return site_exact * sum(q**m for q in model.decays)
 
     return WeightSequence(eval_fn, name="spatial", exact_fn=exact_fn)
 

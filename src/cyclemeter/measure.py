@@ -103,7 +103,8 @@ class WeightSequence(_WeightRule):
         if frac < 0:
             raise UsageError(f"weights must be >= 0, got {value}")
         label = name if name is not None else f"constant({value})"
-        return cls(lambda m: float(frac), name=label, exact_fn=lambda m: frac)
+        double = float(frac)
+        return cls(lambda m: double, name=label, exact_fn=lambda m: frac)
 
     def theta(self, m: int) -> float:
         _check_index(m)

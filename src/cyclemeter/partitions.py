@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat
 
 from .errors import DegenerateMeasureError, ResourceError, UsageError
@@ -45,18 +45,17 @@ from .series import EXACT, check_kind, to_kind
 PARTITION_CAP = 80
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    parts: tuple
+class Partition(namedtuple("Partition", "parts")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, parts: tuple):
         # one pass over the parts: nonincreasing, so the last is the least
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+        parts = tuple(parts)
         if any(map(operator.lt, parts, parts[1:])):
             raise UsageError(f"parts must be nonincreasing, got {parts}")
         if parts and parts[-1] < 1:
             raise UsageError(f"partition parts must be >= 1, got {parts[-1]}")
+        return super().__new__(cls, parts)
 
     def __repr__(self) -> str:
         return f"Partition{self.parts}"

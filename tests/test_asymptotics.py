@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclemeter.asymptotics import (SingularityClass, alpha_exp_family,
+from cyclemeter.asymptotics import (LargeDeviationEstimate, LindelofResult,
+                                    SingularityClass, WeightFamily, alpha_exp_family,
                                     asymptotic_hn, ewens_family, exp_weight_family,
                                     hwang_estimate, large_deviation_estimate,
                                     lindelof_eval, mod_poisson_limit,
@@ -31,6 +32,49 @@ def test_class_kind_follows_gamma():
     assert SingularityClass(1.0, 2.0, 0.0, gamma=1.0).kind == "eF"
     with pytest.raises(UsageError):
         SingularityClass(1.0, 2.0, 0.0, gamma=0.0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 1.0, 0.0), "radius must be finite and > 0, got 0.0"),
+    ((math.inf, 1.0, 0.0), "radius must be finite and > 0, got inf"),
+    ((1.0, -1.0, 0.0), "log-singularity strength must be >= 0, got -1.0"),
+    ((1.0, 1.0, 0.0, 1.5), r"class eF needs gamma in \(0, 1\], got 1.5"),
+])
+def test_class_validation_messages(args, message):
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        SingularityClass(*args)
+
+
+def test_class_is_an_immutable_value():
+    cls = SingularityClass(1.0, 2.0, 0.5)
+    assert (cls.r, cls.theta, cls.K, cls.gamma) == (1.0, 2.0, 0.5, None)
+    assert cls == SingularityClass(r=1.0, theta=2.0, K=0.5)
+    assert cls != SingularityClass(1.0, 2.0, 0.5, gamma=1.0)
+    assert hash(cls) == hash(SingularityClass(1.0, 2.0, 0.5))
+    assert repr(cls) == "SingularityClass(r=1.0, theta=2.0, K=0.5, gamma=None)"
+    for name in ("r", "theta", "K", "gamma", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cls, name, 3.0)
+
+
+def test_result_records_are_immutable_values():
+    est = large_deviation_estimate(1.0, 0.0, 100, 5)
+    assert est == LargeDeviationEstimate(est.estimate, est.t_n, est.x, est.rate, est.tilt)
+    assert hash(LindelofResult(1j, 0.5)) == hash(LindelofResult(1j, 0.5))
+    for obj, name in ((est, "rate"), (LindelofResult(1j, 0.5), "value")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+
+
+def test_weight_family_keeps_its_fields_and_is_mutable():
+    fam = ewens_family(2)
+    same = WeightFamily(fam.weights, fam.cls, "ewens")
+    assert (same.status, same.note) == ("ok", "")
+    bare = WeightFamily(fam.weights, None, "x", status="open", note="why")
+    with pytest.raises(UnsupportedClassError, match="family x is open: why"):
+        bare.require_class()
+    same.note = "changed"
+    assert same.note == "changed"
 
 
 def test_ewens_class():

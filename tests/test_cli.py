@@ -758,6 +758,22 @@ def test_bad_family_input_is_usage_error(capsys, argv):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    # e^-800 is 0 as a double: the exact rule printed h = 0 with exit 0
+    ("hn", "--alpha=800", "--n", "3", "--backend", "exact"),
+    ("hn", "--alpha=800", "--n", "3"),
+    # ... and exit 3, "the measure is undefined there"
+    ("dist", "--alpha=1e300", "--n", "3", "--backend", "exact"),
+    # e^1000 overflows: the generic "overflows a double at these parameters"
+    ("hn", "--alpha=-1000", "--n", "3"),
+], ids=["hn-exact", "hn-auto", "dist-exact", "overflow"])
+def test_spatial_site_factor_off_the_doubles_is_refused(capsys, argv):
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, "--family", "spatial", "--eps=0.5", *rest)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: site exponent --alpha=")
+
+
 def test_huge_decimal_exponents_are_refused_at_once(capsys):
     # Fraction would build 10**(10**7) first; 1e-400 is 0 as a double, so
     # the exact and double backends would see different measures.

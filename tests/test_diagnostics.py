@@ -192,6 +192,17 @@ def test_report_fits_its_own_slope():
         ComparisonReport("tv", [10, 20], [0.5, 0.25], "1/n", [0.1, 0.05], fitted_slope=-1.0)
 
 
+def test_report_takes_its_fields_in_order():
+    report = ComparisonReport("d_K", [10, 20], [0.5, 0.25], "1/n", [0.1, 0.05], "alt")
+    assert (report.metric, report.n_values, report.values, report.reference_rate,
+            report.reference_values, report.label) == ("d_K", [10, 20], [0.5, 0.25], "1/n",
+                                                       [0.1, 0.05], "alt")
+    assert report.metric_label() == "d_K(alt)"
+    assert report.fitted_slope == pytest.approx(-1.0, rel=1e-12)
+    report.label = ""
+    assert report.metric_label() == "d_K"
+
+
 def reference_poisson_vector(family, b, n):
     """(tv, d_loc) of the double joint law against the product Poisson
     limit, one tuple at a time with sequential float sums."""

@@ -161,10 +161,32 @@ def test_spatial_class_two_equal_modes():
 
 
 def test_spatial_model_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^a spatial model needs at least one mode$"):
         SpatialModel([])
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^decay factors must lie in"):
         SpatialModel([Fraction(3, 2)])
+
+
+@pytest.mark.parametrize("alpha, site", [(800, "0.0"), (1e300, "0.0"), (-1000, "inf"),
+                                         (math.inf, "0.0"), (math.nan, "nan")])
+def test_spatial_model_refuses_a_site_factor_off_the_doubles(alpha, site):
+    # e^{-alpha} is 0 or not finite: the exact rule would make every weight 0
+    with pytest.raises(UsageError, match=f"--alpha=.* makes e\\^-alpha {site} as a double"):
+        SpatialModel([1], alpha)
+
+
+def test_spatial_model_is_an_immutable_value():
+    model = SpatialModel([1, 0.5], alpha=1)
+    assert model.decays == (1, Fraction(1, 2)) and type(model.decays[1]) is Fraction
+    assert model.alpha == 1.0 and type(model.alpha) is float
+    assert model == SpatialModel((Fraction(1), Fraction(1, 2)), 1.0)
+    assert hash(model) == hash(SpatialModel((1, Fraction(1, 2)), alpha=1.0))
+    assert model != SpatialModel([1, 0.5])
+    assert SpatialModel([1]).alpha == 0.0
+    assert SpatialModel([1], 744).alpha == 744.0  # e^-744 is a subnormal double
+    for name in ("decays", "alpha", "other"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, 0)
 
 
 def test_exp_polynomial_double_past_k_170():

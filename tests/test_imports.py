@@ -10,7 +10,10 @@ package, the CLI module, exact commands of weighted and exp-poly
 families and double hn, dist (either target) and sample commands up to
 the cut never load it, and no sample command loads numpy.random; each
 of those runs in a fresh interpreter.  json is imported only by the
-serializer's int-row branch, so the CLI module starts without it.
+serializer's int-row branch, so the CLI module starts without it.  The
+package defines no dataclasses, so the CLI module loads neither
+dataclasses nor the inspect module it pulls in, and configparser loads
+only where a --config file is read.
 """
 
 import ast
@@ -150,6 +153,26 @@ def test_cli_import_leaves_json_unloaded():
     res = _loads("import cyclemeter.cli", "json")
     assert res.returncode == 0, res.stderr
     assert res.stderr.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "configparser"])
+@pytest.mark.parametrize("code", [
+    "import cyclemeter",
+    "import cyclemeter.cli",
+    _cli("hn", *EWENS, "--n", "10", "--backend", "exact"),
+    _cli("dist", *EWENS, "--n", "20", "--backend", "exact"),
+], ids=["package", "cli", "hn-exact", "dist-exact"])
+def test_startup_loads_no_dataclasses_inspect_or_configparser(code, module):
+    res = _loads(code, module)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines()[-1] == "False"
+
+
+def test_config_command_loads_configparser():
+    res = _loads(_cli("hn", *QUAD, "--n", "3"), "configparser")
+    assert res.returncode == 0, res.stderr
+    assert '"family": "quad"' in res.stdout and '"h": "' in res.stdout
+    assert res.stderr.splitlines()[-1] == "True"
 
 
 def test_double_command_loads_numpy():

@@ -109,10 +109,23 @@ def test_class_sizes_cover_group():
 
 
 def test_partition_validation():
-    with pytest.raises(UsageError):
-        Partition((1, 2))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^parts must be nonincreasing, got \(1, 2\)$"):
+        Partition([1, 2])
+    with pytest.raises(UsageError, match="^partition parts must be >= 1, got 0$"):
         Partition((2, 0))
+
+
+def test_partition_is_an_ordered_immutable_value():
+    p = Partition([3, 1])
+    assert p.parts == (3, 1) and repr(p) == "Partition(3, 1)"
+    assert repr(Partition((4,))) == "Partition(4,)" and Partition(()).parts == ()
+    assert p == Partition((3, 1)) and hash(p) == hash(Partition((3, 1)))
+    assert sorted([Partition((3, 1)), Partition((2, 2)), Partition((4,)), Partition((2, 1, 1))]) \
+        == [Partition((2, 1, 1)), Partition((2, 2)), Partition((3, 1)), Partition((4,))]
+    assert Partition((2, 2)) < p <= Partition((3, 1)) < Partition((3, 2))
+    for name in ("parts", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (4,))
 
 
 def test_enumeration_cap():
