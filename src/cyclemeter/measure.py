@@ -52,8 +52,8 @@ from typing import Callable, Optional, Sequence
 from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .partitions import Partition
 from .pmf import Pmf
-from .series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, check_kind,
-                     pmf_tol, to_fraction, to_kind, ts_exp)
+from .series import (DOUBLE, EXACT, TruncatedSeries, _exact_h, _ExactValues, bv_exp_wg,
+                     check_kind, pmf_tol, to_fraction, to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
 _JOINT_BLOCK = 1 << 14  # rows per block of a double joint law
@@ -153,9 +153,11 @@ def weight_log_series(theta: WeightSequence, order: int, backend: str = EXACT) -
     return TruncatedSeries(coeffs, backend)
 
 
-def normalization_constants(theta, n_max: int, backend: str = EXACT) -> list:
-    """h_0, ..., h_{n_max} with h_0 = 1, for either weight handle."""
-    return list(ts_exp(_at(theta.log_series(n_max, backend))).coeffs)
+def normalization_constants(theta, n_max: int, backend: str = EXACT) -> Sequence:
+    """h_0, ..., h_{n_max} with h_0 = 1, for either weight handle: a list of doubles,
+    or exact, a sequence that builds each Fraction as it is read."""
+    g = _at(theta.log_series(n_max, backend))
+    return _ExactValues(_exact_h(g)) if backend == EXACT else list(ts_exp(g).coeffs)
 
 
 def _at(parts: tuple, x=1) -> TruncatedSeries:

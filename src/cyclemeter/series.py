@@ -35,7 +35,11 @@ up to order _EXACT_DOUBLE_MAX_N, the rows of one numpy array past it.
 The exact recurrences run on Python ints: ts_exp keeps h_0..h_{n-1} over one
 running common denominator (one integer dot and one gcd per h_n), bv_exp_wg
 each row of w-coefficients of [t^n] over its own reduced denominator, and
-Fractions are built only from finished rows, as read.
+Fractions are built only from finished values, as read.  Each convolves
+either k*G_k with the earlier values or, when it has fewer nonzero terms,
+the first differences k*G_k - (k-1)*G_{k-1} with their running prefix sums;
+both give the same sum by telescoping, so an eventually constant k*G_k
+(Ewens) costs O(1) terms per order: O(n) exact h_n and O(n^2) K_n rows.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ DOUBLE = "double"
 _KINDS = (EXACT, DOUBLE)
 
 # The default backend is exact only up to this order: exact numerators and
-# denominators grow with n, so exact K_n laws cost about 170x the double
-# ones at n = 200 and 1200x at n = 400 (Ewens 1/2).
+# denominators grow with n, so exact K_n laws of dense weights cost about 680x
+# the double ones at n = 200 and 4700x at n = 400 (theta-shift theta 1, amp 1,
+# power 2: 3.1 s and 89 s on one Xeon core); Ewens laws cost far less.
 _AUTO_EXACT_MAX_N = 200
 
 # Double series up to this order run on the integer kernels.  The slowest catalog
@@ -178,7 +183,7 @@ def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
         for n in range(1, n_max + 1):
             hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
         return TruncatedSeries(hr[::-1].tolist(), DOUBLE)
-    return TruncatedSeries(_exact_h(g), g.kind)
+    return TruncatedSeries([_scalar(v, q, g.kind) for v, q in _exact_h(g)], g.kind)
 
 
 def ts_log(h: TruncatedSeries) -> TruncatedSeries:
@@ -252,21 +257,29 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
                 top -= 1
             width = top + 1
         return arr
-    return _ExactRows(_exact_rows(gs))
+    return _ExactValues(_exact_rows(gs))
 
 
-class _ExactRows(Sequence):
-    """Exact bv_exp_wg rows, raw[n] = (integer numerators, q), read as Fraction tuples."""
+class _ExactValues(Sequence):
+    """Exact kernel results read as Fractions: raw[n] = (numerator, q), h_n, read as a
+    Fraction, or (integer numerators, q), a bv_exp_wg row, read as a Fraction tuple;
+    each is built on its first read and kept.  Equal to any sequence of the same values."""
 
     def __init__(self, raw: list):
-        self.raw = raw
+        self.raw, self.read = raw, {}
 
     def __len__(self) -> int:
         return len(self.raw)
 
-    def __getitem__(self, n: int) -> tuple:
-        nums, q = self.raw[n]
-        return tuple(Fraction(v, q) for v in nums)
+    def __getitem__(self, n: int):
+        if (value := self.read.get(n)) is None:
+            v, q = self.raw[n]
+            value = self.read[n] = (Fraction(v, q) if isinstance(v, int)
+                                    else tuple(Fraction(u, q) for u in v))
+        return value
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 def _on_exact_kernel(gs: tuple) -> bool:  # exact, or finite doubles up to the cut
@@ -281,36 +294,69 @@ def _scalar(v: int, q: int, kind: str) -> Scalar:
         return math.inf if v > 0 else -math.inf
 
 
+def _terms(coeffs) -> tuple:
+    """The terms of the exact kernels' convolution sum_k k*g_k X_{n-k}: (False, the
+    nonzero k*g_k by k) or, when fewer are nonzero, (True, the nonzero first differences
+    k*g_k - (k-1)*g_{k-1} by k), which telescope to the same sum over prefix sums,
+    sum_k (k*g_k - (k-1)*g_{k-1}) (X_0 + ... + X_{n-k}).  An eventually constant
+    k*g_k (Ewens, a tail above b) so has O(1) terms."""
+    kg = [k * Fraction(c) for k, c in enumerate(coeffs)]
+    plain = {k: c for k, c in enumerate(kg) if c}
+    steps = [k for k in range(1, len(kg)) if kg[k] != kg[k - 1]]
+    if len(steps) >= len(plain):
+        return False, plain
+    return True, {k: kg[k] - kg[k - 1] for k in steps}
+
+
 def _exact_h(g: TruncatedSeries) -> list:
-    """h_0..h_N of exp(g), in g's kind, from h_j = P[j] / Q on ints.  With A_k = L*k*g_k
-    over their lcm L, n*h_n = sum_k A_k P[n-k] / (L*Q) is one dot s and one gcd; Q (and
-    every P) grows only by what h_n's reduced denominator lacks: Q = lcm of theirs."""
-    kg = [k * Fraction(c) for k, c in enumerate(g.coeffs) if k]
-    big_l = math.lcm(*[c.denominator for c in kg])
-    a = [c.numerator * (big_l // c.denominator) for c in kg]
-    nums, q = [1], 1
+    """h_0..h_N of exp(g) as pairs (numerator, denominator) on ints.  With A_k = L*c_k
+    over the lcm L of _terms' c_k, n*h_n = sum_k A_k X_{n-k} / (L*W) is one dot s and
+    one gcd, the X_j numerators over one running denominator W that grows only by what
+    s / (n*L) lacks.  Plain terms read X_j = h_j, every one over the final W; summed
+    terms read X_j = h_0 + ... + h_j, only the last max(k) of them, and each h_n keeps
+    the W of its order, so no earlier h_n is rescaled."""
+    summed, terms = _terms(g.coeffs)
+    big_l = math.lcm(*[c.denominator for c in terms.values()])
+    a = [0] * max(terms, default=0)
+    for k, c in terms.items():
+        a[k - 1] = c.numerator * (big_l // c.denominator)
+    xs, w, hs = [1], 1, [(1, 1)]
     for n in range(1, len(g.coeffs)):
-        s = sum(map(mul, a, reversed(nums)))
+        s = sum(map(mul, a, reversed(xs)))
         div = math.gcd(s, n * big_l)
-        if (r := n * big_l // div) > 1:  # h_n = s / (n*L*q) needs q * r
-            nums, q = [v * r for v in nums], q * r
-        nums.append(s // div)
-    return [_scalar(v, q, g.kind) for v in nums]
+        if (r := n * big_l // div) > 1:  # h_n = s / (n*L*w) needs w * r
+            xs, w = [v * r for v in xs], w * r
+        if summed:
+            hs.append((s // div, w))
+            xs.append(xs[-1] + s // div)
+            del xs[: -len(a)]
+        else:
+            xs.append(s // div)
+    return hs if summed else [(v, w) for v in xs]
 
 
 def _exact_rows(gs: tuple) -> list:
     """Rows n = 0..N of exp(sum_j w^j gs[j-1]) as pairs (numerators, q),
-    [t^n] = sum_i numerators[i] w^i / q on ints.  With k*g_{j,k} = a/d, row n
-    lies over n*e*Q_n, Q_n = lcm(q_0..q_{n-1}) and e the least factor with
-    every d*q_{n-k} | e*Q_n; one gcd pass reduces the row."""
-    # keep only nonzero terms; tails of sparse polynomials stay cheap
-    terms = [(k, j, *(k * Fraction(gk)).as_integer_ratio())
-             for j, s in enumerate(gs, 1) for k, gk in enumerate(s.coeffs) if k and gk]
-    rows, big_q = [([1], 1)], 1
+    [t^n] = sum_i numerators[i] w^i / q on ints.  Each w^j part convolves its own
+    _terms, c = a/d at k, with row n-k (plain) or with S_{n-k} = row 0 + ... + row n-k
+    (summed), kept over Q_{n-k+1} only while a summed term can still read it.  Row n
+    lies over n*e*Q_n, Q_n = lcm(q_0..q_{n-1}) and e the least factor with every
+    d*q | e*Q_n, q the denominator of the row or sum a term reads; one gcd pass reduces
+    the row."""
+    terms = [(k, j, summed, *c.as_integer_ratio())
+             for j, s in enumerate(gs, 1) for summed, cs in [_terms(s.coeffs)]
+             for k, c in cs.items()]
+    reach = max([k for k, _, summed, _, _ in terms if summed], default=0)
+    rows, sums, big_q = [([1], 1)], {}, 1
     for n in range(1, len(gs[0].coeffs)):
         big_q = math.lcm(big_q, rows[-1][1])
-        live = [(j, a, d, prev, big_q // q) for k, j, a, d in terms if k <= n
-                for prev, q in [rows[n - k]]]
+        if reach:  # S_{n-1} = S_{n-2} + row n-1 over Q_n; S_{n-1-reach} is read no more
+            (nums, q), (last, lq) = rows[-1], sums.get(n - 2, ([], 1))
+            r, t = big_q // q, big_q // lq
+            sums[n - 1] = ([u * t + v * r for u, v in zip([*last, 0], nums)], big_q)
+            sums.pop(n - 1 - reach, None)
+        live = [(j, a, d, prev, big_q // q) for k, j, summed, a, d in terms if k <= n
+                for prev, q in [(sums if summed else rows)[n - k]]]
         e = math.lcm(*[d // math.gcd(d, r) for _, _, d, _, r in live])
         acc = [0] * (n + 1)
         for j, a, d, prev, r in live:

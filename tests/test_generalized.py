@@ -378,7 +378,7 @@ def test_lattice_laws_take_a_weight_sequence(lattice, engine, backend):
     # The lattice reads theta_m^c / (c! m^c) from the handle's
     # cycle_factors, so its laws are the series engine's laws.
     def atoms(law):
-        return dict(enumerate(law)) if isinstance(law, list) else dict(law.items())
+        return dict(law.items()) if hasattr(law, "items") else dict(enumerate(law))
 
     theta = theta_shift_family(Fraction(1, 2)).weights
     mine, ref = atoms(lattice(theta, backend)), atoms(engine(theta, backend))

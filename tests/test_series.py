@@ -10,15 +10,18 @@ same double inputs, each rounded once; past it, the numpy kernels run.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclemeter import series
 from cyclemeter.catalog import KINDS, build_family
 from cyclemeter.errors import ResourceError, UsageError
-from cyclemeter.measure import _at, total_cycles_pmf
+from cyclemeter.measure import WeightSequence, _at, normalization_constants, total_cycles_pmf
 from cyclemeter.series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, ts_exp,
                                ts_log, ts_mul)
 
@@ -376,3 +379,88 @@ def test_small_double_series_overflow_to_inf_as_numpy_does(monkeypatch):
     assert np.all(np.isinf(ref_rows)[np.isinf(rows)]) and not np.isnan(ref_rows).any()
     both = np.isfinite(ref_rows)
     assert np.all(np.abs(rows[both] - ref_rows[both]) <= 1e-13 * np.abs(ref_rows[both]))
+
+
+def plain_rows(gs) -> list:
+    # n H_n(w) = sum_j sum_k k g_{j,k} w^j H_{n-k}(w), term by term on Fractions
+    rows = [[Fraction(1)]]
+    for n in range(1, len(gs[0].coeffs)):
+        row = [Fraction(0)] * (n + 1)
+        for j, g in enumerate(gs, 1):
+            for k in range(j, n + 1):
+                c = k * Fraction(g.coeffs[k])
+                for i, v in enumerate(rows[n - k], j):
+                    row[i] += c * v
+        rows.append([v / n for v in row])
+    return [tuple(row) for row in rows]
+
+
+@pytest.mark.parametrize("above", [0, 1, 3])
+@pytest.mark.parametrize("kind, params", [*_KIND_PARAMS.items(), *_SIGNED_EXP_POLY])
+def test_exact_rows_are_the_plain_recurrence(kind, params, above):
+    # every catalog family and tail above b, whether its terms are summed or not
+    parts = build_family(kind, params).weights.log_series(40, EXACT, above=above)
+    assert list(bv_exp_wg(*parts)) == plain_rows(parts)
+    assert list(ts_exp(_at(parts)).coeffs) == plain_exp(_at(parts).coeffs)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(head=st.lists(_RATIONALS, max_size=5), tail=_RATIONALS, above=st.integers(0, 4),
+       square=st.one_of(st.none(), _RATIONALS), order=st.integers(1, 24))
+def test_eventually_constant_terms_are_the_plain_recurrence(head, tail, above, square, order):
+    # k g_k = head, then tail for ever, zero up to above: the kernels pick the
+    # summed first differences whenever they have fewer nonzero terms
+    kg = ([0] * above + head + [tail] * order)[:order]
+    g = TruncatedSeries([0] + [Fraction(c) / k for k, c in enumerate(kg, 1)], EXACT)
+    gs = (g,) if square is None else (
+        g, TruncatedSeries([0, 0] + [square / k for k in range(2, order + 1)], EXACT))
+    assert list(bv_exp_wg(*gs)) == plain_rows(gs)
+    assert list(ts_exp(g).coeffs) == plain_exp(g.coeffs)
+
+
+def rising(x, n: int):
+    return math.prod(x + i for i in range(n))
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2)])
+def test_ewens_k_law_at_200_is_the_rising_factorial(theta):
+    # E[w^K_n] = (theta w)^(n) / (theta)^(n): the coefficients of prod_{i<n} (theta w + i)
+    n = 200
+    poly = [Fraction(1)]
+    for i in range(n):
+        poly = [a * i + b * theta for a, b in zip([*poly, 0], [0, *poly])]
+    law = total_cycles_pmf(WeightSequence.constant(theta), n)
+    assert [law[k] for k in range(1, n + 1)] == [c / rising(theta, n) for c in poly[1:]]
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(2)])
+def test_ewens_h_at_2000_is_the_rising_factorial(theta):
+    n = 2000
+    h = normalization_constants(WeightSequence.constant(theta), n)
+    assert h[n] == rising(theta, n) / math.factorial(n)
+
+
+def test_summed_ewens_rows_hold_no_more_memory(monkeypatch):
+    # The prefix sums are kept only while a term reads them: the rows peak as
+    # the plain terms do, though they run O(n^2) products, not O(n^3).  (n = 120:
+    # traced, the plain O(n^3) reference takes about 11 s at n = 200.)
+    parts = WeightSequence.constant(Fraction(1, 2)).log_series(120, EXACT)
+
+    def peak() -> tuple:
+        tracemalloc.start()
+        try:
+            rows = series._exact_rows(parts)
+            return rows, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    summed, summed_peak = peak()
+    assert series._terms(parts[0].coeffs)[0]
+    monkeypatch.setattr(series, "_terms", lambda coeffs: (False, {
+        k: k * Fraction(c) for k, c in enumerate(coeffs) if k and c}))
+    plain, plain_peak = peak()
+    assert summed == plain
+    assert summed_peak <= 1.05 * plain_peak
