@@ -44,7 +44,7 @@ from .generalized import GeneralizedWeights
 from .measure import _joint_law, _sample_rows, normalization_constants, total_cycles_pmf
 from .partitions import brute_force_cycle_counts_pmf, brute_force_k_pmf, check_partition_cap
 from .pmf import check_masses
-from .series import EXACT, auto_kind, pmf_tol
+from .series import DOUBLE, EXACT, auto_kind, pmf_tol
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,6 +156,9 @@ def _run_hn(args) -> tuple:
     cls = handle.cls
     rows = []
     for n in ns:
+        if backend == DOUBLE and h[n] == 0 and handle.weights.cycle_factors(1, 1, EXACT)[1]:
+            raise ResourceError(f"h_{n} underflows the double range to 0, though "
+                                f"h_{n} >= theta_1^{n}/{n}! > 0; use --backend exact")
         asym = ratio = None
         if cls is not None and not cls.main_term_zero and n > 0:
             try:

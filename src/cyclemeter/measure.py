@@ -8,7 +8,12 @@ of length m:
 with h_n the normalization constant.  Writing g(t) = sum_k theta_k t^k / k,
 the h_n are the coefficients of exp(g(t)), which is how everything here
 is computed; the partition-sum oracle in partitions.py recomputes the
-same quantities independently for testing.
+same quantities independently for testing.  Past the exact-double cut of
+series.py, the double h_n of a WeightSequence (normalization_constants,
+the tail of a joint law, the Chernoff h_n(x) of a truncated K_n law) run
+series._float_h on the theta_m themselves, not on k * (theta_k / k):
+constant weights stay constant, so Ewens h_n cost O(1) per order and,
+like any h_n within the float kernel's budget, load no numpy.
 
 The laws also take an exp-poly GeneralizedWeights (generalized.py), read
 like a WeightSequence through log_series(order, kind, above), the parts of
@@ -52,8 +57,9 @@ from typing import Callable, Optional, Sequence
 from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .partitions import Partition
 from .pmf import Pmf
-from .series import (DOUBLE, EXACT, TruncatedSeries, _exact_h, _ExactValues, bv_exp_wg,
-                     check_kind, pmf_tol, to_fraction, to_kind, ts_exp)
+from .series import (_EXACT_DOUBLE_MAX_N, DOUBLE, EXACT, TruncatedSeries, _exact_h,
+                     _ExactValues, _float_h, bv_exp_wg, check_kind, pmf_tol, to_fraction,
+                     to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
 _JOINT_BLOCK = 1 << 14  # rows per block of a double joint law
@@ -156,8 +162,23 @@ def weight_log_series(theta: WeightSequence, order: int, backend: str = EXACT) -
 def normalization_constants(theta, n_max: int, backend: str = EXACT) -> Sequence:
     """h_0, ..., h_{n_max} with h_0 = 1, for either weight handle: a list of doubles,
     or exact, a sequence that builds each Fraction as it is read."""
-    g = _at(theta.log_series(n_max, backend))
-    return _ExactValues(_exact_h(g)) if backend == EXACT else list(ts_exp(g).coeffs)
+    if backend == EXACT:
+        return _ExactValues(_exact_h(_at(theta.log_series(n_max, EXACT))))
+    return list(_h_values(theta, n_max, backend)[0])
+
+
+def _h_values(theta, n: int, kind: str, above: int = 0, xs: tuple = (1,)) -> list:
+    """[h_0..h_n of exp(sum_j x^j g_j) for x in xs], g_j the log-series of theta over
+    lengths m > above.  Past the exact-double cut a WeightSequence's double h_n run
+    series._float_h on its own weights x*theta_m, which stay constant wherever theta
+    does (Ewens, a tail above b), as k*g_k = k*(theta_k/k) in doubles need not;
+    everything else runs ts_exp."""
+    past_cut = isinstance(n, int) and n > _EXACT_DOUBLE_MAX_N
+    if kind == DOUBLE and isinstance(theta, WeightSequence) and past_cut:
+        a = [0.0] * (min(above, n) + 1) + [theta.theta(m) for m in range(above + 1, n + 1)]
+        return [_float_h([x * v for v in a]) for x in xs]
+    parts = theta.log_series(n, kind, above)
+    return [ts_exp(_at(parts, x)).coeffs for x in xs]
 
 
 def _at(parts: tuple, x=1) -> TruncatedSeries:
@@ -194,7 +215,7 @@ def joint_cycle_pmf(theta, n: int, b: int, backend: str = EXACT) -> Pmf:
 
 def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
     hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
-    tail = ts_exp(_at(theta.log_series(n, backend, above=b))).coeffs
+    (tail,) = _h_values(theta, n, backend, above=b)
     factors = [theta.cycle_factors(m, n // m, backend) for m in range(1, b + 1)]
     return factors, tail, hn
 
@@ -345,13 +366,13 @@ def total_cycles_pmf_many(theta, n_values: Sequence[int], backend: str = EXACT,
                          f"integer keep_k >= 0, got {backend!r} and {keep_k!r}")
     parts = theta.log_series(max(ns), backend)
     cols, bounds = ((None, dict.fromkeys(ns, 0)) if keep_k is None
-                    else _certified_cols(parts, ns, keep_k))
+                    else _certified_cols(theta, ns, keep_k))
     rows = bv_exp_wg(*parts, cols=cols)  # exact: read as the integer numerators of row n
     return {n: _k_pmf(rows.raw[n][0] if backend == EXACT else rows[n], n, bounds[n])
             for n in ns}
 
 
-def _certified_cols(parts: tuple, ns: list, keep_k: int) -> tuple:
+def _certified_cols(theta, ns: list, keep_k: int) -> tuple:
     """(cols, {n: tail bound}): the w-columns that leave at most K_TAIL of
     each law of K_n out, and the mass each law leaves out.  E[x^K_n] =
     h_n(x)/h_n(1), h_n(x) = [t^n] exp(sum_j x^j g_j), so for x > 1
@@ -361,9 +382,10 @@ def _certified_cols(parts: tuple, ns: list, keep_k: int) -> tuple:
     minimized over x in _CHERNOFF_X.  All N + 1 columns, and bounds 0,
     when that k reaches N = max(n) or some h_n has no finite h_n(x)."""
     import numpy as np
-    n_max = parts[0].order
+    n_max = max(ns)
     with np.errstate(all="ignore"):  # an overflowing h_n(x) only gives no bound
-        h = {x: ts_exp(_at(parts, x)).coeffs for x in (1.0, *_CHERNOFF_X)}
+        xs = (1.0, *_CHERNOFF_X)
+        h = dict(zip(xs, _h_values(theta, n_max, DOUBLE, xs=xs)))
     log_ratio = {n: {x: math.log(h[x][n] / h[1.0][n]) for x in _CHERNOFF_X
                      if 0 < h[1.0][n] < math.inf and 0 < h[x][n] < math.inf}
                  for n in ns}

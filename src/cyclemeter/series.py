@@ -6,12 +6,13 @@ discards terms of order > N.  Two scalar kinds are supported:
 
 * ``"exact"``  -- fractions.Fraction coefficients, no rounding anywhere;
 * ``"double"`` -- float coefficients: up to order _EXACT_DOUBLE_MAX_N, the
-  exact kernel's result on their binary values, each rounded once; past it,
-  numpy-backed recurrences that read forward slices and, in bv_exp_wg, only
-  the live w-band: the leading columns nonzero in some earlier row, and at
-  most a given number of them.  K_n concentrates near theta log n, so past
-  the double range the band is narrow and a row costs O(n * k_live); a
-  column limit k_max keeps the whole array at (N + 1) * k_max doubles.
+  exact kernel's result on their binary values, each rounded once.  Past it,
+  h_n runs the float kernel _float_h, and bv_exp_wg a numpy-backed
+  recurrence that reads forward slices and only the live w-band: the
+  leading columns nonzero in some earlier row, and at most a given number
+  of them.  K_n concentrates near theta log n, so past the double range the
+  band is narrow and a row costs O(n * k_live); a column limit k_max keeps
+  the whole array at (N + 1) * k_max doubles.
 
 Binary operations require equal order and equal kind; callers pick the
 backend explicitly and keep it.  This module is also the one place that
@@ -40,6 +41,14 @@ either k*G_k with the earlier values or, when it has fewer nonzero terms,
 the first differences k*G_k - (k-1)*G_{k-1} with their running prefix sums;
 both give the same sum by telescoping, so an eventually constant k*G_k
 (Ewens) costs O(1) terms per order: O(n) exact h_n and O(n^2) K_n rows.
+
+_float_h is the double twin of the exact h_n kernel.  It takes the weights
+a_k = k*G_k as its caller knows them: a weight sequence passes its own
+theta_k, which stay constant where the weights are (Ewens, a tail), as
+k * (theta_k / k) in doubles need not.  It makes the same choice of form,
+but sums differences only when all are >= 0, so that no term cancels, and
+runs Python dots within a budget of products per order
+(_PY_PRODUCTS_PER_ORDER), the plain numpy loop past it.
 """
 
 from __future__ import annotations
@@ -66,8 +75,20 @@ _AUTO_EXACT_MAX_N = 200
 # family (exp-weight) costs 10/23/48/95/165 ms in its band (_exact_rows) at
 # N = 32/40/48/56/64 on one Xeon core, and 2 ms in its h_n (_exact_h) at 48; 48 is
 # the largest N within a third of the numpy import it saves (median 0.16 s, 13 MB),
-# and below 50, where bench references pin numpy's bits.
+# and below 50, where bench references pin the numpy bits of the K_n band.
 _EXACT_DOUBLE_MAX_N = 48
+
+# _float_h runs Python dots while they average at most this many products per order,
+# and numpy's loop past that.  A product costs 30-44 ns in Python, a numpy row 1.2 us
+# to N = 4000 and 5 us at N = 20000, so within the budget Python costs no more than
+# numpy's loop even where numpy is loaded already, and elsewhere it saves the import
+# (0.1 s, 13.8 MB).  Dense weights so stay in Python up to N = 127, and a summed Ewens
+# term (one product per order) at any N.  On one Xeon core, best of 5 in-process:
+#     dense N         127     200     500    1000    4000   20000
+#     Python, ms     0.36    0.75     4.1    15.6     239       -
+#     numpy, ms      0.15    0.24    0.62    1.91    6.67    99.5
+#     summed Ewens h_n: 3.0 / 14.7 / 73 ms at N = 4000 / 20000 / 100000.
+_PY_PRODUCTS_PER_ORDER = 64
 
 # The double bv_exp_wg refuses an array larger than this, before allocating:
 # the full (N + 1)^2 triangle passes it from N = 11585 on (12.8 GB at 40000).
@@ -170,19 +191,13 @@ def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
     """exp(g) for a series with vanishing constant term.
 
-    Uses n*H_n = sum_k k*g_k*H_{n-k}; exact in the rational backend.
+    Uses n*H_n = sum_k k*g_k*H_{n-k}; exact in the rational backend, and a
+    double g past the cut runs _float_h on k*g_k.
     """
     _require(isinstance(g, TruncatedSeries), "operand must be a TruncatedSeries")
     _require(g.coeffs[0] == 0, "ts_exp needs a vanishing constant term")
-    n_max = g.order
     if not _on_exact_kernel((g,)):
-        import numpy as np
-        kg = np.arange(n_max + 1, dtype=float) * np.asarray(g.coeffs)
-        hr = np.zeros(n_max + 1)  # hr[N - j] = h_j: h_{n-1}..h_0 is hr[N-n+1:]
-        hr[n_max] = 1.0
-        for n in range(1, n_max + 1):
-            hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
-        return TruncatedSeries(hr[::-1].tolist(), DOUBLE)
+        return TruncatedSeries(_float_h([k * c for k, c in enumerate(g.coeffs)]), DOUBLE)
     return TruncatedSeries([_scalar(v, q, g.kind) for v, q in _exact_h(g)], g.kind)
 
 
@@ -294,18 +309,49 @@ def _scalar(v: int, q: int, kind: str) -> Scalar:
         return math.inf if v > 0 else -math.inf
 
 
-def _terms(coeffs) -> tuple:
-    """The terms of the exact kernels' convolution sum_k k*g_k X_{n-k}: (False, the
-    nonzero k*g_k by k) or, when fewer are nonzero, (True, the nonzero first differences
-    k*g_k - (k-1)*g_{k-1} by k), which telescope to the same sum over prefix sums,
-    sum_k (k*g_k - (k-1)*g_{k-1}) (X_0 + ... + X_{n-k}).  An eventually constant
-    k*g_k (Ewens, a tail above b) so has O(1) terms."""
-    kg = [k * Fraction(c) for k, c in enumerate(coeffs)]
-    plain = {k: c for k, c in enumerate(kg) if c}
-    steps = [k for k in range(1, len(kg)) if kg[k] != kg[k - 1]]
-    if len(steps) >= len(plain):
-        return False, plain
-    return True, {k: kg[k] - kg[k - 1] for k in steps}
+def _terms(a: list, rounded: bool = False) -> tuple:
+    """The terms of the kernels' convolution sum_k a_k X_{n-k}, a_k = k*g_k (a_0 = 0):
+    (False, the nonzero a_k by k) or, when fewer are nonzero, (True, the nonzero first
+    differences a_k - a_{k-1} by k), which telescope to the same sum over prefix sums,
+    sum_k (a_k - a_{k-1}) (X_0 + ... + X_{n-k}).  An eventually constant a_k (Ewens, a
+    tail above b) so has O(1) terms.  rounded (double) differences are summed only when
+    each is finite and >= 0, so that no term cancels another."""
+    steps = {k: a[k] - a[k - 1] for k in range(1, len(a)) if a[k] != a[k - 1]}
+    if len(steps) >= len(a) - a.count(0) or rounded and not all(
+            0 <= d < math.inf for d in steps.values()):
+        return False, {k: c for k, c in enumerate(a) if c}
+    return True, steps
+
+
+def _float_h(a: Sequence[float]) -> list:
+    """h_0..h_N of exp(sum_k a_k t^k / k) in doubles from the recurrence weights
+    a_1..a_N (a_0 = 0): a weight sequence's own theta_k, or k*g_k.  Each n*h_n is one dot
+    over _terms' form, in Python while the form's products average at most
+    _PY_PRODUCTS_PER_ORDER per order; past that, the plain form on numpy."""
+    n_max = len(a) - 1
+    summed, terms = _terms(a, rounded=True)
+    span = max(terms, default=0)  # each order n reads min(n, span) products
+    if span * (2 * n_max - span + 1) > 2 * _PY_PRODUCTS_PER_ORDER * n_max:
+        import numpy as np
+        kg = np.asarray(a, dtype=float)
+        hr = np.zeros(n_max + 1)  # hr[N - j] = h_j: h_{n-1}..h_0 is hr[N-n+1:]
+        hr[n_max] = 1.0
+        for n in range(1, n_max + 1):
+            hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
+        return hr[::-1].tolist()
+    c = [0.0] * span
+    for k, v in terms.items():
+        c[k - 1] = v
+    xs, hs = [1.0], [1.0]  # xs: h_0..h_{n-1} (plain) or the last span prefix sums
+    for n in range(1, n_max + 1):
+        h = sum(map(mul, c, reversed(xs))) / n
+        if summed:
+            hs.append(h)
+            xs.append(xs[-1] + h)
+            del xs[:-span]
+        else:
+            xs.append(h)
+    return hs if summed else xs
 
 
 def _exact_h(g: TruncatedSeries) -> list:
@@ -315,7 +361,7 @@ def _exact_h(g: TruncatedSeries) -> list:
     s / (n*L) lacks.  Plain terms read X_j = h_j, every one over the final W; summed
     terms read X_j = h_0 + ... + h_j, only the last max(k) of them, and each h_n keeps
     the W of its order, so no earlier h_n is rescaled."""
-    summed, terms = _terms(g.coeffs)
+    summed, terms = _terms([k * Fraction(c) for k, c in enumerate(g.coeffs)])
     big_l = math.lcm(*[c.denominator for c in terms.values()])
     a = [0] * max(terms, default=0)
     for k, c in terms.items():
@@ -344,7 +390,8 @@ def _exact_rows(gs: tuple) -> list:
     d*q | e*Q_n, q the denominator of the row or sum a term reads; one gcd pass reduces
     the row."""
     terms = [(k, j, summed, *c.as_integer_ratio())
-             for j, s in enumerate(gs, 1) for summed, cs in [_terms(s.coeffs)]
+             for j, s in enumerate(gs, 1)
+             for summed, cs in [_terms([k * Fraction(c) for k, c in enumerate(s.coeffs)])]
              for k, c in cs.items()]
     reach = max([k for k, _, summed, _, _ in terms if summed], default=0)
     rows, sums, big_q = [([1], 1)], {}, 1

@@ -1047,3 +1047,30 @@ def test_h30_agrees_on_both_sides_of_the_exact_double_cut(capsys):
         assert (code, err) == (EXIT_OK, "")
         hs.append(json.loads(out)["rows"][0]["h"])
     assert abs(hs[0] - hs[1]) <= 1e-15 * hs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    # past the cut, on the float kernel: theta_m = e^-m
+    ("--family", "exp-weight", "--c=-1", "--theta-exp", "1", "--n", "1000"),
+    # up to the cut, the exact h_3 of theta_1 ~ 5e-324 rounded once
+    ("--family", "spatial", "--alpha=744", "--eps=0.5", "--n", "3"),
+], ids=["exp-weight", "spatial"])
+def test_double_hn_refuses_an_underflow_to_zero(capsys, argv):
+    # theta_1 > 0 makes h_n >= theta_1^n / n! > 0, so a double 0 is an underflow
+    n = argv[-1]
+    code, out, err = run_cli(capsys, "hn", *argv, "--backend", "double")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: h_{n} underflows the double range to 0, though "
+                   f"h_{n} >= theta_1^{n}/{n}! > 0; use --backend exact\n")
+    if n == "3":
+        code, out, _ = run_cli(capsys, "hn", *argv, "--backend", "exact")
+        assert code == EXIT_OK and Fraction(json.loads(out)["rows"][0]["h"]) > 0
+
+
+def test_double_hn_prints_zero_when_theta_1_is_zero(capsys):
+    # theta-shift theta 1, amp -1 has theta_1 = 0, so h_1 = theta_1 = 0 exactly
+    code, out, err = run_cli(capsys, "hn", "--family", "theta-shift", "--theta", "1",
+                             "--amp=-1", "--n-grid", "1,60", "--backend", "double")
+    assert (code, err) == (EXIT_OK, "")
+    rows = json.loads(out)["rows"]
+    assert rows[0]["h"] == 0 and rows[1]["h"] > 0

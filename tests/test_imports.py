@@ -4,16 +4,19 @@ exact integer kernel start without numpy.
 A module's imports may be read anywhere in its file, a function's only in
 that function's body.  __init__.py is skipped: its imports are the
 package's re-exports.  numpy is imported inside the functions that run
-double series past the exact-double cut, the joint-law blocks of the
+double K_n bands past the exact-double cut, double h_n over the float
+kernel's budget of Python products, the joint-law blocks of the
 poisson-vector report, diagnostics or the generalized lattice, so the
 package, the CLI module, exact commands of weighted and exp-poly
 families and double hn, dist (either target) and sample commands up to
-the cut never load it, and no sample command loads numpy.random; each
-of those runs in a fresh interpreter.  json is imported only by the
-serializer's int-row branch, so the CLI module starts without it.  The
-package defines no dataclasses, so the CLI module loads neither
-dataclasses nor the inspect module it pulls in, and configparser loads
-only where a --config file is read.
+the cut never load it.  Past the cut, h_n within the budget (Ewens at
+any n, dense weights up to n = 127) keeps double hn, dist --target
+cycles and sample off numpy too, and no sample command loads
+numpy.random; each of those runs in a fresh interpreter.  json is
+imported only by the serializer's int-row branch, so the CLI module
+starts without it.  The package defines no dataclasses, so the CLI
+module loads neither dataclasses nor the inspect module it pulls in,
+and configparser loads only where a --config file is read.
 """
 
 import ast
@@ -123,11 +126,16 @@ QUAD = ("--family", "quad", "--config", str(Path(__file__).resolve().parent / "e
     _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "48", "--backend", "double"),
     _cli("dist", *EXP_POLY, "--target", "cycles", "--b", "2", "--n", "30", "--backend", "double"),
     _cli("dist", *POLYLOG, "--target", "cycles", "--b", "2", "--n", "30", "--oracle"),
+    # past the cut, h_n of summed or short terms runs on Python floats
+    _cli("hn", *EWENS, "--n-grid", "100,20000", "--backend", "double"),
+    _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "60", "--backend", "double"),
+    _cli("hn", "--family", "theta-shift", "--theta", "1", "--n", "100", "--backend", "double"),
 ], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles",
         "dist-cycles-oracle", "exp-poly-hn", "exp-poly-dist", "exp-poly-dist-oracle",
         "exp-poly-dist-cycles", "exp-poly-b2-hn", "exp-poly-b2-dist", "exp-poly-b2-dist-cycles",
         "polylog-hn-double", "polylog-dist-oracle-double", "dist-double", "exp-poly-dist-double",
-        "dist-cycles-double", "exp-poly-dist-cycles-double", "polylog-dist-cycles-oracle-double"])
+        "dist-cycles-double", "exp-poly-dist-cycles-double", "polylog-dist-cycles-oracle-double",
+        "hn-double-past-cut", "dist-cycles-double-past-cut", "theta-shift-hn-double-past-cut"])
 def test_exact_paths_do_not_load_numpy(code):
     res = _loads(code)
     assert res.returncode == 0, res.stderr
@@ -138,15 +146,16 @@ def test_exact_paths_do_not_load_numpy(code):
 
 
 @pytest.mark.parametrize("flags", [(), ("--cycle-type-only",)], ids=["permutation", "cycle-type"])
-@pytest.mark.parametrize("n", [1, 8, 48, 60])
+@pytest.mark.parametrize("n", [1, 8, 48, 60, 4000])
 def test_sample_loads_no_numpy_random(n, flags):
-    # random.Random draws; only h_n past the exact-double cut needs numpy
+    # random.Random draws; Ewens h_n past the exact-double cut is one summed
+    # term per order on Python floats
     code = _cli("sample", *EWENS, "--n", str(n), "--count", "3", "--seed", "7", *flags)
-    for module, loaded in (("numpy", n > 48), ("numpy.random", False)):
+    for module in ("numpy", "numpy.random"):
         res = _loads(code, module)
         assert res.returncode == 0, res.stderr
         assert '"command": "sample"' in res.stdout
-        assert res.stderr.splitlines()[-1] == str(loaded)
+        assert res.stderr.splitlines()[-1] == "False"
 
 
 def test_cli_import_leaves_json_unloaded():
@@ -176,9 +185,10 @@ def test_config_command_loads_configparser():
 
 
 def test_double_command_loads_numpy():
-    # past the exact-double cut the double series run on numpy
-    for code in (_cli("hn", *EWENS, "--n", "200", "--backend", "double"),
-                 _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "49",
+    # past the exact-double cut the K_n band runs on numpy, and so does an h_n
+    # of dense weights past the float kernel's budget of Python products
+    for code in (_cli("dist", *EWENS, "--n", "49", "--backend", "double"),
+                 _cli("hn", "--family", "theta-shift", "--theta", "1", "--n", "4000",
                       "--backend", "double")):
         res = _loads(code)
         assert res.returncode == 0, res.stderr

@@ -6,12 +6,15 @@ ts_mul with hand convolution, and the dense full-triangle loop that the
 double bv_exp_wg must reproduce while reading only its live w-band; its
 full band is in turn the reference for the column-limited band.  Double
 series up to the cut _EXACT_DOUBLE_MAX_N must be the exact results on the
-same double inputs, each rounded once; past it, the numpy kernels run.
+same double inputs, each rounded once; past it, the K_n rows run on numpy
+and h_n on the float kernel, within 1e-13 of the exact kernel on the same
+binary weights.
 """
 
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +25,8 @@ from cyclemeter import series
 from cyclemeter.catalog import KINDS, build_family
 from cyclemeter.errors import ResourceError, UsageError
 from cyclemeter.measure import WeightSequence, _at, normalization_constants, total_cycles_pmf
-from cyclemeter.series import (DOUBLE, EXACT, TruncatedSeries, bv_exp_wg, ts_exp,
-                               ts_log, ts_mul)
+from cyclemeter.series import (DOUBLE, EXACT, TruncatedSeries, _exact_h, _float_h, bv_exp_wg,
+                               ts_exp, ts_log, ts_mul)
 
 
 def harmonic_log_series(theta, order):
@@ -351,12 +354,15 @@ def test_small_double_series_round_the_exact_ones_once(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_double_series_past_the_cut_stay_on_numpy(kind, monkeypatch):
+def test_double_series_past_the_cut_run_numpy_rows_and_the_float_h(kind, monkeypatch):
+    # Past the cut the K_n rows stay on numpy and h_n runs the float kernel on k*g_k.
     parts = build_family(kind, _KIND_PARAMS[kind]).weights.log_series(_CUT + 1, DOUBLE)
-    rows, h = bv_exp_wg(*parts), ts_exp(_at(parts))
+    g = _at(parts)
+    rows, h = bv_exp_wg(*parts), ts_exp(g)
     assert isinstance(rows, np.ndarray)
+    assert h.coeffs == tuple(series._float_h([k * c for k, c in enumerate(g.coeffs)]))
     monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)
-    assert np.array_equal(rows, bv_exp_wg(*parts)) and h == ts_exp(_at(parts))
+    assert np.array_equal(rows, bv_exp_wg(*parts)) and h == ts_exp(g)
 
 
 def test_small_double_series_overflow_to_inf_as_numpy_does(monkeypatch):
@@ -364,17 +370,27 @@ def test_small_double_series_overflow_to_inf_as_numpy_does(monkeypatch):
     # finite inputs, as the Chernoff bound of a clt report meets it.  numpy
     # overflows there too, and in more w-degrees, whose dot products pass
     # the double range before the division by n.  A non-finite input keeps
-    # the numpy kernels.
+    # the numpy kernels.  Past the cut, exp(8 sum_m e^{12 m} t^m / m) has
+    # h_n = e^{12 n} C(n + 7, 7): h_57 ~ e^704.5 is finite, h_58 ~ e^716.7 is
+    # not, and its Python dots overflow where the float kernel's numpy loop does.
     g = weight_series(lambda m: 8 * math.exp(17.6 * m), 40)
     h, rows = ts_exp(g).coeffs, bv_exp_wg(g)
     assert math.isfinite(h[39]) and h[40] == math.inf
     assert isinstance(rows, list) and math.inf in rows[40]
+    past = [8 * math.exp(12 * m) if m else 0.0 for m in range(60)]
+    python_h = series._float_h(past)
+    assert math.isfinite(python_h[57]) and python_h[58] == math.inf
     with np.errstate(all="ignore"):
         assert isinstance(bv_exp_wg(TruncatedSeries((*g.coeffs[:-1], math.inf), DOUBLE)),
                           np.ndarray)
+        monkeypatch.setattr(series, "_PY_PRODUCTS_PER_ORDER", 0)  # the numpy loop
+        numpy_h = series._float_h(past)
         monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)
         ref_h, ref_rows = ts_exp(g).coeffs, bv_exp_wg(g)
     assert [math.isinf(v) for v in h] == [math.isinf(v) for v in ref_h]
+    assert [math.isinf(v) for v in python_h] == [math.isinf(v) for v in numpy_h]
+    for a, b in zip(python_h, numpy_h):
+        assert a == b or abs(a - b) <= 1e-13 * b
     rows = np.array(rows)
     assert np.all(np.isinf(ref_rows)[np.isinf(rows)]) and not np.isnan(ref_rows).any()
     both = np.isfinite(ref_rows)
@@ -458,9 +474,79 @@ def test_summed_ewens_rows_hold_no_more_memory(monkeypatch):
             tracemalloc.stop()
 
     summed, summed_peak = peak()
-    assert series._terms(parts[0].coeffs)[0]
-    monkeypatch.setattr(series, "_terms", lambda coeffs: (False, {
-        k: k * Fraction(c) for k, c in enumerate(coeffs) if k and c}))
+    assert series._terms([k * c for k, c in enumerate(parts[0].coeffs)])[0]
+    monkeypatch.setattr(series, "_terms", lambda a: (False, {k: c for k, c in enumerate(a) if c}))
     plain, plain_peak = peak()
     assert summed == plain
     assert summed_peak <= 1.05 * plain_peak
+
+
+def exact_h_of(a) -> list:
+    # the exact kernel's h_n on the binary values of the weights a_k, rounded once
+    g = TruncatedSeries([0] + [Fraction(c) / k for k, c in enumerate(a) if k], EXACT)
+    return [rounded(Fraction(v, q)) for v, q in _exact_h(g)]
+
+
+def assert_close(got, want, tol=1e-13):
+    assert len(got) == len(want)
+    for n, (x, y) in enumerate(zip(got, want)):
+        assert x == y or abs(x - y) <= tol * y, n
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)],
+                         ids=["1/2", "1", "2", "3"])
+def test_double_ewens_h_to_20000_is_the_rising_factorial(theta):
+    # One summed term, n h_n = theta (h_0 + ... + h_{n-1}), run on Python floats:
+    # within 1e-13 of h_n = theta^(n) / n! (checked at n < 100 and every 20th n).
+    n_max = 20000
+    h = normalization_constants(WeightSequence.constant(theta), n_max, DOUBLE)
+    p, q = theta.as_integer_ratio()
+    num = den = 1
+    for n in range(1, n_max + 1):
+        num *= p + (n - 1) * q
+        den *= q * n
+        if n < 100 or n % 20 == 0:
+            assert abs(h[n] - num / den) <= 1e-13 * (num / den), n
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_double_h_is_the_exact_kernel_on_the_same_binary_weights(kind):
+    # A WeightSequence's own theta_k past the cut, k*g_k for exp-poly.
+    n_max = 200
+    weights = build_family(kind, _KIND_PARAMS[kind]).weights
+    h = normalization_constants(weights, n_max, DOUBLE)
+    if isinstance(weights, WeightSequence):
+        a = [0.0] + [weights.theta(k) for k in range(1, n_max + 1)]
+    else:
+        a = [k * c for k, c in enumerate(_at(weights.log_series(n_max, DOUBLE)).coeffs)]
+    assert_close(h, exact_h_of(a))
+
+
+_DYADIC = st.integers(0, 1 << 10).map(lambda i: i / 64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(head=st.lists(_DYADIC, max_size=8), tail=_DYADIC, order=st.integers(1, 300))
+def test_float_h_is_the_exact_kernel_rounded(head, tail, order):
+    # Nonnegative weights, a random head and then a constant tail: summed
+    # differences wherever they are fewer and all >= 0, so a head that
+    # decreases takes the plain form.  Both inner loops, whichever the order picks.
+    a = ([0.0] + head + [tail] * order)[: order + 1]
+    if any(y < x for x, y in zip(a, a[1:])):
+        assert not series._terms(a, rounded=True)[0]
+    want = exact_h_of(a)
+    for budget in (0, series._PY_PRODUCTS_PER_ORDER, order):  # numpy, as chosen, Python
+        with mock.patch.object(series, "_PY_PRODUCTS_PER_ORDER", budget):
+            assert_close(_float_h(a), want)
+
+
+@pytest.mark.parametrize("spike", [1e10, 1.0])
+def test_a_spike_keeps_the_plain_form(spike):
+    # theta_1 = spike, theta_k = spike * 1e-10 after: the difference at k = 2 is < 0,
+    # and summed differences would cancel.  At spike 1, h_n falls to about
+    # 1e-10 e / n, and the summed form would lose six digits; at 1e10, h_n
+    # overflows from n = 35 on.
+    a = [0.0, spike] + [spike * 1e-10] * 299
+    assert series._terms(a, rounded=True) == (False, {k: c for k, c in enumerate(a) if c})
+    with np.errstate(all="ignore"):
+        assert_close(_float_h(a), exact_h_of(a))
