@@ -22,8 +22,9 @@ the estimators report as 0 rather than an error.
 The catalog constructors classify the families studied here: constant
 weights, algebraically perturbed weights, polylogarithmic weights
 (g = Li_{1+delta}), stretched-exponential weights exp(c*m^p), and
-exponentials of perturbed exponents.  Families falling outside F/eF get
-status flags instead of a class and the estimators refuse them.
+exponentials of perturbed exponents.  Only the transfer asymptotics read
+a family's class, so it is computed on first read; families falling outside
+F/eF give a refusal reason instead, and the estimators refuse them.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ from .errors import ConvergenceError, UnsupportedClassError, UsageError
 from .measure import WeightSequence, _WeightRule
 from .series import to_fraction
 from .specfun import complex_gamma, reciprocal_gamma, riemann_zeta
-
-STATUS_OK = "ok"
-STATUS_UNSUPPORTED = "unsupported"
-STATUS_OPEN = "open"
-STATUS_ZERO_RADIUS = "zero-radius"
-STATUS_ENTIRE = "entire"
-
 
 class SingularityClass(namedtuple("SingularityClass", "r theta K gamma")):
     """F(r, theta) or, given gamma, eF(r, theta, gamma) data with the constant K."""
@@ -64,27 +58,33 @@ class SingularityClass(namedtuple("SingularityClass", "r theta K gamma")):
     def kind(self) -> str:
         return "F" if self.gamma is None else "eF"
 
-    @property
-    def main_term_zero(self) -> bool:
-        """theta = 0: 1/Gamma(theta) kills the transfer main term of h_n."""
-        return self.theta == 0
-
 
 class WeightFamily:
-    """Weights with their classification: a weight sequence or, for exp-poly,
-    the per-multiplicity GeneralizedWeights (the finite-n laws and the
-    partition oracle take either)."""
+    """Weights (a WeightSequence or, for exp-poly, the per-multiplicity
+    GeneralizedWeights; the finite-n laws and the oracle take either) and the
+    regime, a callable giving the SingularityClass or the reason there is
+    none, run on the first read of cls and kept, an exception included."""
 
-    def __init__(self, weights: _WeightRule, cls: Optional[SingularityClass],
-                 provenance: str, status: str = STATUS_OK, note: str = ""):
-        self.weights, self.cls, self.provenance = weights, cls, provenance
-        self.status, self.note = status, note
+    def __init__(self, weights: _WeightRule, provenance: str,
+                 regime: Callable[[], SingularityClass | str]):
+        self.weights, self.provenance, self.regime = weights, provenance, regime
+        self._outcome = None
 
-    def require_class(self) -> SingularityClass:
-        if self.cls is None:
-            raise UnsupportedClassError(
-                f"family {self.provenance} is {self.status}: {self.note or 'no usable singularity class'}")
-        return self.cls
+    @property
+    def cls(self) -> SingularityClass:
+        """The class; a refusal raises UnsupportedClassError, an overflow UsageError."""
+        if self._outcome is None:
+            try:
+                outcome = self.regime()
+            except OverflowError:
+                outcome = UsageError(
+                    f"family {self.provenance} overflows a double at these parameters")
+            except Exception as exc:
+                outcome = exc
+            self._outcome = UnsupportedClassError(outcome) if isinstance(outcome, str) else outcome
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome
 
 
 # -- catalog ---------------------------------------------------------------
@@ -96,8 +96,7 @@ def ewens_family(theta) -> WeightFamily:
     if frac <= 0:
         raise UsageError(f"constant weight must be > 0, got {theta}")
     weights = WeightSequence.constant(frac, name=f"ewens({theta})")
-    cls = SingularityClass(1.0, float(frac), 0.0)
-    return WeightFamily(weights, cls, "ewens")
+    return WeightFamily(weights, "ewens", lambda: SingularityClass(1.0, float(frac), 0.0))
 
 
 def theta_shift_family(theta, amp=1, power=2) -> WeightFamily:
@@ -124,12 +123,13 @@ def theta_shift_family(theta, amp=1, power=2) -> WeightFamily:
 
     exact_fn = (lambda m: theta_f + amp_f / Fraction(m ** p_int)) if power_f == p_int else None
 
+    def regime() -> SingularityClass:
+        K = float(amp_f) * riemann_zeta(1 + Fraction(power_f))
+        return SingularityClass(1.0, float(theta_f), K, gamma=min(power_f, 1.0))
+
     weights = WeightSequence(eval_fn, name=f"theta-shift({theta},{amp},{power})",
                              exact_fn=exact_fn)
-    gamma = min(power_f, 1.0)
-    K = float(amp_f) * riemann_zeta(1 + Fraction(power_f))
-    cls = SingularityClass(1.0, float(theta_f), K, gamma=gamma)
-    return WeightFamily(weights, cls, "theta-shift")
+    return WeightFamily(weights, "theta-shift", regime)
 
 
 def polylog_family(delta) -> WeightFamily:
@@ -148,19 +148,28 @@ def polylog_family(delta) -> WeightFamily:
 
     if delta_f == 0:
         fam = ewens_family(1)
-        return WeightFamily(fam.weights, fam.cls, "polylog")
+        return WeightFamily(fam.weights, "polylog", fam.regime)
 
     def eval_fn(m: int) -> float:
         return float(m) ** (-delta_f)
 
     exact_fn = (lambda m: Fraction(m) ** -d_int) if delta_f == d_int else None
 
+    def regime():
+        if delta_f < 0:
+            return "g has an algebraic blow-up at 1, outside classes F/eF"
+        return SingularityClass(1.0, 0.0, riemann_zeta(1 + Fraction(delta_f)))
+
     weights = WeightSequence(eval_fn, name=f"polylog({delta})", exact_fn=exact_fn)
-    if delta_f > 0:
-        cls = SingularityClass(1.0, 0.0, riemann_zeta(1 + Fraction(delta_f)))
-        return WeightFamily(weights, cls, "polylog")
-    return WeightFamily(weights, None, "polylog", status=STATUS_UNSUPPORTED,
-                        note="g has an algebraic blow-up at 1, outside classes F/eF")
+    return WeightFamily(weights, "polylog", regime)
+
+
+def _exp_weight(x: float, m: int) -> float:
+    """e^x as theta_m; hn tells an underflowed h_n from a true 0 by theta_1 > 0
+    (h_n >= theta_1^n/n!), so a theta_1 that rounds to 0 is refused."""
+    if m == 1 and math.exp(x) == 0:
+        raise UsageError(f"theta_1 = e^{x} underflows the double range to 0")
+    return math.exp(x)
 
 
 def exp_weight_family(c, theta_exp) -> WeightFamily:
@@ -169,45 +178,34 @@ def exp_weight_family(c, theta_exp) -> WeightFamily:
     Radius of g: 1 for theta_exp < 1, e^{-c} at theta_exp = 1, and 0 or
     infinity for theta_exp > 1 depending on the sign of c.  Supported
     classes: F for theta_exp = 0 and 1, eF(1, 1, min(-theta_exp, 1)) for
-    theta_exp < 0; the stretched regimes in between are flagged
-    open/unsupported.
+    theta_exp < 0; the stretched regimes in between are refused as
+    open or unsupported.
     """
     c_f = float(c)
     p_f = float(theta_exp)
-
-    def eval_fn(m: int) -> float:
-        return math.exp(c_f * m**p_f)
-
-    weights = WeightSequence(eval_fn, name=f"exp-weight({c},{theta_exp})")
-
     if c_f == 0.0:
         fam = ewens_family(1)
-        return WeightFamily(fam.weights, fam.cls, "exp-weight")
+        return WeightFamily(fam.weights, "exp-weight", fam.regime)
 
-    if p_f > 1.0:
-        if c_f > 0:
-            return WeightFamily(weights, None, "exp-weight", status=STATUS_ZERO_RADIUS,
-                                note="weights grow faster than geometrically; g has radius 0")
-        return WeightFamily(weights, None, "exp-weight", status=STATUS_ENTIRE,
-                            note="g is entire; no dominant singularity to transfer")
+    def eval_fn(m: int) -> float:
+        return _exp_weight(c_f * m**p_f, m)
 
-    if p_f == 1.0:
-        cls = SingularityClass(math.exp(-c_f), 1.0, 0.0)
-        return WeightFamily(weights, cls, "exp-weight")
+    def regime():
+        if p_f > 1.0:
+            return ("weights grow faster than geometrically; g has radius 0" if c_f > 0
+                    else "g is entire; no dominant singularity to transfer")
+        if p_f == 1.0:
+            return SingularityClass(math.exp(-c_f), 1.0, 0.0)
+        if p_f == 0.0:
+            return SingularityClass(1.0, math.exp(c_f), 0.0)
+        if p_f < 0.0:
+            return _exp_perturbation_class(1.0, c_f, p_f)
+        if c_f > 0:  # 0 < theta_exp < 1
+            return "stretched-exponential growth: asymptotics open"
+        return "g bounded at 1 without log term; transfer not applicable"
 
-    if p_f == 0.0:
-        cls = SingularityClass(1.0, math.exp(c_f), 0.0)
-        return WeightFamily(weights, cls, "exp-weight", note="constant weights e^c")
-
-    if p_f < 0.0:
-        return WeightFamily(weights, _exp_perturbation_class(1.0, c_f, p_f), "exp-weight")
-
-    # 0 < theta_exp < 1
-    if c_f > 0:
-        return WeightFamily(weights, None, "exp-weight", status=STATUS_OPEN,
-                            note="stretched-exponential growth: asymptotics open")
-    return WeightFamily(weights, None, "exp-weight", status=STATUS_UNSUPPORTED,
-                        note="g bounded at 1 without log term; transfer not applicable")
+    weights = WeightSequence(eval_fn, name=f"exp-weight({c},{theta_exp})")
+    return WeightFamily(weights, "exp-weight", regime)
 
 
 def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
@@ -221,20 +219,21 @@ def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
     alpha_f = float(alpha)
     amp_f = float(amp)
     power_f = float(power)
-    theta_lim = math.exp(-alpha_f)
+    if amp_f and power_f <= 0:
+        raise UsageError(f"perturbation power must be > 0, got {power}")
 
     def eval_fn(m: int) -> float:
         # amp = 0 skips m**power, which can underflow to 0 for power < 0
-        return math.exp(-(alpha_f + (amp_f / m**power_f if amp_f else 0.0)))
+        return _exp_weight(-(alpha_f + (amp_f / m**power_f if amp_f else 0.0)), m)
+
+    def regime() -> SingularityClass:
+        theta_lim = math.exp(-alpha_f)
+        if amp_f == 0.0:
+            return SingularityClass(1.0, theta_lim, 0.0)
+        return _exp_perturbation_class(theta_lim, -amp_f, -power_f)
 
     weights = WeightSequence(eval_fn, name=f"alpha-exp({alpha},{amp},{power})")
-    if amp_f == 0.0:
-        cls = SingularityClass(1.0, theta_lim, 0.0)
-        return WeightFamily(weights, cls, "alpha-exp")
-    if power_f <= 0:
-        raise UsageError(f"perturbation power must be > 0, got {power}")
-    return WeightFamily(weights, _exp_perturbation_class(theta_lim, -amp_f, -power_f),
-                        "alpha-exp")
+    return WeightFamily(weights, "alpha-exp", regime)
 
 
 def _exp_perturbation_class(scale: float, c: float, p: float) -> SingularityClass:
@@ -347,7 +346,7 @@ def asymptotic_hn(cls: SingularityClass, n: int) -> float:
         raise UsageError("cls must be a SingularityClass")
     if not (isinstance(n, (int, float)) and n > 0):
         raise UsageError(f"n must be positive, got {n!r}")
-    if cls.main_term_zero:
+    if cls.theta == 0:  # 1/Gamma(theta) kills the main term
         raise UnsupportedClassError(
             "main term vanishes (theta = 0); no leading-order h_n available")
     log_value = cls.K + (cls.theta - 1.0) * math.log(n) - n * math.log(cls.r)

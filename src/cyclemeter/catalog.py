@@ -101,8 +101,8 @@ def _build_spatial(alpha: float = 0.0, eps: Optional[list] = None,
         model = SpatialModel.from_energies(eps, alpha=alpha)
     else:
         raise UsageError("spatial family needs --eps or config key decays")
-    return WeightFamily(spatial_effective_weights(model), spatial_class_params(model),
-                        "spatial")
+    return WeightFamily(spatial_effective_weights(model), "spatial",
+                        lambda: spatial_class_params(model))
 
 
 def _build_exp_poly(theta: Fraction, **higher: Fraction) -> WeightFamily:
@@ -110,8 +110,12 @@ def _build_exp_poly(theta: Fraction, **higher: Fraction) -> WeightFamily:
     per-multiplicity GeneralizedWeights."""
     higher = {int(k[1:]): b for k, b in higher.items()}
     weights = exp_polynomial_weights(theta, higher)
-    K = sum(float(b) * riemann_zeta(float(j)) for j, b in sorted(higher.items()))
-    return WeightFamily(weights, SingularityClass(1.0, float(theta), K), "exp-poly")
+
+    def regime() -> SingularityClass:
+        K = sum(float(b) * riemann_zeta(float(j)) for j, b in sorted(higher.items()))
+        return SingularityClass(1.0, float(theta), K)
+
+    return WeightFamily(weights, "exp-poly", regime)
 
 
 _THETA = "weight parameter"
@@ -176,10 +180,7 @@ def build_family(kind: str, params: dict) -> WeightFamily:
     for p in accepted:
         if p.required and p.name not in values:
             raise UsageError(f"family parameter {p.shown} is required")
-    try:
-        return build(**values)
-    except OverflowError as exc:
-        raise UsageError(f"family {kind} overflows a double at these parameters") from exc
+    return build(**values)
 
 
 def load_config(path: str) -> dict:

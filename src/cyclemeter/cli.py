@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success; 2 usage or config error (a missing class among them),
 a refused size, or an unwritable --output; 3 mathematical inconsistency
-(oracle mismatch, degenerate measure, Gamma pole, or a class constant K
-that does not converge); 4 failed trend assertion (--assert-trends).
+(oracle mismatch, degenerate measure, Gamma pole, or a report's class constant
+K that does not converge); 4 failed trend assertion (--assert-trends).
 
 Output is deterministic: identical invocations produce identical bytes;
 floats carry 17 significant digits.  `sample` draws and writes its rows
@@ -153,21 +153,18 @@ def _run_hn(args) -> tuple:
     n_max = max(ns)
     backend = _resolve_backend(args, handle.weights, n_max)
     h = normalization_constants(handle.weights, n_max, backend)
-    cls = handle.cls
     rows = []
     for n in ns:
         if backend == DOUBLE and h[n] == 0 and handle.weights.cycle_factors(1, 1, EXACT)[1]:
             raise ResourceError(f"h_{n} underflows the double range to 0, though "
                                 f"h_{n} >= theta_1^{n}/{n}! > 0; use --backend exact")
-        asym = ratio = None
-        if cls is not None and not cls.main_term_zero and n > 0:
-            try:
-                asym = asymptotic_hn(cls, n)
-            except UsageError:  # only the estimate overflows; h is still printed
-                asym = None
-            ratio = float(h[n]) / asym if asym else None
-        rows.append({"n": n, "h": _scalar_out(h[n]),
-                     "asymptotic": asym, "ratio": ratio})
+        asym = None
+        try:  # h is printed without it where the regime fails or it overflows
+            asym = asymptotic_hn(handle.cls, n)
+        except (UnsupportedClassError, ConvergenceError, UsageError):
+            pass
+        rows.append({"n": n, "h": _scalar_out(h[n]), "asymptotic": asym,
+                     "ratio": float(h[n]) / asym if asym else None})
     doc = {"command": "hn", "family": args.family, "backend": backend, "rows": rows}
     return doc, [["n", "h", "asymptotic", "ratio"]] + [list(row.values()) for row in rows]
 
@@ -252,9 +249,11 @@ def _run_report(args) -> tuple:
     if isinstance(handle.weights, GeneralizedWeights):
         raise UsageError("reports need a weighted family (generalized handles "
                          "support hn and dist)")
-    if handle.cls is None:
+    try:
+        handle.cls  # read before any law, so that its refusal is a usage error
+    except UnsupportedClassError as exc:
         raise UsageError(f"family {args.family} has no usable singularity class "
-                         f"for reports: {handle.note or handle.status}")
+                         f"for reports: {exc}") from None
     if args.kind == "large-dev":
         grid = _parse_grid(args)
         if len(grid) != 1:

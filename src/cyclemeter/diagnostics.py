@@ -131,7 +131,7 @@ def _fit_slope(n_values: Sequence[int], values: Sequence[float]) -> Optional[flo
 def _reference(family: WeightFamily, n_values: Sequence[int]) -> tuple:
     """Reference decay of the transfer error term: 1/n for class F,
     log(n)/n^gamma for class eF."""
-    cls = family.require_class()
+    cls = family.cls
     if cls.kind == "F":
         return "1/n", [1.0 / n for n in n_values]
     gamma = cls.gamma or 1.0
@@ -150,7 +150,7 @@ def poisson_vector_report(family: WeightFamily, b: int,
     tuples (np.add.accumulate, carried from block to block), as the
     references pin their rounding.
     """
-    cls = family.require_class()
+    cls = family.cls
     ns = _check_grid(n_values)
     lams = [family.weights.theta(m) * cls.r**m / m for m in range(1, b + 1)]
     if any(l <= 0 for l in lams):
@@ -188,7 +188,7 @@ def mod_poisson_report(family: WeightFamily, n_values: Sequence[int],
     e^{K (e^{is}-1)}; that variant needs no knowledge of K, so both are
     reported.
     """
-    cls = family.require_class()
+    cls = family.cls
     if cls.theta <= 0:
         raise UsageError("mod-Poisson limit needs theta > 0")
     ns = _check_grid(n_values)
@@ -236,7 +236,7 @@ def clt_report(family: WeightFamily, n_values: Sequence[int]) -> list:
     agree at theta = 1, and the sqrt(theta log n) row is the one with a
     genuine Gaussian limit.
     """
-    cls = family.require_class()
+    cls = family.cls
     if cls.theta <= 0:
         raise UsageError("CLT normalization needs theta > 0")
     ns = _check_grid(n_values)
@@ -274,7 +274,7 @@ def _lattice_vs_normal(pmf: Pmf, center: float, scale: float) -> float:
 
 def poisson_k_approx_report(family: WeightFamily, n_values: Sequence[int]) -> list:
     """d_loc and d_K between the law of K_n and Poisson(K + theta log n)."""
-    cls = family.require_class()
+    cls = family.cls
     if cls.theta <= 0:
         raise UsageError("Poisson approximation needs theta > 0")
     ns = _check_grid(n_values)
@@ -302,7 +302,7 @@ def large_deviation_table(family: WeightFamily, n: int, k: Optional[int] = None,
     tail; pass k explicitly to pin the evaluation spot instead.  The law
     of K_n is truncated at measure.K_TAIL, keeping its atoms through k.
     """
-    cls = family.require_class()
+    cls = family.cls
     if cls.theta <= 0:
         raise UsageError("large-deviation estimate needs theta > 0")
 

@@ -18,6 +18,7 @@ from cyclemeter.asymptotics import (LargeDeviationEstimate, LindelofResult,
                                     lindelof_eval, mod_poisson_limit,
                                     polylog_family, theta_shift_constant,
                                     theta_shift_family)
+from cyclemeter.catalog import build_family
 from cyclemeter.errors import (ConvergenceError, UnsupportedClassError,
                                UsageError)
 from cyclemeter.measure import normalization_constants
@@ -66,15 +67,71 @@ def test_result_records_are_immutable_values():
             setattr(obj, name, 0.0)
 
 
-def test_weight_family_keeps_its_fields_and_is_mutable():
+def test_weight_family_reads_its_regime_once_and_keeps_the_outcome():
     fam = ewens_family(2)
-    same = WeightFamily(fam.weights, fam.cls, "ewens")
-    assert (same.status, same.note) == ("ok", "")
-    bare = WeightFamily(fam.weights, None, "x", status="open", note="why")
-    with pytest.raises(UnsupportedClassError, match="family x is open: why"):
-        bare.require_class()
-    same.note = "changed"
-    assert same.note == "changed"
+    calls = []
+
+    def regime():
+        calls.append(1)
+        return fam.cls
+
+    same = WeightFamily(fam.weights, "ewens", regime)
+    assert (same.weights, same.provenance) == (fam.weights, "ewens")
+    assert calls == []  # nothing runs until the class is read
+    assert same.cls is same.cls is fam.cls
+    assert calls == [1]
+    bare = WeightFamily(fam.weights, "x", lambda: calls.append(2) or "why")
+    for _ in range(2):
+        with pytest.raises(UnsupportedClassError, match="^why$"):
+            bare.cls
+    failing = WeightFamily(fam.weights, "x", lambda: calls.append(3) or 1 / 0)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            failing.cls
+    huge = WeightFamily(fam.weights, "x", lambda: calls.append(4) or math.exp(1000))
+    for _ in range(2):
+        with pytest.raises(UsageError, match="^family x overflows a double at these parameters$"):
+            huge.cls
+    assert calls == [1, 2, 3, 4]
+    same.provenance = "changed"
+    assert same.provenance == "changed"
+
+
+# (r, theta, K, gamma) of every catalog kind, bit for bit (float.hex)
+@pytest.mark.parametrize("kind, params, data", [
+    ("ewens", {"theta": "3/2"}, ("0x1.0000000000000p+0", "0x1.8000000000000p+0",
+                                 "0x0.0p+0", None)),
+    ("theta-shift", {"theta": "1", "amp": "1", "power": "2"},
+     ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.33ba004f0061fp+0",
+      "0x1.0000000000000p+0")),
+    ("theta-shift", {"theta": "1", "amp": "3", "power": "1/2"},
+     ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f593791f9c4eep+2",
+      "0x1.0000000000000p-1")),
+    ("polylog", {"delta": "1"}, ("0x1.0000000000000p+0", "0x0.0p+0",
+                                 "0x1.a51a6625307d4p+0", None)),
+    ("polylog", {"delta": "0"}, ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                                 "0x0.0p+0", None)),
+    ("exp-weight", {"c": "0.7", "theta_exp": "1"},
+     ("0x1.fc80db9dd5542p-2", "0x1.0000000000000p+0", "0x0.0p+0", None)),
+    ("exp-weight", {"c": "0.3", "theta_exp": "0"},
+     ("0x1.0000000000000p+0", "0x1.599058c8c1a96p+0", "0x0.0p+0", None)),
+    ("exp-weight", {"c": "-1", "theta_exp": "-1/2"},
+     ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.f8b2a9639b76ep+0",
+      "0x1.0000000000000p-1")),
+    ("alpha-exp", {"alpha": "1/2"}, ("0x1.0000000000000p+0", "0x1.368b2fc6f960ap-1",
+                                     "0x0.0p+0", None)),
+    ("alpha-exp", {"alpha": "1/2", "amp": "1", "power": "2"},
+     ("0x1.0000000000000p+0", "0x1.368b2fc6f960ap-1", "-0x1.fb71b5b01e7e8p-2",
+      "0x1.0000000000000p+0")),
+    ("spatial", {"eps": "0.5,1"}, ("0x1.a61298e1e069cp+0", "0x1.0000000000000p+0",
+                                   "0x1.dd91afe787e66p-1", None)),
+    ("exp-poly", {"theta": "1", "b2": "1/4"}, ("0x1.0000000000000p+0",
+                                               "0x1.0000000000000p+0",
+                                               "0x1.a51a6625307d4p-2", None)),
+])
+def test_class_data_is_pinned_bit_for_bit(kind, params, data):
+    cls = build_family(kind, params).cls
+    assert tuple(None if v is None else float.hex(v) for v in cls) == data
 
 
 def test_ewens_class():
@@ -97,22 +154,23 @@ def test_theta_shift_class_and_constant():
 
 def test_polylog_classification():
     pos = polylog_family(1)
-    assert pos.cls.main_term_zero
     assert pos.cls.theta == 0.0
     assert pos.cls.K == pytest.approx(riemann_zeta(2), rel=1e-14)
     neg = polylog_family(-0.5)
-    assert neg.cls is None
-    with pytest.raises(UnsupportedClassError):
-        neg.require_class()
+    with pytest.raises(UnsupportedClassError, match="algebraic blow-up"):
+        neg.cls
     zero = polylog_family(0)
     assert zero.cls.theta == 1.0
 
 
 def test_exp_weight_regimes():
-    assert exp_weight_family(1.0, 2.0).status == "zero-radius"
-    assert exp_weight_family(-1.0, 2.0).status == "entire"
-    assert exp_weight_family(1.0, 0.5).status == "open"
-    assert exp_weight_family(-1.0, 0.5).status == "unsupported"
+    reasons = set()
+    for c, p, word in ((1.0, 2.0, "radius 0"), (-1.0, 2.0, "entire"),
+                       (1.0, 0.5, "open"), (-1.0, 0.5, "not applicable")):
+        with pytest.raises(UnsupportedClassError, match=word) as refusal:
+            exp_weight_family(c, p).cls
+        reasons.add(str(refusal.value))
+    assert len(reasons) == 4
     pole = exp_weight_family(0.7, 1.0)
     assert pole.cls.r == pytest.approx(math.exp(-0.7), rel=1e-15)
     assert pole.cls.theta == 1.0
@@ -148,11 +206,10 @@ def test_exp_weight_constant_does_not_depend_on_the_split(c, p):
 
 def test_slow_exp_perturbations_are_refused():
     # A head of about 6e10 terms, and a power too small for 1 - p to carry
-    # K to double accuracy.
-    with pytest.raises(ConvergenceError):
-        alpha_exp_family(0.5, amp=1e6, power=0.5)
-    with pytest.raises(ConvergenceError):
-        exp_weight_family(-1.0, -1e-4)
+    # K to double accuracy.  The families build; reading the class refuses.
+    for fam in (alpha_exp_family(0.5, amp=1e6, power=0.5), exp_weight_family(-1.0, -1e-4)):
+        with pytest.raises(ConvergenceError):
+            fam.cls
 
 
 def test_alpha_exp_families():

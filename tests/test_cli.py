@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclemeter import asymptotics, catalog
 from cyclemeter.asymptotics import ewens_family, theta_shift_family
 from cyclemeter.catalog import FAMILIES, KINDS, build_family, parse_number
 from cyclemeter.cli import (EXIT_MATH, EXIT_OK, EXIT_TREND, EXIT_USAGE, main)
@@ -748,7 +749,7 @@ def test_alpha_exp_without_amplitude_ignores_power(capsys):
     ("--family", "polylog", "--delta", "1e300", "--n", "3"),
     # exp(-eps) underflows to a zero decay
     ("--family", "spatial", "--eps", "1e300", "--n", "3"),
-    # weights that overflow a double: e^(m^2), and e^1000 in the class data
+    # weights that overflow a double: e^(m^2), and e^1000
     ("--family", "exp-weight", "--c", "1", "--theta-exp", "2", "--n", "50"),
     ("--family", "alpha-exp", "--alpha=-1000", "--n", "3"),
 ])
@@ -825,11 +826,96 @@ def test_slow_perturbation_decay_is_refused_at_once(capsys):
     # series.  Both refusals come before any term is summed.
     start = time.monotonic()
     for amp, power in (("1000000", "1/2"), ("1", "1e-300")):
-        code, out, err = run_cli(capsys, "hn", "--family", "alpha-exp", "--alpha", "1/2",
-                                 "--amp", amp, "--power", power, "--n", "6")
+        code, out, err = run_cli(capsys, "report", "--family", "alpha-exp", "--alpha", "1/2",
+                                 "--amp", amp, "--power", power, "--kind", "clt",
+                                 "--n-grid", "10,20")
         assert code == EXIT_MATH and out == ""
         assert err.startswith("error:")
     assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("family", [
+    ("ewens", "--theta", "3/2"),
+    ("theta-shift", "--theta", "1", "--amp", "1", "--power", "2"),
+    ("polylog", "--delta", "1"),
+    ("exp-weight", "--c=-1", "--theta-exp=-1/2"),
+    ("alpha-exp", "--alpha", "1/2", "--amp", "1", "--power", "2"),
+    ("spatial", "--eps", "0.5,1"),
+    ("quad", "--config", str(Path(__file__).resolve().parent / "exp_poly.ini")),
+], ids=KINDS)
+def test_dist_and_sample_compute_no_class_constant(capsys, monkeypatch, family):
+    commands = [("dist", "--family", *family, "--n", "6")]
+    if family[0] != "quad":  # sample takes weighted families only
+        commands.append(("sample", "--family", *family, "--n", "6", "--count", "3"))
+    before = [run_cli(capsys, *argv) for argv in commands]
+
+    def refuse(*args):
+        raise AssertionError("a class constant was computed")
+
+    for module, name in ((asymptotics, "_exp_perturbation_class"),
+                         (asymptotics, "riemann_zeta"), (catalog, "riemann_zeta")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [run_cli(capsys, *argv) for argv in commands] == before
+    assert [code for code, _, _ in before] == [EXIT_OK] * len(commands)
+    if family[0] not in ("ewens", "spatial"):  # hn reads the class, so the patch bites
+        with pytest.raises(AssertionError):
+            run_cli(capsys, "hn", "--family", *family, "--n", "6")
+
+
+# K cannot be summed for these weights, but only report reads it
+@pytest.mark.parametrize("argv", [
+    ("--family", "alpha-exp", "--alpha=-1", "--amp=1", "--power=1e-5", "--n", "8"),
+    ("--family", "exp-weight", "--c=700", "--theta-exp=-1/2", "--n", "5"),
+])
+def test_dist_needs_no_class_constant(capsys, argv):
+    code, out, err = run_cli(capsys, "dist", *argv, "--backend", "exact", "--oracle")
+    assert (code, err, json.loads(out)["oracle"]) == (EXIT_OK, "", "match")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("exp-weight", {"c": "700", "theta_exp": "-1/2"}),
+    ("alpha-exp", {"alpha": "0", "amp": "1/2", "power": "1e-300"}),
+])
+def test_hn_needs_no_class_constant(capsys, kind, params):
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in params.items()]
+    code, out, err = run_cli(capsys, "hn", "--family", kind, *flags, "--n", "5",
+                             "--backend", "exact")
+    assert (code, err) == (EXIT_OK, "")
+    [row] = json.loads(out)["rows"]
+    weights = build_family(kind, params).weights
+    assert Fraction(row["h"]) == brute_force_normalization(weights, 5, "exact")
+    assert (row["asymptotic"], row["ratio"]) == (None, None)
+
+
+@pytest.mark.parametrize("family, err", [
+    (("polylog", "--delta=-1/2"), "family polylog has no usable singularity class for "
+     "reports: g has an algebraic blow-up at 1, outside classes F/eF"),
+    (("exp-weight", "--c=1", "--theta-exp=2"), "family exp-weight has no usable singularity "
+     "class for reports: weights grow faster than geometrically; g has radius 0"),
+    (("exp-weight", "--c=-1", "--theta-exp=2"), "family exp-weight has no usable singularity "
+     "class for reports: g is entire; no dominant singularity to transfer"),
+    (("exp-weight", "--c=1", "--theta-exp=1/2"), "family exp-weight has no usable singularity "
+     "class for reports: stretched-exponential growth: asymptotics open"),
+    (("exp-weight", "--c=-1", "--theta-exp=1/2"), "family exp-weight has no usable singularity "
+     "class for reports: g bounded at 1 without log term; transfer not applicable"),
+    (("exp-weight", "--c=-800", "--theta-exp=1"),
+     "family exp-weight overflows a double at these parameters"),
+    (("alpha-exp", "--alpha=-800"), "family alpha-exp overflows a double at these parameters"),
+    (("alpha-exp", "--alpha=1/2", "--amp=1000000", "--power=1/2"),
+     "perturbation -1000000.0*m^-0.5 decays too slowly to sum K"),
+    (("alpha-exp", "--alpha=-1", "--amp=1", "--power=1e-5"),
+     "perturbation -1.0*m^-1e-05 decays too slowly to sum K"),
+    (("exp-weight", "--c=700", "--theta-exp=-1/2"),
+     "K for weights exp(700.0*m^-0.5) did not converge"),
+    (("alpha-exp", "--alpha=0", "--amp=1/2", "--power=1e-300"),
+     "perturbation -0.5*m^-1e-300 decays too slowly to sum K"),
+])
+def test_report_refuses_a_family_without_a_class(capsys, family, err):
+    # the class is read before any law: no class is exit 2, a K that cannot be summed 3
+    code, out, got = run_cli(capsys, "report", "--family", *family, "--kind", "clt",
+                             "--n-grid", "10,20")
+    code_of_k = EXIT_MATH if "K" in err else EXIT_USAGE
+    assert (code, out, got) == (code_of_k, "", f"error: {err}\n")
 
 
 # K against 90-digit values: the exp-weight/alpha-exp series summed with
@@ -1065,6 +1151,34 @@ def test_double_hn_refuses_an_underflow_to_zero(capsys, argv):
     if n == "3":
         code, out, _ = run_cli(capsys, "hn", *argv, "--backend", "exact")
         assert code == EXIT_OK and Fraction(json.loads(out)["rows"][0]["h"]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "alpha-exp", "--alpha", "800", "--n", "3"),
+    ("--family", "exp-weight", "--c=-800", "--theta-exp", "1/2", "--n", "3"),
+    ("--family", "exp-weight", "--c=-800", "--theta-exp", "1", "--n", "3"),
+    ("--family", "alpha-exp", "--alpha", "1/2", "--amp", "1000000", "--power", "1/2",
+     "--n", "6"),
+])
+@pytest.mark.parametrize("backend", ["exact", "double"])
+def test_hn_refuses_an_exponential_theta_1_that_underflows(capsys, argv, backend):
+    # e^x is never 0, so h_n >= theta_1^n/n! > 0 however small the double h_n reads
+    code, out, err = run_cli(capsys, "hn", *argv, "--backend", backend)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert re.fullmatch(r"error: theta_1 = e\^-\d+\.\d+ underflows the double range to 0\n",
+                        err)
+
+
+@pytest.mark.parametrize("backend", ["exact", "double"])
+def test_hn_prints_zero_when_a_power_perturbation_cancels_theta_1(capsys, backend):
+    # theta_1 = 1 - 1/1^(5/2) is 0 exactly: power 5/2 has no exact rule, so both
+    # backends read the double, and h_1 = theta_1 = 0 is a true zero
+    code, out, err = run_cli(capsys, "hn", "--family", "theta-shift", "--theta", "1",
+                             "--amp=-1", "--power", "5/2", "--n-grid", "1,60",
+                             "--backend", backend)
+    assert (code, err) == (EXIT_OK, "")
+    rows = json.loads(out)["rows"]
+    assert rows[0]["h"] in (0, "0") and Fraction(rows[1]["h"]) > 0
 
 
 def test_double_hn_prints_zero_when_theta_1_is_zero(capsys):

@@ -206,7 +206,7 @@ def test_report_takes_its_fields_in_order():
 def reference_poisson_vector(family, b, n):
     """(tv, d_loc) of the double joint law against the product Poisson
     limit, one tuple at a time with sequential float sums."""
-    cls = family.require_class()
+    cls = family.cls
     lams = [family.weights.theta(m) * cls.r**m / m for m in range(1, b + 1)]
     acc_abs = acc_q = best = 0.0
     for key, p_mass in joint_cycle_pmf(family.weights, n, b, "double").items():
