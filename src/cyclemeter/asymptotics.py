@@ -196,8 +196,8 @@ def exp_weight_family(c, theta_exp) -> WeightFamily:
                     else "g is entire; no dominant singularity to transfer")
         if p_f == 1.0:
             return SingularityClass(math.exp(-c_f), 1.0, 0.0)
-        if p_f == 0.0:
-            return SingularityClass(1.0, math.exp(c_f), 0.0)
+        if p_f == 0.0:  # constant weights e^c: the class of alpha-exp at alpha = -c
+            return alpha_exp_family(-c_f).regime()
         if p_f < 0.0:
             return _exp_perturbation_class(1.0, c_f, p_f)
         if c_f > 0:  # 0 < theta_exp < 1
@@ -226,8 +226,10 @@ def alpha_exp_family(alpha, amp=0.0, power=2.0) -> WeightFamily:
         # amp = 0 skips m**power, which can underflow to 0 for power < 0
         return _exp_weight(-(alpha_f + (amp_f / m**power_f if amp_f else 0.0)), m)
 
-    def regime() -> SingularityClass:
+    def regime():
         theta_lim = math.exp(-alpha_f)
+        if not theta_lim:  # e^-alpha > 0 is refused, not read as theta = 0
+            return f"class theta = e^{-alpha_f} underflows the double range to 0"
         if amp_f == 0.0:
             return SingularityClass(1.0, theta_lim, 0.0)
         return _exp_perturbation_class(theta_lim, -amp_f, -power_f)

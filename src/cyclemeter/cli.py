@@ -24,6 +24,7 @@ blocks of 2^14 / n atoms, holding no copy; a failed check writes nothing.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -158,6 +159,8 @@ def _run_hn(args) -> tuple:
         if backend == DOUBLE and h[n] == 0 and handle.weights.cycle_factors(1, 1, EXACT)[1]:
             raise ResourceError(f"h_{n} underflows the double range to 0, though "
                                 f"h_{n} >= theta_1^{n}/{n}! > 0; use --backend exact")
+        if backend == DOUBLE and not math.isfinite(h[n]):
+            raise ResourceError(f"h_{n} overflows the double range; use --backend exact")
         asym = None
         try:  # h is printed without it where the regime fails or it overflows
             asym = asymptotic_hn(handle.cls, n)

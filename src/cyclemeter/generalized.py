@@ -21,8 +21,8 @@ Two concrete constructions:
   for every m, so prod_m EG(F_m, w t^m/m) = exp(sum_j b_j w^j sum_i
   t^{ij}/i^j), w marking cycles.  Its handle gives those w^j parts
   (log_series) and the factors F(c)/(c! m^c) (cycle_factors), so the laws
-  of measure.py run it on ts_exp and bv_exp_wg, as the CLI does, not on
-  the lattice.  Class F(1, theta) with K = sum_j b_j zeta(j).
+  of measure.py run it on the h_n kernels and bv_exp_wg, as the CLI does,
+  not on the lattice.  Class F(1, theta) with K = sum_j b_j zeta(j).
 * spatial models: a cycle of length m carries e^{-alpha} times a sum
   of mode factors e^{-eps_k m}, multiplicatively over cycles.  That is
   again a plain weighted measure with effective weights

@@ -8,10 +8,10 @@ of length m:
 with h_n the normalization constant.  Writing g(t) = sum_k theta_k t^k / k,
 the h_n are the coefficients of exp(g(t)), which is how everything here
 is computed; the partition-sum oracle in partitions.py recomputes the
-same quantities independently for testing.  Past the exact-double cut of
-series.py, the double h_n of a WeightSequence (normalization_constants,
-the tail of a joint law, the Chernoff h_n(x) of a truncated K_n law) run
-series._float_h on the theta_m themselves, not on k * (theta_k / k):
+same quantities independently for testing.  All h_n here come from
+_h_values: exact, series._exact_h; double, series._float_h at every order,
+within about 4e-15 relative of the exact kernel on the same binary
+weights, on a WeightSequence's theta_m themselves, not k * (theta_k / k):
 constant weights stay constant, so Ewens h_n cost O(1) per order and,
 like any h_n within the float kernel's budget, load no numpy.
 
@@ -57,9 +57,8 @@ from typing import Callable, Optional, Sequence
 from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .partitions import Partition
 from .pmf import Pmf
-from .series import (_EXACT_DOUBLE_MAX_N, DOUBLE, EXACT, TruncatedSeries, _exact_h,
-                     _ExactValues, _float_h, bv_exp_wg, check_kind, pmf_tol, to_fraction,
-                     to_kind, ts_exp)
+from .series import (DOUBLE, EXACT, TruncatedSeries, _exact_h, _ExactValues, _float_h,
+                     bv_exp_wg, check_kind, pmf_tol, to_fraction, to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
 _JOINT_BLOCK = 1 << 14  # rows per block of a double joint law
@@ -162,23 +161,23 @@ def weight_log_series(theta: WeightSequence, order: int, backend: str = EXACT) -
 def normalization_constants(theta, n_max: int, backend: str = EXACT) -> Sequence:
     """h_0, ..., h_{n_max} with h_0 = 1, for either weight handle: a list of doubles,
     or exact, a sequence that builds each Fraction as it is read."""
-    if backend == EXACT:
-        return _ExactValues(_exact_h(_at(theta.log_series(n_max, EXACT))))
-    return list(_h_values(theta, n_max, backend)[0])
+    if not isinstance(n_max, int) or n_max < 0:
+        raise UsageError(f"order must be a nonnegative integer, got {n_max!r}")
+    return _h_values(theta, n_max, backend)[0]
 
 
 def _h_values(theta, n: int, kind: str, above: int = 0, xs: tuple = (1,)) -> list:
     """[h_0..h_n of exp(sum_j x^j g_j) for x in xs], g_j the log-series of theta over
-    lengths m > above.  Past the exact-double cut a WeightSequence's double h_n run
-    series._float_h on its own weights x*theta_m, which stay constant wherever theta
-    does (Ewens, a tail above b), as k*g_k = k*(theta_k/k) in doubles need not;
-    everything else runs ts_exp."""
-    past_cut = isinstance(n, int) and n > _EXACT_DOUBLE_MAX_N
-    if kind == DOUBLE and isinstance(theta, WeightSequence) and past_cut:
+    lengths m > above: exact, read as Fractions; double, on a WeightSequence's own
+    weights x*theta_m, which stay constant wherever theta does (Ewens, a tail above b),
+    as k*g_k = k*(theta_k/k) in doubles need not, and on k*g_k (ts_exp) otherwise."""
+    if kind == DOUBLE and isinstance(theta, WeightSequence):
         a = [0.0] * (min(above, n) + 1) + [theta.theta(m) for m in range(above + 1, n + 1)]
         return [_float_h([x * v for v in a]) for x in xs]
     parts = theta.log_series(n, kind, above)
-    return [ts_exp(_at(parts, x)).coeffs for x in xs]
+    if kind == EXACT:
+        return [_ExactValues(_exact_h(_at(parts, x))) for x in xs]
+    return [list(ts_exp(_at(parts, x)).coeffs) for x in xs]
 
 
 def _at(parts: tuple, x=1) -> TruncatedSeries:

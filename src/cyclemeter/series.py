@@ -5,14 +5,14 @@ a series is its coefficient vector (a_0, ..., a_N) and every operation
 discards terms of order > N.  Two scalar kinds are supported:
 
 * ``"exact"``  -- fractions.Fraction coefficients, no rounding anywhere;
-* ``"double"`` -- float coefficients: up to order _EXACT_DOUBLE_MAX_N, the
-  exact kernel's result on their binary values, each rounded once.  Past it,
-  h_n runs the float kernel _float_h, and bv_exp_wg a numpy-backed
-  recurrence that reads forward slices and only the live w-band: the
-  leading columns nonzero in some earlier row, and at most a given number
-  of them.  K_n concentrates near theta log n, so past the double range the
-  band is narrow and a row costs O(n * k_live); a column limit k_max keeps
-  the whole array at (N + 1) * k_max doubles.
+* ``"double"`` -- float coefficients: h_n on the float kernel _float_h at
+  every order; the K_n band of bv_exp_wg up to order _EXACT_DOUBLE_MAX_N as
+  the exact kernel's result on their binary values, each rounded once, and
+  past it on a numpy-backed recurrence that reads forward slices and only
+  the live w-band: the leading columns nonzero in some earlier row, and at
+  most a given number of them.  K_n concentrates near theta log n, so past
+  the double range the band is narrow and a row costs O(n * k_live); a
+  column limit k_max keeps the whole array at (N + 1) * k_max doubles.
 
 Binary operations require equal order and equal kind; callers pick the
 backend explicitly and keep it.  This module is also the one place that
@@ -48,7 +48,8 @@ theta_k, which stay constant where the weights are (Ewens, a tail), as
 k * (theta_k / k) in doubles need not.  It makes the same choice of form,
 but sums differences only when all are >= 0, so that no term cancels, and
 runs Python dots within a budget of products per order
-(_PY_PRODUCTS_PER_ORDER), the plain numpy loop past it.
+(_PY_PRODUCTS_PER_ORDER), the plain numpy loop past it.  At every order its
+h_n lie within about 4e-15 relative of the exact kernel on the same weights.
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ _KINDS = (EXACT, DOUBLE)
 # power 2: 3.1 s and 89 s on one Xeon core); Ewens laws cost far less.
 _AUTO_EXACT_MAX_N = 200
 
-# Double series up to this order run on the integer kernels.  The slowest catalog
-# family (exp-weight) costs 10/23/48/95/165 ms in its band (_exact_rows) at
-# N = 32/40/48/56/64 on one Xeon core, and 2 ms in its h_n (_exact_h) at 48; 48 is
-# the largest N within a third of the numpy import it saves (median 0.16 s, 13 MB),
-# and below 50, where bench references pin the numpy bits of the K_n band.
+# The double K_n band runs on the integer kernel up to this order: exp-weight, the
+# slowest catalog family there, costs 10/23/48/95/165 ms at N = 32/40/48/56/64 on one
+# Xeon core; 48 is the largest N within a third of the numpy import it saves (median
+# 0.16 s, 13 MB), and below 50, where bench references pin the numpy band's bits.
 _EXACT_DOUBLE_MAX_N = 48
 
 # _float_h runs Python dots while they average at most this many products per order,
@@ -189,16 +189,13 @@ def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def ts_exp(g: TruncatedSeries) -> TruncatedSeries:
-    """exp(g) for a series with vanishing constant term.
-
-    Uses n*H_n = sum_k k*g_k*H_{n-k}; exact in the rational backend, and a
-    double g past the cut runs _float_h on k*g_k.
-    """
+    """exp(g) for a series with vanishing constant term by n*H_n = sum_k k*g_k*H_{n-k}:
+    _exact_h for an exact g, and _float_h on k*g_k at every order for a double one."""
     _require(isinstance(g, TruncatedSeries), "operand must be a TruncatedSeries")
     _require(g.coeffs[0] == 0, "ts_exp needs a vanishing constant term")
-    if not _on_exact_kernel((g,)):
+    if g.kind == DOUBLE:
         return TruncatedSeries(_float_h([k * c for k, c in enumerate(g.coeffs)]), DOUBLE)
-    return TruncatedSeries([_scalar(v, q, g.kind) for v, q in _exact_h(g)], g.kind)
+    return TruncatedSeries([Fraction(v, q) for v, q in _exact_h(g)], EXACT)
 
 
 def ts_log(h: TruncatedSeries) -> TruncatedSeries:
@@ -248,8 +245,8 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
         cols = n_max + 1 if cols is None else cols
         _require(isinstance(cols, int) and 1 <= cols <= n_max + 1,
                  f"cols must be an integer in 1..{n_max + 1}, got {cols!r}")
-        if _on_exact_kernel(gs):
-            return [[_scalar(v, q, DOUBLE) for v in nums[:cols]] + [0.0] * (cols - len(nums))
+        if n_max <= _EXACT_DOUBLE_MAX_N and all(math.isfinite(c) for s in gs for c in s.coeffs):
+            return [[_scalar(v, q) for v in nums[:cols]] + [0.0] * (cols - len(nums))
                     for nums, q in _exact_rows(gs)]
         if (n_max + 1) * cols * 8 > BAND_BYTES_MAX:
             raise ResourceError(f"a {n_max + 1} x {cols} double array passes the "
@@ -278,7 +275,8 @@ def bv_exp_wg(g: TruncatedSeries, *higher: TruncatedSeries, cols: Optional[int] 
 class _ExactValues(Sequence):
     """Exact kernel results read as Fractions: raw[n] = (numerator, q), h_n, read as a
     Fraction, or (integer numerators, q), a bv_exp_wg row, read as a Fraction tuple;
-    each is built on its first read and kept.  Equal to any sequence of the same values."""
+    each is built on its first read and kept, and a slice is a list.  Equal to any
+    sequence of the same values."""
 
     def __init__(self, raw: list):
         self.raw, self.read = raw, {}
@@ -286,7 +284,9 @@ class _ExactValues(Sequence):
     def __len__(self) -> int:
         return len(self.raw)
 
-    def __getitem__(self, n: int):
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(len(self))[n]]
         if (value := self.read.get(n)) is None:
             v, q = self.raw[n]
             value = self.read[n] = (Fraction(v, q) if isinstance(v, int)
@@ -297,14 +297,9 @@ class _ExactValues(Sequence):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
-def _on_exact_kernel(gs: tuple) -> bool:  # exact, or finite doubles up to the cut
-    return gs[0].kind == EXACT or gs[0].order <= _EXACT_DOUBLE_MAX_N and all(
-        math.isfinite(c) for s in gs for c in s.coeffs)
-
-
-def _scalar(v: int, q: int, kind: str) -> Scalar:
-    try:  # a double is rounded once, to +-inf past its range as numpy gives
-        return Fraction(v, q) if kind == EXACT else v / q
+def _scalar(v: int, q: int) -> float:
+    try:  # rounded once, to +-inf past the double range as numpy gives
+        return v / q
     except OverflowError:
         return math.inf if v > 0 else -math.inf
 

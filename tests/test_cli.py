@@ -834,7 +834,8 @@ def test_slow_perturbation_decay_is_refused_at_once(capsys):
     assert time.monotonic() - start < 0.5
 
 
-@pytest.mark.parametrize("family", [
+# one family per catalog kind; quad is an exp-poly family with b2 = 1/4
+_ONE_PER_KIND = [
     ("ewens", "--theta", "3/2"),
     ("theta-shift", "--theta", "1", "--amp", "1", "--power", "2"),
     ("polylog", "--delta", "1"),
@@ -842,7 +843,10 @@ def test_slow_perturbation_decay_is_refused_at_once(capsys):
     ("alpha-exp", "--alpha", "1/2", "--amp", "1", "--power", "2"),
     ("spatial", "--eps", "0.5,1"),
     ("quad", "--config", str(Path(__file__).resolve().parent / "exp_poly.ini")),
-], ids=KINDS)
+]
+
+
+@pytest.mark.parametrize("family", _ONE_PER_KIND, ids=KINDS)
 def test_dist_and_sample_compute_no_class_constant(capsys, monkeypatch, family):
     commands = [("dist", "--family", *family, "--n", "6")]
     if family[0] != "quad":  # sample takes weighted families only
@@ -860,6 +864,33 @@ def test_dist_and_sample_compute_no_class_constant(capsys, monkeypatch, family):
     if family[0] not in ("ewens", "spatial"):  # hn reads the class, so the patch bites
         with pytest.raises(AssertionError):
             run_cli(capsys, "hn", "--family", *family, "--n", "6")
+
+
+@pytest.mark.parametrize("n", ["5", "48"])
+@pytest.mark.parametrize("family", _ONE_PER_KIND, ids=KINDS)
+def test_double_h_never_reaches_the_integer_kernel(capsys, monkeypatch, family, n):
+    # Double h_n runs the float kernel at every order: with the integer h_n kernel
+    # patched to raise, double hn, dist --target cycles and sample keep their
+    # bytes, while exact hn meets the patch.
+    import cyclemeter.measure as measure_mod
+    import cyclemeter.series as series_mod
+
+    commands = [("hn", "--family", *family, "--n", n),
+                ("dist", "--family", *family, "--target", "cycles", "--b", "2", "--n", n)]
+    commands = [(*argv, "--backend", "double") for argv in commands]
+    if family[0] != "quad":  # sample takes weighted families only
+        commands.append(("sample", "--family", *family, "--n", n, "--count", "3"))
+    before = [run_cli(capsys, *argv) for argv in commands]
+
+    def refuse(*args):
+        raise AssertionError("the integer h_n kernel was run")
+
+    for module in (series_mod, measure_mod):
+        monkeypatch.setattr(module, "_exact_h", refuse)
+    assert [run_cli(capsys, *argv) for argv in commands] == before
+    assert [code for code, _, _ in before] == [EXIT_OK] * len(commands)
+    with pytest.raises(AssertionError, match="integer h_n kernel"):
+        run_cli(capsys, "hn", "--family", *family, "--n", n, "--backend", "exact")
 
 
 # K cannot be summed for these weights, but only report reads it
@@ -1136,9 +1167,8 @@ def test_h30_agrees_on_both_sides_of_the_exact_double_cut(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # past the cut, on the float kernel: theta_m = e^-m
+    # on the float kernel: theta_m = e^-m, and h_3 of theta_1 ~ 5e-324
     ("--family", "exp-weight", "--c=-1", "--theta-exp", "1", "--n", "1000"),
-    # up to the cut, the exact h_3 of theta_1 ~ 5e-324 rounded once
     ("--family", "spatial", "--alpha=744", "--eps=0.5", "--n", "3"),
 ], ids=["exp-weight", "spatial"])
 def test_double_hn_refuses_an_underflow_to_zero(capsys, argv):
@@ -1151,6 +1181,30 @@ def test_double_hn_refuses_an_underflow_to_zero(capsys, argv):
     if n == "3":
         code, out, _ = run_cli(capsys, "hn", *argv, "--backend", "exact")
         assert code == EXIT_OK and Fraction(json.loads(out)["rows"][0]["h"]) > 0
+
+
+@pytest.mark.parametrize("n", ["48", "60"])
+def test_double_hn_refuses_an_overflow(capsys, n):
+    # h_n = (1e300)^(n) / n! passes the double range; the exact backend prints it
+    argv = ("hn", "--family", "ewens", "--theta", "1e300", "--n", n)
+    code, out, err = run_cli(capsys, *argv, "--backend", "double")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: h_{n} overflows the double range; use --backend exact\n"
+    code, out, _ = run_cli(capsys, *argv, "--backend", "exact")
+    assert code == EXIT_OK and Fraction(json.loads(out)["rows"][0]["h"]) > 2**1024
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("clt", ("--n-grid", "20,40")), ("mod-poisson", ("--n-grid", "20,40")),
+    ("poisson-k", ("--n-grid", "20,40")), ("large-dev", ("--n", "40"))])
+@pytest.mark.parametrize("family", [("alpha-exp", "--alpha", "800"),
+                                    ("exp-weight", "--c=-800", "--theta-exp", "0")])
+def test_reports_refuse_a_class_theta_that_underflows(capsys, family, kind, grid):
+    # theta = e^-800 > 0 rounds to 0: the class is refused, not read as theta = 0
+    code, out, err = run_cli(capsys, "report", "--family", *family, "--kind", kind, *grid)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: family {family[0]} has no usable singularity class for reports: "
+                   "class theta = e^-800.0 underflows the double range to 0\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -117,7 +117,8 @@ QUAD = ("--family", "quad", "--config", str(Path(__file__).resolve().parent / "e
     _cli("hn", *QUAD, "--n", "30"),
     _cli("dist", *QUAD, "--n", "20"),
     _cli("dist", *QUAD, "--target", "cycles", "--b", "2", "--n", "12"),
-    # double series up to the cut run on the exact kernel, rounded once
+    # double h_n run the float kernel, and the K_n band up to the cut the exact
+    # kernel, rounded once
     _cli("hn", *POLYLOG, "--n", "30"),
     _cli("dist", *POLYLOG, "--n", "30", "--oracle"),
     _cli("dist", *EWENS, "--n", "20", "--backend", "double"),

@@ -104,6 +104,16 @@ def test_ewens_closed_forms():
         assert three[n] == Fraction((n + 1) * (n + 2), 2)
 
 
+@pytest.mark.parametrize("backend", ["exact", "double"])
+@pytest.mark.parametrize("n_max", ["5", 2.5, 60.0, -1, None])
+def test_normalization_refuses_a_bad_order(backend, n_max):
+    # double h_n read the weights directly, so the order is checked before them
+    for weights in (WeightSequence.constant(1), exp_polynomial_weights(1, {2: 1})):
+        with pytest.raises(UsageError, match="order must be"):
+            normalization_constants(weights, n_max, backend)
+    assert normalization_constants(WeightSequence.constant(1), 0, backend) == [1]
+
+
 # -- joint cycle-count distribution ------------------------------------------
 
 

@@ -5,10 +5,10 @@ logarithm), round-trip identities that pair ts_exp with ts_log and
 ts_mul with hand convolution, and the dense full-triangle loop that the
 double bv_exp_wg must reproduce while reading only its live w-band; its
 full band is in turn the reference for the column-limited band.  Double
-series up to the cut _EXACT_DOUBLE_MAX_N must be the exact results on the
-same double inputs, each rounded once; past it, the K_n rows run on numpy
-and h_n on the float kernel, within 1e-13 of the exact kernel on the same
-binary weights.
+K_n rows up to the cut _EXACT_DOUBLE_MAX_N must be the exact results on the
+same double inputs, each rounded once, and past it run on numpy.  Double
+h_n run the float kernel at every order, within 1e-13 of the exact kernel
+on the same binary weights.
 """
 
 import math
@@ -326,15 +326,17 @@ def test_exact_exp_is_the_plain_recurrence(kind, params):
 
 @pytest.mark.parametrize("kind, params", [*_SIGNED_EXP_POLY, ("ewens", {"theta": "1e-300"})])
 def test_small_double_exp_is_the_plain_recurrence_rounded_once(kind, params):
-    # theta = 1e-300 puts its binary denominator 2^1049 into every h_n's
+    # the float kernel, within 1e-13 of the exact recurrence on the same binary
+    # values; theta = 1e-300 puts its binary denominator 2^1049 into every h_n's
     g = _at(build_family(kind, params).weights.log_series(_CUT, DOUBLE))
-    assert ts_exp(g).coeffs == tuple(rounded(c) for c in plain_exp(g.coeffs))
+    assert_close(ts_exp(g).coeffs, [rounded(c) for c in plain_exp(g.coeffs)])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_small_double_series_round_the_exact_ones_once(kind, monkeypatch):
-    # At the cut, on the doubles' binary values: bit for bit the exact
-    # result rounded once, and within 1e-13 of the numpy kernels.
+    # At the cut, on the doubles' binary values: the K_n band bit for bit
+    # the exact result rounded once, and within 1e-13 of the numpy band;
+    # h_n, on the float kernel, within 1e-13 of the exact result.
     weights = build_family(kind, _KIND_PARAMS[kind]).weights
     parts = weights.log_series(_CUT, DOUBLE)
     exact = [TruncatedSeries(part.coeffs, EXACT) for part in parts]
@@ -342,12 +344,9 @@ def test_small_double_series_round_the_exact_ones_once(kind, monkeypatch):
     assert rows == [[rounded(v) for v in row] + [0.0] * (_CUT - n)
                     for n, row in enumerate(bv_exp_wg(*exact))]
     assert bv_exp_wg(*parts, cols=5) == [row[:5] for row in rows]
-    h = ts_exp(_at(parts))
-    assert h.coeffs == tuple(rounded(c) for c in plain_exp(_at(parts).coeffs))
+    assert_close(ts_exp(_at(parts)).coeffs, [rounded(c) for c in plain_exp(_at(parts).coeffs)])
     law = total_cycles_pmf(weights, _CUT, DOUBLE)
-    monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)  # numpy kernels only
-    for a, b in zip(h.coeffs, ts_exp(_at(parts)).coeffs):
-        assert abs(a - b) <= 1e-13 * b
+    monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)  # the numpy band only
     for k, p in total_cycles_pmf(weights, _CUT, DOUBLE).items():
         if p > 1e-300:
             assert abs(law[k] - p) <= 1e-13 * p, k
@@ -509,10 +508,10 @@ def test_double_ewens_h_to_20000_is_the_rising_factorial(theta):
             assert abs(h[n] - num / den) <= 1e-13 * (num / den), n
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_double_h_is_the_exact_kernel_on_the_same_binary_weights(kind):
-    # A WeightSequence's own theta_k past the cut, k*g_k for exp-poly.
-    n_max = 200
+@pytest.mark.parametrize("kind, n_max", [(kind, n) for n in (200, _CUT) for kind in KINDS],
+                         ids=[*KINDS, *(f"{kind}-{_CUT}" for kind in KINDS)])
+def test_double_h_is_the_exact_kernel_on_the_same_binary_weights(kind, n_max):
+    # A WeightSequence's own theta_k, k*g_k for exp-poly: one float kernel at every order.
     weights = build_family(kind, _KIND_PARAMS[kind]).weights
     h = normalization_constants(weights, n_max, DOUBLE)
     if isinstance(weights, WeightSequence):
