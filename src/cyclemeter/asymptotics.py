@@ -165,8 +165,8 @@ def polylog_family(delta) -> WeightFamily:
 
 
 def _exp_weight(x: float, m: int) -> float:
-    """e^x as theta_m; hn tells an underflowed h_n from a true 0 by theta_1 > 0
-    (h_n >= theta_1^n/n!), so a theta_1 that rounds to 0 is refused."""
+    """e^x as theta_m; the h_n guard tells an underflowed h_n from a true 0 by
+    theta_1 > 0 (h_n >= theta_1^n/n!), so a theta_1 that rounds to 0 is refused."""
     if m == 1 and math.exp(x) == 0:
         raise UsageError(f"theta_1 = e^{x} underflows the double range to 0")
     return math.exp(x)

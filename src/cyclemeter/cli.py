@@ -8,9 +8,9 @@ Subcommands:
 * report  -- limit-law diagnostics along an n-grid.
 
 Exit codes: 0 success; 2 usage or config error (a missing class among them),
-a refused size, or an unwritable --output; 3 mathematical inconsistency
-(oracle mismatch, degenerate measure, Gamma pole, or a report's class constant
-K that does not converge); 4 failed trend assertion (--assert-trends).
+a refused size, a double h_n past its range, or an unwritable --output; 3
+mathematical inconsistency (oracle mismatch, h_n = 0 other than by underflow,
+Gamma pole, or a report's class K that does not converge); 4 failed --assert-trends.
 
 Output is deterministic: identical invocations produce identical bytes;
 floats carry 17 significant digits.  `sample` draws and writes its rows
@@ -24,12 +24,12 @@ blocks of 2^14 / n atoms, holding no copy; a failed check writes nothing.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
 import warnings
 from collections.abc import Iterator
+from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -42,10 +42,11 @@ from .diagnostics import (clt_report, dumps_csv, dumps_deterministic,
 from .errors import (ConvergenceError, DegenerateMeasureError, GammaPoleError,
                      ResourceError, UnsupportedClassError, UsageError)
 from .generalized import GeneralizedWeights
-from .measure import _joint_law, _sample_rows, normalization_constants, total_cycles_pmf
+from .measure import (_h_or_degenerate, _joint_law, _sample_rows, normalization_constants,
+                      total_cycles_pmf)
 from .partitions import brute_force_cycle_counts_pmf, brute_force_k_pmf, check_partition_cap
 from .pmf import check_masses
-from .series import DOUBLE, EXACT, auto_kind, pmf_tol
+from .series import EXACT, auto_kind, pmf_tol
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,10 +125,8 @@ def _resolve_backend(args, weights, n_max: int) -> str:
 
 
 def _parse_grid(args) -> list:
-    values = []
-    if getattr(args, "n", None) is not None:
-        values.append(args.n)
-    if getattr(args, "n_grid", None):
+    values = [] if args.n is None else [args.n]  # hn and report take both flags
+    if args.n_grid:
         try:
             values.extend(int(part) for part in args.n_grid.split(",") if part.strip())
         except ValueError as exc:
@@ -151,21 +150,15 @@ def _scalar_out(value):
 def _run_hn(args) -> tuple:
     handle = _resolve_family(args)
     ns = _parse_grid(args)
-    n_max = max(ns)
-    backend = _resolve_backend(args, handle.weights, n_max)
-    h = normalization_constants(handle.weights, n_max, backend)
+    backend = _resolve_backend(args, handle.weights, max(ns))
+    h = normalization_constants(handle.weights, max(ns), backend)
     rows = []
     for n in ns:
-        if backend == DOUBLE and h[n] == 0 and handle.weights.cycle_factors(1, 1, EXACT)[1]:
-            raise ResourceError(f"h_{n} underflows the double range to 0, though "
-                                f"h_{n} >= theta_1^{n}/{n}! > 0; use --backend exact")
-        if backend == DOUBLE and not math.isfinite(h[n]):
-            raise ResourceError(f"h_{n} overflows the double range; use --backend exact")
-        asym = None
-        try:  # h is printed without it where the regime fails or it overflows
+        with suppress(DegenerateMeasureError):  # a zero h_n is printed, not refused
+            _h_or_degenerate(h[n], n, handle.weights)
+        asym = None  # h is printed without it where the regime fails or it overflows
+        with suppress(UnsupportedClassError, ConvergenceError, UsageError):
             asym = asymptotic_hn(handle.cls, n)
-        except (UnsupportedClassError, ConvergenceError, UsageError):
-            pass
         rows.append({"n": n, "h": _scalar_out(h[n]), "asymptotic": asym,
                      "ratio": float(h[n]) / asym if asym else None})
     doc = {"command": "hn", "family": args.family, "backend": backend, "rows": rows}

@@ -10,11 +10,11 @@ class UsageError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A computation was refused because it would exceed a size cap."""
+    """A computation was refused: past a size cap, or needing a double (h_n) past its range."""
 
 
 class DegenerateMeasureError(ArithmeticError):
-    """The normalization constant vanishes, so the measure is undefined."""
+    """h_n = 0 exactly, or as a double with theta_1 = 0, so no measure; or an oracle mismatch."""
 
 
 class UnsupportedClassError(RuntimeError):

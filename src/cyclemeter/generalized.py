@@ -189,7 +189,7 @@ def generalized_joint_cycle_pmf(fweights, n: int, b: int, backend: str = EXACT) 
     def tables():
         tail = _eg_product(fweights, range(b + 1, n + 1), n, backend)
         full = _eg_product(fweights, range(1, b + 1), n, backend, acc=tail)
-        hn = _h_or_degenerate(full[n], n)
+        hn = _h_or_degenerate(full[n], n, fweights)
         factors = [fweights.cycle_factors(m, n // m, backend) for m in range(1, b + 1)]
         return factors, tail, hn
 
@@ -202,7 +202,7 @@ def generalized_total_cycles_pmf(fweights, n: int, backend: str = EXACT) -> Pmf:
     check_kind(backend)
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
-    return _k_pmf(_eg_product(fweights, range(1, n + 1), n, backend, marked=True), n)
+    return _k_pmf(_eg_product(fweights, range(1, n + 1), n, backend, marked=True), n, fweights)
 
 
 # -- exponential-polynomial family ------------------------------------------

@@ -13,7 +13,9 @@ _h_values: exact, series._exact_h; double, series._float_h at every order,
 within about 4e-15 relative of the exact kernel on the same binary
 weights, on a WeightSequence's theta_m themselves, not k * (theta_k / k):
 constant weights stay constant, so Ewens h_n cost O(1) per order and,
-like any h_n within the float kernel's budget, load no numpy.
+like any h_n within the float kernel's budget, load no numpy.  One guard,
+_h_or_degenerate, judges the h_n of every law and of the CLI's hn: a double
+past its range is a ResourceError, any other 0 a DegenerateMeasureError.
 
 The laws also take an exp-poly GeneralizedWeights (generalized.py), read
 like a WeightSequence through log_series(order, kind, above), the parts of
@@ -190,13 +192,18 @@ def _at(parts: tuple, x=1) -> TruncatedSeries:
     return TruncatedSeries(coeffs, parts[0].kind)
 
 
-def _h_or_degenerate(hn, n: int):
-    """hn, unless it is 0 (the measure on S_n is undefined) or not finite."""
-    if hn == 0:
-        raise DegenerateMeasureError(
-            f"normalization h_{n} = 0; the measure is undefined there")
+def _h_or_degenerate(hn, n: int, weights):
+    """hn, the normalization of the measure on S_n under weights, or a refusal: a double
+    past its range (not finite, or 0 though theta_1 > 0 makes h_n >= theta_1^n/n! > 0;
+    theta_1 is read only then) is a ResourceError, any other 0 a DegenerateMeasureError."""
+    remedy = "hn and dist compute it with --backend exact"
     if isinstance(hn, float) and not math.isfinite(hn):
-        raise DegenerateMeasureError(f"normalization h_{n} = {hn} is not finite")
+        raise ResourceError(f"h_{n} overflows the double range; {remedy}")
+    if hn == 0 and isinstance(hn, float) and weights.cycle_factors(1, 1, EXACT)[1]:
+        raise ResourceError(f"h_{n} underflows the double range to 0, though "
+                            f"h_{n} >= theta_1^{n}/{n}! > 0; {remedy}")
+    if hn == 0:
+        raise DegenerateMeasureError(f"normalization h_{n} = 0; the measure is undefined there")
     return hn
 
 
@@ -213,7 +220,7 @@ def joint_cycle_pmf(theta, n: int, b: int, backend: str = EXACT) -> Pmf:
 
 
 def _joint_tables(theta, n: int, b: int, backend: str) -> tuple:
-    hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n)
+    hn = _h_or_degenerate(normalization_constants(theta, n, backend)[n], n, theta)
     (tail,) = _h_values(theta, n, backend, above=b)
     factors = [theta.cycle_factors(m, n // m, backend) for m in range(1, b + 1)]
     return factors, tail, hn
@@ -367,7 +374,7 @@ def total_cycles_pmf_many(theta, n_values: Sequence[int], backend: str = EXACT,
     cols, bounds = ((None, dict.fromkeys(ns, 0)) if keep_k is None
                     else _certified_cols(theta, ns, keep_k))
     rows = bv_exp_wg(*parts, cols=cols)  # exact: read as the integer numerators of row n
-    return {n: _k_pmf(rows.raw[n][0] if backend == EXACT else rows[n], n, bounds[n])
+    return {n: _k_pmf(rows.raw[n][0] if backend == EXACT else rows[n], n, theta, bounds[n])
             for n in ns}
 
 
@@ -399,11 +406,11 @@ def _certified_cols(theta, ns: list, keep_k: int) -> tuple:
                   for n in ns}
 
 
-def _k_pmf(row, n: int, tail_bound=0) -> Pmf:
+def _k_pmf(row, n: int, weights, tail_bound=0) -> Pmf:
     """Law of K_n from the w-coefficients of [t^n] (all, or the first ones with tail_bound
     covering the rest): exact numerators or Fractions, one Fraction per atom, or doubles."""
     row = row[: n + 1]
-    hn = _h_or_degenerate(float(row.sum()) if hasattr(row, "sum") else sum(row), n)
+    hn = _h_or_degenerate(float(row.sum()) if hasattr(row, "sum") else sum(row), n, weights)
     return Pmf({k: row[k] / hn if isinstance(hn, float) else Fraction(row[k], hn)
                 for k in range(1, len(row))}, tail_bound=tail_bound)
 
@@ -420,7 +427,7 @@ def expected_cycle_counts(theta: WeightSequence, n: int, backend: str = EXACT) -
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"n must be a positive integer, got {n!r}")
     h = normalization_constants(theta, n, backend)
-    hn = _h_or_degenerate(h[n], n)
+    hn = _h_or_degenerate(h[n], n, theta)
     return [theta.at(m, backend) / m * h[n - m] / hn for m in range(1, n + 1)]
 
 
@@ -431,7 +438,7 @@ def _length_drawer(theta: WeightSequence, n: int) -> Callable:
     """draw(uniform) -> the cycle lengths of one permutation of size n,
     each found by a scan over j that costs the length it returns."""
     h = normalization_constants(theta, n, DOUBLE)
-    _h_or_degenerate(h[n], n)
+    _h_or_degenerate(h[n], n, theta)
     th = [0.0] + [theta.theta(j) for j in range(1, n + 1)]
 
     def draw(uniform: Callable[[], float]) -> list:

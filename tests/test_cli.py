@@ -223,8 +223,10 @@ def test_sample_zero_count_is_usage_error(capsys, tmp_path):
 @pytest.mark.parametrize("argv, code, err", [
     (("--theta", "1", "--n", "5", "--seed", "-1"), EXIT_USAGE,
      "error: seed must be a nonnegative integer, got -1\n"),
-    (("--theta=4e-323", "--n", "40"), EXIT_MATH,  # h_40 underflows to 0
-     "error: normalization h_40 = 0; the measure is undefined there\n")])
+    pytest.param(("--theta=4e-323", "--n", "40"), EXIT_USAGE,  # h_40 underflows to 0
+                 "error: h_40 underflows the double range to 0, though h_40 >= "
+                 "theta_1^40/40! > 0; hn and dist compute it with --backend exact\n",
+                 id="theta=4e-323")])
 def test_sample_refusals_write_nothing(capsys, tmp_path, argv, code, err):
     _assert_sample_refused(capsys, tmp_path, ("--family", "ewens", *argv), code, err)
 
@@ -979,8 +981,8 @@ def test_double_overflow_leaks_no_numpy_warning(capsys):
 
 
 @pytest.mark.parametrize("argv, code, err", [
-    ("dist --family ewens --theta 100000 --n 100 --backend double", EXIT_MATH,
-     "error: normalization h_100 = inf is not finite\n"),
+    ("dist --family ewens --theta 100000 --n 100 --backend double", EXIT_USAGE,
+     "error: h_100 overflows the double range; hn and dist compute it with --backend exact\n"),
     ("hn --family exp-weight --c 1 --theta-exp 1 --n 1000", EXIT_USAGE,
      "error: theta_710 = inf is not a finite nonnegative weight\n"),
 ])
@@ -997,7 +999,7 @@ def test_overflow_prints_only_the_error_line(argv, code, err):
 def test_overflow_command_does_overflow_in_numpy():
     # Keeps the first case above from passing without a warning to hide.
     with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(DegenerateMeasureError):
+        with pytest.raises(ResourceError):
             total_cycles_pmf(ewens_family(100000).weights, 100, "double")
 
 
@@ -1177,7 +1179,8 @@ def test_double_hn_refuses_an_underflow_to_zero(capsys, argv):
     code, out, err = run_cli(capsys, "hn", *argv, "--backend", "double")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"error: h_{n} underflows the double range to 0, though "
-                   f"h_{n} >= theta_1^{n}/{n}! > 0; use --backend exact\n")
+                   f"h_{n} >= theta_1^{n}/{n}! > 0; hn and dist compute it with "
+                   "--backend exact\n")
     if n == "3":
         code, out, _ = run_cli(capsys, "hn", *argv, "--backend", "exact")
         assert code == EXIT_OK and Fraction(json.loads(out)["rows"][0]["h"]) > 0
@@ -1189,7 +1192,8 @@ def test_double_hn_refuses_an_overflow(capsys, n):
     argv = ("hn", "--family", "ewens", "--theta", "1e300", "--n", n)
     code, out, err = run_cli(capsys, *argv, "--backend", "double")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"error: h_{n} overflows the double range; use --backend exact\n"
+    assert err == (f"error: h_{n} overflows the double range; hn and dist compute it "
+                   "with --backend exact\n")
     code, out, _ = run_cli(capsys, *argv, "--backend", "exact")
     assert code == EXIT_OK and Fraction(json.loads(out)["rows"][0]["h"]) > 2**1024
 
@@ -1242,3 +1246,43 @@ def test_double_hn_prints_zero_when_theta_1_is_zero(capsys):
     assert (code, err) == (EXIT_OK, "")
     rows = json.loads(out)["rows"]
     assert rows[0]["h"] == 0 and rows[1]["h"] > 0
+
+
+@pytest.mark.parametrize("family, n, grid", [
+    # theta_m = e^-m, g(t) = -log(1 - t/e): h_1000 = e^-1000 underflows
+    (("exp-weight", "--c=-1", "--theta-exp", "1"), "1000", "100,1000"),
+    # h_n = (1e300)^(n) / n! overflows from n = 2 on; a grid is refused at its first n
+    (("ewens", "--theta", "1e300"), "60", "60"),
+    (("ewens", "--theta", "1e300"), "10", "10,20"),
+], ids=["underflow", "overflow", "overflow-grid"])
+def test_a_double_hn_past_its_range_is_one_refusal_in_every_command(capsys, family, n, grid):
+    # theta_1 > 0, so h_n > 0: every law refuses as hn does, before any output
+    fam, single, many = ("--family", *family), ("--n", n), ("--n-grid", grid)
+    commands = [("hn", *fam, *many, "--backend", "double"),
+                ("dist", *fam, *single, "--backend", "double"),
+                ("dist", *fam, *single, "--backend", "double", "--target", "cycles", "--b", "2"),
+                ("sample", *fam, *single),
+                *(("report", *fam, "--kind", kind, *many)
+                  for kind in ("clt", "poisson-k", "mod-poisson")),
+                ("report", *fam, "--kind", "poisson-vector", "--b", "2", *many),
+                ("report", *fam, "--kind", "large-dev", *single)]
+    first, *rest = [run_cli(capsys, *argv) for argv in commands]
+    assert first[:2] == (EXIT_USAGE, "")
+    assert re.fullmatch(rf"error: h_{n} (under|over)flows the double range[^\n]*\n", first[2])
+    assert rest == [first] * len(rest)
+
+
+def test_double_dist_refuses_the_spatial_underflow_as_hn_does(capsys):
+    # alpha = 744 passes the check on e^-alpha, but h_3 ~ theta_1^3/6 underflows
+    argv = ("--family", "spatial", "--alpha=744", "--eps=0.5", "--n", "3", "--backend", "double")
+    code, out, err = run_cli(capsys, "dist", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert run_cli(capsys, "hn", *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("backend", ["exact", "double"])
+def test_dist_on_a_true_zero_h_n_is_a_degenerate_measure(capsys, backend):
+    # theta_1 = 0 makes h_1 = 0 exactly: the measure on S_1 is undefined
+    assert run_cli(capsys, "dist", "--family", "theta-shift", "--theta", "1", "--amp=-1",
+                   "--n", "1", "--backend", backend) == (
+        EXIT_MATH, "", "error: normalization h_1 = 0; the measure is undefined there\n")
