@@ -119,13 +119,13 @@ class ComparisonReport:
 
 
 def _fit_slope(n_values: Sequence[int], values: Sequence[float]) -> Optional[float]:
-    """Log-log slope of values against n; None without two distinct n."""
+    """Log-log least-squares slope of values against n; None without two distinct n."""
     if len(set(n_values)) < 2 or any(v <= 0 for v in values):
         return None
-    import numpy as np
-    slope = np.polyfit(np.log(np.asarray(n_values, float)),
-                       np.log(np.asarray(values, float)), 1)[0]
-    return float(slope)
+    xs, ys = [math.log(n) for n in n_values], [math.log(v) for v in values]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+            / sum((x - x_bar) ** 2 for x in xs))
 
 
 def _reference(family: WeightFamily, n_values: Sequence[int]) -> tuple:

@@ -10,10 +10,10 @@ the h_n are the coefficients of exp(g(t)), which is how everything here
 is computed; the partition-sum oracle in partitions.py recomputes the
 same quantities independently for testing.  All h_n here come from
 _h_values: exact, series._exact_h; double, series._float_h at every order,
-within about 4e-15 relative of the exact kernel on the same binary
-weights, on a WeightSequence's theta_m themselves, not k * (theta_k / k):
-constant weights stay constant, so Ewens h_n cost O(1) per order and,
-like any h_n within the float kernel's budget, load no numpy.  One guard,
+and double K_n bands within its budget from series._float_rows, within about
+4e-15 relative of the exact kernels on the same binary weights: a
+WeightSequence's theta_m themselves, not k * (theta_k / k), so Ewens costs one
+term per order and its h_n and report bands load no numpy.  One guard,
 _h_or_degenerate, judges the h_n of every law and of the CLI's hn: a double
 past its range is a ResourceError, any other 0 a DegenerateMeasureError.
 
@@ -60,7 +60,7 @@ from .errors import DegenerateMeasureError, ResourceError, UsageError
 from .partitions import Partition
 from .pmf import Pmf
 from .series import (DOUBLE, EXACT, TruncatedSeries, _exact_h, _ExactValues, _float_h,
-                     bv_exp_wg, check_kind, pmf_tol, to_fraction, to_kind, ts_exp)
+                     _float_rows, bv_exp_wg, check_kind, pmf_tol, to_fraction, to_kind, ts_exp)
 
 _JOINT_SUPPORT_CAP = 5_000_000
 _JOINT_BLOCK = 1 << 14  # rows per block of a double joint law
@@ -352,9 +352,9 @@ def total_cycles_pmf_many(theta, n_values: Sequence[int], backend: str = EXACT,
                           keep_k: Optional[int] = None) -> dict:
     """Laws of K_n for several n from one bivariate computation.
 
-    The coefficient rows of exp(sum_j w^j g_j(t)) at every t-order up to max(n)
-    are produced by a single triangular recurrence, so asking for a grid
-    of n values costs the same as asking for the largest one.
+    The coefficient rows of exp(sum_j w^j g_j(t)) at every t-order up to max(n) come
+    from one triangular recurrence (double: series._float_rows within its budget of
+    Python products, bv_exp_wg past it), so a grid costs the same as its largest n.
 
     keep_k None gives the full band.  Given keep_k (double only), it keeps
     the w-columns 0..k_max - 1 and no more, k_max > keep_k the least k with
@@ -370,10 +370,16 @@ def total_cycles_pmf_many(theta, n_values: Sequence[int], backend: str = EXACT,
     if keep_k is not None and (backend != DOUBLE or not isinstance(keep_k, int) or keep_k < 0):
         raise UsageError(f"a truncated K_n law needs the double backend and an "
                          f"integer keep_k >= 0, got {backend!r} and {keep_k!r}")
-    parts = theta.log_series(max(ns), backend)
+    n_max = max(ns)
     cols, bounds = ((None, dict.fromkeys(ns, 0)) if keep_k is None
                     else _certified_cols(theta, ns, keep_k))
-    rows = bv_exp_wg(*parts, cols=cols)  # exact: read as the integer numerators of row n
+    # double: the float kernel on the weights _h_values reads, while within its budget
+    rows = None if backend == EXACT else _float_rows(
+        [[0.0, *map(theta.theta, range(1, n_max + 1))]] if isinstance(theta, WeightSequence)
+        else [[k * c for k, c in enumerate(g.coeffs)] for g in theta.log_series(n_max, DOUBLE)],
+        n_max + 1 if cols is None else cols, ns)
+    if rows is None:  # exact, read as the integer numerators of row n, or past the budget
+        rows = bv_exp_wg(*theta.log_series(n_max, backend), cols=cols)
     return {n: _k_pmf(rows.raw[n][0] if backend == EXACT else rows[n], n, theta, bounds[n])
             for n in ns}
 
@@ -387,11 +393,9 @@ def _certified_cols(theta, ns: list, keep_k: int) -> tuple:
 
     minimized over x in _CHERNOFF_X.  All N + 1 columns, and bounds 0,
     when that k reaches N = max(n) or some h_n has no finite h_n(x)."""
-    import numpy as np
     n_max = max(ns)
-    with np.errstate(all="ignore"):  # an overflowing h_n(x) only gives no bound
-        xs = (1.0, *_CHERNOFF_X)
-        h = dict(zip(xs, _h_values(theta, n_max, DOUBLE, xs=xs)))
+    xs = (1.0, *_CHERNOFF_X)  # an overflowing h_n(x) only gives no bound
+    h = dict(zip(xs, _h_values(theta, n_max, DOUBLE, xs=xs)))
     log_ratio = {n: {x: math.log(h[x][n] / h[1.0][n]) for x in _CHERNOFF_X
                      if 0 < h[1.0][n] < math.inf and 0 < h[x][n] < math.inf}
                  for n in ns}

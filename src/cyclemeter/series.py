@@ -5,14 +5,15 @@ a series is its coefficient vector (a_0, ..., a_N) and every operation
 discards terms of order > N.  Two scalar kinds are supported:
 
 * ``"exact"``  -- fractions.Fraction coefficients, no rounding anywhere;
-* ``"double"`` -- float coefficients: h_n on the float kernel _float_h at
-  every order; the K_n band of bv_exp_wg up to order _EXACT_DOUBLE_MAX_N as
-  the exact kernel's result on their binary values, each rounded once, and
-  past it on a numpy-backed recurrence that reads forward slices and only
-  the live w-band: the leading columns nonzero in some earlier row, and at
-  most a given number of them.  K_n concentrates near theta log n, so past
-  the double range the band is narrow and a row costs O(n * k_live); a
-  column limit k_max keeps the whole array at (N + 1) * k_max doubles.
+* ``"double"`` -- float coefficients: h_n on the float kernel _float_h, a K_n
+  band within its budget on the twin _float_rows, at every order; past that,
+  bv_exp_wg's band up to order _EXACT_DOUBLE_MAX_N as the exact kernel's result
+  on their binary values, each rounded once, and past it on a numpy-backed
+  recurrence that reads forward slices and only the live w-band: the leading
+  columns nonzero in some earlier row, and at most a given number of them.
+  K_n concentrates near theta log n, so past the double range the band is
+  narrow and a row costs O(n * k_live); a column limit k_max keeps the whole
+  array at (N + 1) * k_max doubles.
 
 Binary operations require equal order and equal kind; callers pick the
 backend explicitly and keep it.  This module is also the one place that
@@ -42,14 +43,15 @@ the first differences k*G_k - (k-1)*G_{k-1} with their running prefix sums;
 both give the same sum by telescoping, so an eventually constant k*G_k
 (Ewens) costs O(1) terms per order: O(n) exact h_n and O(n^2) K_n rows.
 
-_float_h is the double twin of the exact h_n kernel.  It takes the weights
-a_k = k*G_k as its caller knows them: a weight sequence passes its own
-theta_k, which stay constant where the weights are (Ewens, a tail), as
-k * (theta_k / k) in doubles need not.  It makes the same choice of form,
-but sums differences only when all are >= 0, so that no term cancels, and
-runs Python dots within a budget of products per order
-(_PY_PRODUCTS_PER_ORDER), the plain numpy loop past it.  At every order its
-h_n lie within about 4e-15 relative of the exact kernel on the same weights.
+_float_h and _float_rows are the double twins of the exact kernels.  They take
+the weights a_k = k*G_k as their caller knows them: a weight sequence passes
+its own theta_k, which stay constant where the weights are (Ewens, a tail), as
+k * (theta_k / k) in doubles need not; an Ewens row of k columns so costs O(k).
+They make the same choice of form, but sum differences only when all are >= 0,
+so that no term cancels, and run Python dots within a budget of products per
+order (_PY_PRODUCTS_PER_ORDER); past it, _float_h runs the plain numpy loop and
+_float_rows leaves the band to bv_exp_wg.  Their values lie within about 4e-15
+relative of the exact kernels on the same weights.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .errors import ResourceError, UsageError
@@ -72,22 +74,27 @@ _KINDS = (EXACT, DOUBLE)
 # power 2: 3.1 s and 89 s on one Xeon core); Ewens laws cost far less.
 _AUTO_EXACT_MAX_N = 200
 
-# The double K_n band runs on the integer kernel up to this order: exp-weight, the
-# slowest catalog family there, costs 10/23/48/95/165 ms at N = 32/40/48/56/64 on one
-# Xeon core; 48 is the largest N within a third of the numpy import it saves (median
-# 0.16 s, 13 MB), and below 50, where bench references pin the numpy band's bits.
+# A double K_n band past the float kernels' budget runs on the integer kernel up to this
+# order: exp-weight, the slowest catalog family there, costs 10/23/48/95/165 ms at
+# N = 32/40/48/56/64 on one Xeon core; 48 is the largest N within a third of the numpy
+# import it saves (median 0.16 s, 13 MB), and below 50, where bench references pin the
+# numpy band's bits.
 _EXACT_DOUBLE_MAX_N = 48
 
 # _float_h runs Python dots while they average at most this many products per order,
-# and numpy's loop past that.  A product costs 30-44 ns in Python, a numpy row 1.2 us
-# to N = 4000 and 5 us at N = 20000, so within the budget Python costs no more than
-# numpy's loop even where numpy is loaded already, and elsewhere it saves the import
-# (0.1 s, 13.8 MB).  Dense weights so stay in Python up to N = 127, and a summed Ewens
-# term (one product per order) at any N.  On one Xeon core, best of 5 in-process:
+# and numpy's loop past that; _float_rows counts one product per term per column the
+# term reads, and leaves a band past it to bv_exp_wg.  A product costs 30-44 ns in
+# Python, a numpy row 1.2 us to N = 4000 and 5 us at N = 20000, so within the budget
+# Python costs no more than numpy's loop even where numpy is loaded already, and
+# elsewhere it saves the import (0.1 s, 13.8 MB).  Dense weights so stay in Python up to
+# N = 127, and a summed Ewens term (one product per order) at any N.  On one Xeon core,
+# best of 5 in-process (one run at N = 20000 for the band):
 #     dense N         127     200     500    1000    4000   20000
 #     Python, ms     0.36    0.75     4.1    15.6     239       -
 #     numpy, ms      0.15    0.24    0.62    1.91    6.67    99.5
-#     summed Ewens h_n: 3.0 / 14.7 / 73 ms at N = 4000 / 20000 / 100000.
+#     summed Ewens h_n: 0.62 / 3.1 / 16 ms at N = 4000 / 20000 / 100000.
+#     Ewens band at N x cols = 127 x 128 / 500 x 501 / 4000 x 49 / 20000 x 49: Python
+#     1.6 / 21.8 / 37.9 / 190 ms, numpy (plain rows) 0.71 / 17.5 / 248 / 11600 ms.
 _PY_PRODUCTS_PER_ORDER = 64
 
 # The double bv_exp_wg refuses an array larger than this, before allocating:
@@ -331,9 +338,17 @@ def _float_h(a: Sequence[float]) -> list:
         kg = np.asarray(a, dtype=float)
         hr = np.zeros(n_max + 1)  # hr[N - j] = h_j: h_{n-1}..h_0 is hr[N-n+1:]
         hr[n_max] = 1.0
-        for n in range(1, n_max + 1):
-            hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
+        with np.errstate(all="ignore"):  # a non-finite h_n is its callers' to judge
+            for n in range(1, n_max + 1):
+                hr[n_max - n] = kg[1 : n + 1].dot(hr[n_max - n + 1 :]) / n
         return hr[::-1].tolist()
+    if summed and len(terms) == 1:  # n*h_n = c*X_{n-k}: the dot below, bit for bit
+        ((k, v),) = terms.items()
+        hs, x = [1.0], 0.0
+        for n in range(1, n_max + 1):
+            x += hs[n - k] if n >= k else 0.0
+            hs.append(v * x / n)
+        return hs
     c = [0.0] * span
     for k, v in terms.items():
         c[k - 1] = v
@@ -347,6 +362,37 @@ def _float_h(a: Sequence[float]) -> list:
         else:
             xs.append(h)
     return hs if summed else xs
+
+
+def _float_rows(parts: list, cols: int, keep) -> Optional[dict]:
+    """{n: row n for n in keep} of exp(sum_j w^j g_j) in doubles, w-degrees 0..min(n, cols - 1),
+    on the recurrence weights parts[j-1][k] = k*g_{j,k} (a weight sequence's own theta_k):
+    _exact_rows' double twin on _terms' form, or None past _PY_PRODUCTS_PER_ORDER per order,
+    one product per term per column it reads.  Only the rows and the prefix sums (of the
+    summed terms) that a term still reads stay, and the rows in keep."""
+    n_max = len(parts[0]) - 1
+    terms = [(k, j, summed, float(c)) for j, a in enumerate(parts, 1)
+             for summed, cs in [_terms(a, rounded=True)] for k, c in cs.items()]
+    # a term at k of part j reads min(n - k + 1, cols - j) columns at order n <= n_max
+    spans = [(n_max - k + 1, max(cols - j, 0)) for k, j, _, _ in terms]
+    if sum(u * (u + 1) // 2 + (m - u) * w for m, w in spans for u in [min(m, w)]) > (
+            _PY_PRODUCTS_PER_ORDER * n_max):
+        return None
+    reach = [max([t[0] for t in terms if t[2] is s], default=0) for s in (False, True)]
+    rows, sums, keep = {0: [1.0]}, {0: [1.0]}, set(keep)
+    for n in range(1, n_max + 1):
+        acc = [0.0] * min(n + 1, cols)
+        for k, j, summed, c in terms:
+            if k <= n and j < cols:
+                src = (sums if summed else rows)[n - k][: cols - j]
+                acc[j : j + len(src)] = map(add, acc[j : j + len(src)], map(c.__mul__, src))
+        rows[n] = [v / n for v in acc]
+        if reach[True]:
+            sums[n] = list(map(add, [*sums[n - 1], 0.0], rows[n]))
+            sums.pop(n - reach[True], None)
+        if n - reach[False] not in keep:
+            rows.pop(n - reach[False], None)
+    return {n: rows[n] for n in keep}
 
 
 def _exact_h(g: TruncatedSeries) -> list:

@@ -981,6 +981,9 @@ def test_double_overflow_leaks_no_numpy_warning(capsys):
 
 
 @pytest.mark.parametrize("argv, code, err", [
+    # the K_n band on numpy (see below), then on the float kernel
+    ("dist --family ewens --theta 100000 --n 500 --backend double", EXIT_USAGE,
+     "error: h_500 overflows the double range; hn and dist compute it with --backend exact\n"),
     ("dist --family ewens --theta 100000 --n 100 --backend double", EXIT_USAGE,
      "error: h_100 overflows the double range; hn and dist compute it with --backend exact\n"),
     ("hn --family exp-weight --c 1 --theta-exp 1 --n 1000", EXIT_USAGE,
@@ -997,10 +1000,11 @@ def test_overflow_prints_only_the_error_line(argv, code, err):
 
 
 def test_overflow_command_does_overflow_in_numpy():
-    # Keeps the first case above from passing without a warning to hide.
+    # Keeps the first case above from passing without a warning to hide: the
+    # full band at n = 500 passes the float kernel's budget and runs on numpy.
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(ResourceError):
-            total_cycles_pmf(ewens_family(100000).weights, 100, "double")
+            total_cycles_pmf(ewens_family(100000).weights, 500, "double")
 
 
 def test_exact_output_beyond_str_digit_limit(capsys):

@@ -4,17 +4,18 @@ exact integer kernel start without numpy.
 A module's imports may be read anywhere in its file, a function's only in
 that function's body.  __init__.py is skipped: its imports are the
 package's re-exports.  numpy is imported inside the functions that run
-double K_n bands past the exact-double cut, double h_n over the float
-kernel's budget of Python products, the joint-law blocks of the
-poisson-vector report, diagnostics or the generalized lattice, so the
-package, the CLI module, exact commands of weighted and exp-poly
-families and double hn, dist (either target) and sample commands up to
-the cut never load it.  Past the cut, h_n within the budget (Ewens at
-any n, dense weights up to n = 127) keeps double hn, dist --target
-cycles and sample off numpy too, and no sample command loads
-numpy.random; each of those runs in a fresh interpreter.  json is
-imported only by the serializer's int-row branch, so the CLI module
-starts without it.  The package defines no dataclasses, so the CLI
+double K_n bands and h_n over the float kernels' budget of Python
+products (bands up to the exact-double cut run the integer kernel), the
+joint-law blocks of the poisson-vector report, the mod-poisson report
+or the generalized lattice, so the package, the CLI module, exact
+commands of weighted and exp-poly families and double hn, dist (either
+target) and sample commands up to the cut never load it.  Past the cut,
+h_n within the budget (Ewens at any n, dense weights up to n = 127)
+keeps double hn, dist --target cycles and sample off numpy too, and
+bands within it keep the Ewens clt, poisson-k and large-dev reports off
+it; no sample command loads numpy.random.  Each of those runs in a fresh
+interpreter.  json is imported only by the serializer's int-row branch,
+so the CLI module starts without it.  The package defines no dataclasses, so the CLI
 module loads neither dataclasses nor the inspect module it pulls in,
 and configparser loads only where a --config file is read.
 """
@@ -131,17 +132,24 @@ QUAD = ("--family", "quad", "--config", str(Path(__file__).resolve().parent / "e
     _cli("hn", *EWENS, "--n-grid", "100,20000", "--backend", "double"),
     _cli("dist", *EWENS, "--target", "cycles", "--b", "3", "--n", "60", "--backend", "double"),
     _cli("hn", "--family", "theta-shift", "--theta", "1", "--n", "100", "--backend", "double"),
+    # a K_n band within that budget runs on Python floats at every order: the
+    # certified columns of the Ewens reports, and its fitted slopes are plain sums
+    _cli("report", *EWENS, "--kind", "clt", "--n-grid", "100,20000"),
+    _cli("report", *EWENS, "--kind", "poisson-k", "--n-grid", "100,300,500"),
+    _cli("report", *EWENS, "--kind", "large-dev", "--n", "1200"),
+    _cli("dist", "--family", "ewens", "--theta=1e-300", "--n", "48", "--backend", "double"),
 ], ids=["package", "cli", "hn-exact", "dist-auto", "dist-oracle", "dist-cycles",
         "dist-cycles-oracle", "exp-poly-hn", "exp-poly-dist", "exp-poly-dist-oracle",
         "exp-poly-dist-cycles", "exp-poly-b2-hn", "exp-poly-b2-dist", "exp-poly-b2-dist-cycles",
         "polylog-hn-double", "polylog-dist-oracle-double", "dist-double", "exp-poly-dist-double",
         "dist-cycles-double", "exp-poly-dist-cycles-double", "polylog-dist-cycles-oracle-double",
-        "hn-double-past-cut", "dist-cycles-double-past-cut", "theta-shift-hn-double-past-cut"])
+        "hn-double-past-cut", "dist-cycles-double-past-cut", "theta-shift-hn-double-past-cut",
+        "clt-report", "poisson-k-report", "large-dev-report", "dist-double-tiny-theta"])
 def test_exact_paths_do_not_load_numpy(code):
     res = _loads(code)
     assert res.returncode == 0, res.stderr
     assert res.stderr.splitlines()[-1] == "False"
-    if "main" in code:
+    if "main" in code and "report" not in code:
         backend = "double" if "double" in code or "polylog" in code else "exact"
         assert f'"backend": "{backend}"' in res.stdout
 
@@ -186,9 +194,10 @@ def test_config_command_loads_configparser():
 
 
 def test_double_command_loads_numpy():
-    # past the exact-double cut the K_n band runs on numpy, and so does an h_n
-    # of dense weights past the float kernel's budget of Python products
-    for code in (_cli("dist", *EWENS, "--n", "49", "--backend", "double"),
+    # a K_n band past the float kernel's budget of Python products runs on numpy
+    # (the full Ewens band at n = 500 reads about 250 products per order), and so
+    # does an h_n of dense weights past that budget
+    for code in (_cli("dist", *EWENS, "--n", "500", "--backend", "double"),
                  _cli("hn", "--family", "theta-shift", "--theta", "1", "--n", "4000",
                       "--backend", "double")):
         res = _loads(code)

@@ -5,13 +5,16 @@ logarithm), round-trip identities that pair ts_exp with ts_log and
 ts_mul with hand convolution, and the dense full-triangle loop that the
 double bv_exp_wg must reproduce while reading only its live w-band; its
 full band is in turn the reference for the column-limited band.  Double
-K_n rows up to the cut _EXACT_DOUBLE_MAX_N must be the exact results on the
-same double inputs, each rounded once, and past it run on numpy.  Double
-h_n run the float kernel at every order, within 1e-13 of the exact kernel
-on the same binary weights.
+K_n rows of bv_exp_wg up to the cut _EXACT_DOUBLE_MAX_N must be the exact
+results on the same double inputs, each rounded once, and past it run on
+numpy.  Double h_n run the float kernel at every order, within 1e-13 of the
+exact kernel on the same binary weights, and its one-term case gives the
+generic dot's bits.  Double K_n laws within that kernel's budget run its
+band twin _float_rows, within 1e-13 of the exact rows and of the numpy band.
 """
 
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -21,10 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclemeter import series
+from cyclemeter import measure, series
+from cyclemeter.asymptotics import ewens_family
 from cyclemeter.catalog import KINDS, build_family
+from cyclemeter.diagnostics import clt_report, mod_poisson_report
 from cyclemeter.errors import ResourceError, UsageError
-from cyclemeter.measure import WeightSequence, _at, normalization_constants, total_cycles_pmf
+from cyclemeter.measure import (WeightSequence, _at, normalization_constants, total_cycles_pmf,
+                                total_cycles_pmf_many)
 from cyclemeter.series import (DOUBLE, EXACT, TruncatedSeries, _exact_h, _float_h, bv_exp_wg,
                                ts_exp, ts_log, ts_mul)
 
@@ -549,3 +555,91 @@ def test_a_spike_keeps_the_plain_form(spike):
     assert series._terms(a, rounded=True) == (False, {k: c for k, c in enumerate(a) if c})
     with np.errstate(all="ignore"):
         assert_close(_float_h(a), exact_h_of(a))
+
+
+def exact_rows_of(parts) -> list:
+    # _exact_rows on the binary values of each part's recurrence weights a_k = k g_k
+    return series._exact_rows(tuple(
+        TruncatedSeries([0] + [Fraction(c) / k for k, c in enumerate(a) if k], EXACT)
+        for a in parts))
+
+
+@pytest.mark.parametrize("a, n_max", [
+    ([1 / 3], 150), ([0.5], 400), ([2.0], 400),
+    # an increasing head, then a constant tail: four summed terms, and a plain w^2 part
+    ([0.5, 0.75, 1.5, 2.0], 400),
+    # a head that falls takes the plain form
+    ([3.0, 0.25, 1.0], 60),
+], ids=["ewens-1/3", "ewens-1/2", "ewens-2", "rising-head", "falling-head"])
+@pytest.mark.parametrize("cols", [None, 40, 7])
+def test_float_rows_are_the_exact_rows_rounded(a, n_max, cols, monkeypatch):
+    # The float band kernel against the exact one on the same binary weights:
+    # every kept row, full or truncated, within 1e-13 relative on atoms above 1e-300.
+    parts = [[0.0] + (a + [a[-1]] * n_max)[:n_max]]
+    if len(a) > 1:
+        parts.append([0.0, 0.0, 0.25, 0.0, 0.5] + [0.0] * (n_max - 4))  # two plain terms
+    monkeypatch.setattr(series, "_PY_PRODUCTS_PER_ORDER", n_max * n_max)  # whatever the band
+    cols = n_max + 1 if cols is None else cols
+    keep = [1, 7, n_max // 3, n_max]
+    rows = series._float_rows(parts, cols, keep)
+    assert sorted(rows) == keep
+    exact = exact_rows_of(parts)
+    for n in keep:
+        nums, q = exact[n]
+        want = [rounded(Fraction(v, q)) for v in nums[:cols]]
+        assert len(rows[n]) == len(want) == min(n + 1, cols)
+        for i, (got, w) in enumerate(zip(rows[n], want)):
+            assert got == w or (w <= 1e-300 and got <= 1e-300) or abs(got - w) <= 1e-13 * w, (n, i)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("keep_k", [None, 0])
+def test_float_rows_are_the_numpy_band(kind, keep_k, monkeypatch):
+    # Every catalog kind, full and certified columns: the Python kernel at any
+    # budget against bv_exp_wg's numpy rows at budget 0.
+    weights = build_family(kind, _KIND_PARAMS[kind]).weights
+    monkeypatch.setattr(series, "_EXACT_DOUBLE_MAX_N", -1)
+    laws = []
+    for budget in (10**9, 0):
+        monkeypatch.setattr(series, "_PY_PRODUCTS_PER_ORDER", budget)
+        laws.append(total_cycles_pmf_many(weights, [20, 90], DOUBLE, keep_k))
+    for n in (20, 90):
+        python, numpy = laws[0][n], laws[1][n]
+        assert python.support() == numpy.support()
+        for k in numpy.support():
+            if numpy[k] > 1e-300:
+                assert abs(python[k] - numpy[k]) <= 1e-13 * numpy[k], (n, k)
+
+
+def test_band_routing_follows_the_budget(monkeypatch):
+    # The mod-poisson band (Ewens 2, all 501 columns to n = 500) reads about 250
+    # products per order and keeps numpy's rows; the certified columns of the
+    # Ewens 1 clt report fit the budget at n = 20000 and never reach bv_exp_wg.
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(bv_exp_wg(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(measure, "bv_exp_wg", spy)
+    mod_poisson_report(ewens_family(2), [100, 300, 500], [0.5])
+    assert len(returned) == 1 and isinstance(returned[0], np.ndarray)
+    assert series._float_rows([[0.0] + [2.0] * 500], 501, [500]) is None
+    clt_report(ewens_family(1), [100, 20000])
+    assert len(returned) == 1
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 1e-300])
+@pytest.mark.parametrize("k", [1, 3])
+def test_one_summed_term_is_the_generic_dot_bit_for_bit(theta, k):
+    # a_j = theta from j = k on: one summed term, n h_n = theta X_{n-k}, on a scalar
+    # running sum; the dot over the last k prefix sums gives the same bits.
+    n_max = 20000
+    c = [0.0] * (k - 1) + [theta]
+    hs, xs = [1.0], [1.0]
+    for n in range(1, n_max + 1):
+        h = sum(map(operator.mul, c, reversed(xs))) / n
+        hs.append(h)
+        xs.append(xs[-1] + h)
+        del xs[:-k]
+    assert _float_h([0.0] * k + [theta] * (n_max + 1 - k)) == hs
